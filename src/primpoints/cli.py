@@ -19,9 +19,12 @@ from .errors import (
     SearchBudgetExhausted,
     VerificationFailure,
 )
-from .exactalg import POLY_ONE, POLY_ZERO, RatPolynomial, factor_over_rationals
+from .exactalg import RatPolynomial, factor_over_rationals
 from .hypcurve import (
     INFINITY,
+    KIND_INERT,
+    KIND_RAMIFIED,
+    KIND_SPLIT,
     CurveFunction,
     Divisor,
     HyperellipticCurve,
@@ -249,16 +252,16 @@ def parse_divisor(text: str, curve: HyperellipticCurve) -> Divisor:
             if (curve.h % u).is_zero():
                 if v_text not in (None, "0"):
                     raise InvalidInput(f"u = {u} is ramified; v must be omitted or 0")
-                entries.append((Place("ramified", u, None), mult))
+                entries.append((Place(KIND_RAMIFIED, u, None), mult))
                 continue
             found = places_over_x(curve, u, check=False)
             if v_text is not None:
                 v = parse_poly_expr(v_text) % u
                 if ((v * v - curve.h) % u).is_zero():
-                    entries.append((Place("split", u, v), mult))
+                    entries.append((Place(KIND_SPLIT, u, v), mult))
                     continue
                 raise InvalidInput(f"v = {v_text} does not satisfy v^2 = h mod u")
-            if found[0].kind == "inert":
+            if found[0].kind == KIND_INERT:
                 entries.append((found[0], mult))
                 continue
             raise InvalidInput(
@@ -365,12 +368,7 @@ def _cmd_prospect(args):
     curve = _load_curve(args.curve)
     f = parse_function_expr(args.function, curve)
     rep = prospect(
-        curve,
-        f,
-        count=args.t_height,
-        paranoid=args.paranoid,
-        seed=args.seed,
-        jobs=args.jobs,
+        curve, f, count=args.t_height, paranoid=args.paranoid, seed=args.seed
     )
     count = rep.counts()
     _emit(
@@ -472,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of height-ordered t values to sweep",
     )
     p.add_argument("--paranoid", action="store_true")
-    p.add_argument("--jobs", type=_positive(int, 1, 64), default=1)
     p.set_defaults(func=_cmd_prospect)
 
     p = sub.add_parser("density", help="classify a coefficient box of L(D)")

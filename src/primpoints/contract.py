@@ -11,7 +11,7 @@ exact functional decomposition through the expansion at infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,9 +26,10 @@ from .exactalg import (
 )
 from .hypcurve import (
     INFINITY,
+    KIND_RAMIFIED,
+    KIND_SPLIT,
     CurveFunction,
     Divisor,
-    HyperellipticCurve,
     Place,
     _monomials_upto,
     _monomial_function,
@@ -102,7 +103,7 @@ def function_value_at_place(curve, f: CurveFunction, place: Place):
         return point_rat(s.coefficient(0))
     u = place.u
     jden = _ord_u(f.den, u) if f.den.degree > 0 else 0
-    if place.kind == "split":
+    if place.kind == KIND_SPLIT:
         k = jden + 1
         vk = _sqrt_lift(curve, u, place.v, k)
         w = (f.a + f.b * vk) % (u ** k)
@@ -119,7 +120,7 @@ def function_value_at_place(curve, f: CurveFunction, place: Place):
         if val.is_rational():
             return point_rat(val.as_rational())
         return ("alg", u, val)
-    if place.kind == "ramified":
+    if place.kind == KIND_RAMIFIED:
         # numerator valuation is even here, so the y part does not survive
         j = jden  # 2*ord_u(num-part) == 2*jden at valuation zero
         a1 = f.a // (u ** j) if j else f.a
@@ -294,8 +295,7 @@ def _verify_contraction(curve, D: Divisor, g: CurveFunction, e: int):
     )
 
 
-# memoized per (curve, divisor); plain dict writes are atomic under the GIL,
-# and recomputing the same immutable value on a race is harmless
+# memoized per (curve, divisor)
 _CONTR_CACHE: dict = {}
 
 
@@ -625,7 +625,3 @@ def imprimitive_locus_test(curve, D: Divisor, f: CurveFunction) -> LocusTestResu
     raise Unsupported(
         "locus test implemented for multiplicity-one divisors and n*oo only"
     )
-
-
-def clear_contraction_cache():
-    _CONTR_CACHE.clear()

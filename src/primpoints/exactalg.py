@@ -163,15 +163,9 @@ def _z_gcd(a, b):
     return g
 
 
-def _z_eval(a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 # ----------------------------------------------------------------------
-# mod-p polynomial kernels
+# mod-p polynomial kernels (_p_mul and _p_divmod also serve Hensel lifting
+# mod p^k; the divisor's lead coefficient must be a unit)
 
 def _p_trim(c, p):
     c = [x % p for x in c]
@@ -198,9 +192,8 @@ def _p_divmod(f, g, p):
         raise ZeroDivisionError
     rem = [x % p for x in f]
     dg = len(g) - 1
-    inv = pow(g[-1], p - 2, p)
+    inv = pow(g[-1], -1, p)
     q = [0] * max(0, len(f) - dg)
-    _p_trim(rem, p)
     while len(rem) - 1 >= dg and rem:
         c = rem[-1] * inv % p
         k = len(rem) - 1 - dg
@@ -270,7 +263,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -604,6 +597,24 @@ def resultant(p: RatPolynomial, q: RatPolynomial) -> Fraction:
     return sign * acc * b.lc ** a.degree
 
 
+def interpolate(sample, npoints: int) -> RatPolynomial:
+    """The polynomial of degree < npoints through (c, sample(c)) at the
+    points c = 0, 1, -1, 2, -2, ..., by Newton divided differences."""
+    xs = []
+    c = Fraction(0)
+    while len(xs) < npoints:
+        xs.append(c)
+        c = -c if c > 0 else -c + 1
+    coef = [sample(c) for c in xs]
+    for j in range(1, npoints):
+        for i in range(npoints - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = RatPolynomial([coef[-1]])
+    for i in range(npoints - 2, -1, -1):
+        poly = poly * RatPolynomial([-xs[i], 1]) + RatPolynomial([coef[i]])
+    return poly
+
+
 def discriminant(p: RatPolynomial) -> Fraction:
     n = p.degree
     if n < 1:
@@ -852,42 +863,14 @@ def _hensel_step(f, g, h, s, t, p, m, target):
     """
     k = min(2 * m, target)
     q = p ** k
-
-    def red(c):
-        return _p_trim([x % q for x in c], q)
-
-    def mul(a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % q
-        return _p_trim(out, q)
-
-    def divmod_monic(a, b):
-        rem = list(a)
-        d = len(b) - 1
-        qq = [0] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and rem:
-            c = rem[-1] % q
-            kk = len(rem) - 1 - d
-            qq[kk] = c
-            for j, y in enumerate(b):
-                rem[kk + j] = (rem[kk + j] - c * y) % q
-            while rem and rem[-1] % q == 0:
-                rem.pop()
-        return _p_trim(qq, q), _p_trim(rem, q)
-
-    e = red(_z_sub(f, _z_mul(g, h)))
-    qq, r = divmod_monic(mul(s, e), h)
-    g1 = red(_z_add(_z_add(g, mul(t, e)), mul(qq, g)))
-    h1 = red(_z_add(h, r))
-    b = red(_z_sub(_z_add(mul(s, g1), mul(t, h1)), [1]))
-    cc, d = divmod_monic(mul(s, b), h1)
-    s1 = red(_z_sub(s, d))
-    t1 = red(_z_sub(_z_sub(t, mul(t, b)), mul(cc, g1)))
+    e = _p_trim(_z_sub(f, _z_mul(g, h)), q)
+    qq, r = _p_divmod(_p_mul(s, e, q), h, q)
+    g1 = _p_trim(_z_add(_z_add(g, _p_mul(t, e, q)), _p_mul(qq, g, q)), q)
+    h1 = _p_trim(_z_add(h, r), q)
+    b = _p_trim(_z_sub(_z_add(_p_mul(s, g1, q), _p_mul(t, h1, q)), [1]), q)
+    cc, d = _p_divmod(_p_mul(s, b, q), h1, q)
+    s1 = _p_trim(_z_sub(s, d), q)
+    t1 = _p_trim(_z_sub(_z_sub(t, _p_mul(t, b, q)), _p_mul(cc, g1, q)), q)
     return g1, h1, s1, t1
 
 
@@ -967,7 +950,7 @@ def _mignotte_bound(zc):
     return (1 << n) * norm2 * abs(zc[-1])
 
 
-def _good_primes(zc, count=3, seed=0):
+def _good_primes(zc, count=3):
     found = []
     p = 2
     lc = zc[-1]
@@ -988,7 +971,7 @@ def _factor_squarefree_z(zc, seed=0):
     if n <= 1:
         return [list(zc)]
     best = None
-    for p in _good_primes(zc, count=3, seed=seed):
+    for p in _good_primes(zc, count=3):
         fl = factor_mod_p(ModpPolynomial(p, zc), seed=seed)
         if best is None or len(fl.factors) < len(best[1].factors):
             best = (p, fl)

@@ -20,6 +20,7 @@ from .errors import (
     SingularModel,
     Unsupported,
     UnsupportedModel,
+    VerificationFailure,
 )
 from .exactalg import (
     POLY_ONE,
@@ -33,7 +34,7 @@ from .exactalg import (
     rational_sqrt,
 )
 from .linalg import nullspace
-from .numfield import NfPolynomial, NumberField, nf_sqrt
+from .numfield import NumberField, nf_sqrt
 
 
 class HyperellipticCurve:
@@ -546,7 +547,8 @@ def divisor_of(curve, f: CurveFunction) -> Divisor:
     if vinf:
         entries.append((INFINITY, vinf))
     div = Divisor(entries)
-    assert div.degree == 0, "divisor of a function must have degree zero"
+    if div.degree != 0:
+        raise VerificationFailure(f"divisor of {f} has degree {div.degree}, not zero")
     return div
 
 
@@ -583,6 +585,21 @@ class RRSpace:
     divisor: Divisor
     basis: tuple  # CurveFunctions
     dimension: int
+    # the basis in monomial coordinates over the common denominator den
+    curve: HyperellipticCurve
+    den: RatPolynomial
+    monomials: tuple  # (i, is_y) for the monomial x^i or x^i*y
+    vectors: tuple
+
+    def combination(self, coeffs) -> "CurveFunction":
+        """The function sum_i coeffs[i] * basis[i]."""
+        vec = [0] * len(self.monomials)
+        for c, v in zip(coeffs, self.vectors):
+            if c:
+                for j, x in enumerate(v):
+                    if x:
+                        vec[j] += c * x
+        return _vector_to_function(self.curve, vec, self.monomials, self.den)
 
     def to_json(self):
         return {
@@ -679,16 +696,13 @@ def _vanishing_rows(curve, place, r, monomials):
 
 
 def _vector_to_function(curve, vec, monomials, den) -> CurveFunction:
-    a = POLY_ZERO
-    b = POLY_ZERO
+    a, b = [], []
     for coeff, (i, isy) in zip(vec, monomials):
         if coeff:
-            term = (POLY_X ** i).scale(coeff)
-            if isy:
-                b = b + term
-            else:
-                a = a + term
-    return CurveFunction(curve, a, b, den)
+            part = b if isy else a
+            part.extend([0] * (i + 1 - len(part)))
+            part[i] = coeff
+    return CurveFunction(curve, RatPolynomial(a), RatPolynomial(b), den)
 
 
 def riemann_roch_basis(curve, D: Divisor) -> RRSpace:
@@ -696,15 +710,17 @@ def riemann_roch_basis(curve, D: Divisor) -> RRSpace:
     if not (D.is_zero() or D.is_effective()):
         raise Unsupported("only effective divisors are in scope")
     den, monomials, rows = _rr_system(curve, D)
-    if not rows:
-        vectors = [
-            [Fraction(1 if j == i else 0) for j in range(len(monomials))]
-            for i in range(len(monomials))
-        ]
-    else:
-        vectors = nullspace(rows, ncols=len(monomials))
+    vectors = tuple(tuple(v) for v in nullspace(rows, ncols=len(monomials)))
     basis = tuple(_vector_to_function(curve, v, monomials, den) for v in vectors)
-    return RRSpace(divisor=D, basis=basis, dimension=len(basis))
+    return RRSpace(
+        divisor=D,
+        basis=basis,
+        dimension=len(basis),
+        curve=curve,
+        den=den,
+        monomials=tuple(monomials),
+        vectors=vectors,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -730,10 +746,10 @@ def _cantor_compose(curve, d1, d2):
     g0, c1, c2 = poly_xgcd(g1, v1 + v2)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
     u, r = divmod(u1 * u2, g0 * g0)
-    assert r.is_zero()
     num = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + h)
     vq, vr = divmod(num, g0)
-    assert vr.is_zero()
+    if not (r.is_zero() and vr.is_zero()):
+        raise VerificationFailure("Cantor composition left a nonzero remainder")
     u = u.monic()
     v = vq % u
     return u, v
@@ -745,7 +761,8 @@ def _cantor_reduce_pair(curve, pair):
     h = curve.h
     while u.degree > g:
         unew, r = divmod(h - v * v, u)
-        assert r.is_zero()
+        if not r.is_zero():
+            raise VerificationFailure("Cantor reduction: u does not divide h - v^2")
         unew = unew.monic()
         v = (-v) % unew
         u = unew
@@ -805,10 +822,7 @@ def function_with_divisor(curve, d0: Divisor, dinf: Divisor) -> CurveFunction:
     if set(d0.support()) & set(dinf.support()):
         raise InvalidInput("supports must be disjoint")
     den, monomials, rows = _rr_system(curve, dinf)
-    space = nullspace(rows, ncols=len(monomials)) if rows else [
-        [Fraction(1 if j == i else 0) for j in range(len(monomials))]
-        for i in range(len(monomials))
-    ]
+    space = nullspace(rows, ncols=len(monomials))
     if not space:
         raise NotPrincipal("L(Dinf) is trivial")
     # vanishing constraints from d0, expressed over the monomial space, then
@@ -838,7 +852,8 @@ def function_with_divisor(curve, d0: Divisor, dinf: Divisor) -> CurveFunction:
     kernel = nullspace(reduced_rows, ncols=len(space))
     if not kernel:
         raise NotPrincipal("no function realizes d0 - dinf")
-    assert len(kernel) == 1, "solution space of a principal divisor is a line"
+    if len(kernel) != 1:
+        raise VerificationFailure("solution space of a principal divisor is not a line")
     combo = kernel[0]
     vec = [
         sum(c * v[i] for c, v in zip(combo, space)) for i in range(len(monomials))
@@ -848,7 +863,8 @@ def function_with_divisor(curve, d0: Divisor, dinf: Divisor) -> CurveFunction:
     scale = 1 / vec[lead]
     vec = [x * scale for x in vec]
     f = _vector_to_function(curve, vec, monomials, den)
-    assert zero_divisor(curve, f) == d0 and pole_divisor(curve, f) == dinf
+    if zero_divisor(curve, f) != d0 or pole_divisor(curve, f) != dinf:
+        raise VerificationFailure(f"{f} does not have divisor d0 - dinf")
     return f
 
 
@@ -1004,7 +1020,20 @@ def _trunc_mul(a, b, k):
     return out
 
 
+def _integer_nth_root(n: int, m: int) -> int:
+    """floor(n^(1/m)) for n >= 0, by integer Newton iteration."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // m)  # >= the root
+    while True:
+        s = ((m - 1) * r + n // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
+
+
 def _rational_nth_root(q: Fraction, m: int):
+    """The rational r with r^m == q (r > 0 for even m), or None."""
     if m == 1:
         return q
     sign = 1
@@ -1014,13 +1043,9 @@ def _rational_nth_root(q: Fraction, m: int):
         sign = -1
         q = -q
     num, den = q.numerator, q.denominator
-    rn = round(num ** (1.0 / m))
-    rd = round(den ** (1.0 / m))
-    for cand_n in (rn - 1, rn, rn + 1):
-        if cand_n >= 0 and cand_n ** m == num:
-            for cand_d in (rd - 1, rd, rd + 1):
-                if cand_d > 0 and cand_d ** m == den:
-                    return sign * Fraction(cand_n, cand_d)
+    rn, rd = _integer_nth_root(num, m), _integer_nth_root(den, m)
+    if rn ** m == num and rd ** m == den:
+        return sign * Fraction(rn, rd)
     return None
 
 

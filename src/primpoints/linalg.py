@@ -36,10 +36,6 @@ def rref(rows):
     return m[:r] + [[Fraction(0)] * ncols for _ in range(len(m) - r)], pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
 def nullspace(rows, ncols=None):
     """Basis of {v : M v = 0}, echelonized, free variables set to 1."""
     if not rows:

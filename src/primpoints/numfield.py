@@ -19,8 +19,8 @@ from .exactalg import (
     POLY_ONE,
     POLY_X,
     RatPolynomial,
-    FactorList,
     factor_over_rationals,
+    interpolate,
     is_prime,
     is_squarefree,
     rat_to_str,
@@ -377,27 +377,12 @@ def nf_norm(f: NfPolynomial) -> RatPolynomial:
     n = f.degree
     if n < 0:
         raise InvalidInput("norm of the zero polynomial")
-    npoints = n * d + 1
-    xs, ys = [], []
-    c = 0
-    while len(xs) < npoints:
-        cq = Fraction(c)
-        val = f(L.element([cq]))
-        if val.is_zero():
-            ys.append(Fraction(0))
-        else:
-            ys.append(resultant(L.modulus, val.to_poly()))
-        xs.append(cq)
-        c = -c if c > 0 else -c + 1
-    # Newton divided differences
-    coef = list(ys)
-    for j in range(1, npoints):
-        for i in range(npoints - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = RatPolynomial([coef[-1]])
-    for i in range(npoints - 2, -1, -1):
-        poly = poly * RatPolynomial([-xs[i], 1]) + RatPolynomial([coef[i]])
-    return poly
+
+    def sample(c):
+        val = f(L.element([c]))
+        return Fraction(0) if val.is_zero() else resultant(L.modulus, val.to_poly())
+
+    return interpolate(sample, n * d + 1)
 
 
 @dataclass(frozen=True)
@@ -600,7 +585,7 @@ def _canonical_quadratic(L: NumberField, gen: FieldElement, minpoly: RatPolynomi
 def _subfield_generator(L: NumberField, basis):
     """Deterministic small integer combination generating the subspace field."""
     e = len(basis)
-    for combo in _int_vectors(e):
+    for combo in coefficient_vectors(e, 6):
         cand = L.zero
         for c, b in zip(combo, basis):
             if c:
@@ -613,15 +598,17 @@ def _subfield_generator(L: NumberField, basis):
     raise InvalidInput("no generator found; subspace is not a field?")
 
 
-def _int_vectors(dim: int, max_height: int = 6):
-    """Nonzero integer vectors ordered by max-norm ring, then lexicographically."""
-    for h in range(1, max_height + 1):
+def coefficient_vectors(dim: int, max_height: int | None = None):
+    """Nonzero integer vectors by max-norm ring, small entries first."""
+    h = 1
+    while max_height is None or h <= max_height:
         ladder = [0]
         for v in range(1, h + 1):
             ladder.extend((v, -v))
         for vec in product(ladder, repeat=dim):
             if max(abs(v) for v in vec) == h:
                 yield vec
+        h += 1
 
 
 # ----------------------------------------------------------------------
@@ -679,6 +666,9 @@ METHOD_PRINCIPAL_SUBFIELDS = "principal_subfields"
 METHOD_RESOLVENT_CUBIC = "resolvent_cubic"
 METHOD_FROM_SPECIALIZATION = "generic_from_specialization"
 
+# the methods that decide a PrimitivityCertificate
+_METHODS = (METHOD_PRIME_DEGREE, METHOD_PRINCIPAL_SUBFIELDS, METHOD_RESOLVENT_CUBIC)
+
 
 @dataclass(frozen=True)
 class PrimitivityCertificate:
@@ -692,8 +682,14 @@ class PrimitivityCertificate:
         """Re-check the certificate from scratch.
 
         strict=True recomputes the verdict with the principal-subfields
-        method and compares (slow, exhaustive).
+        method and compares (slow, exhaustive).  Whatever the method, the
+        modulus must be monic and irreducible over Q.
         """
+        if self.verdict not in (PRIMITIVE, IMPRIMITIVE) or self.method not in _METHODS:
+            return False
+        m = self.modulus
+        if not m.is_monic() or not factor_over_rationals(m).is_irreducible():
+            return False
         if self.verdict == IMPRIMITIVE:
             if self.witness is None or not self.witness.verify(self.modulus):
                 return False

@@ -22,9 +22,9 @@ from .errors import (
     VerificationFailure,
 )
 from .exactalg import (
-    POLY_ONE,
     RatPolynomial,
     factor_over_rationals,
+    interpolate,
     is_squarefree,
     rat_to_str,
     resultant,
@@ -39,10 +39,10 @@ from .hypcurve import (
 )
 from .contract import imprimitive_locus_test
 from .numfield import (
-    IMPRIMITIVE,
     METHOD_FROM_SPECIALIZATION,
     PRIMITIVE,
     PrimitivityCertificate,
+    coefficient_vectors,
     is_primitive_field,
 )
 
@@ -63,19 +63,6 @@ def height_ordered_rationals():
         for k in ks:
             yield Fraction(-h, k)
             yield Fraction(-k, h)
-        h += 1
-
-
-def coefficient_vectors(dim: int, max_height: int | None = None):
-    """Nonzero integer vectors by max-norm ring, small entries first."""
-    h = 1
-    while max_height is None or h <= max_height:
-        ladder = [0]
-        for v in range(1, h + 1):
-            ladder.extend((v, -v))
-        for vec in product(ladder, repeat=dim):
-            if max(abs(v) for v in vec) == h:
-                yield vec
         h += 1
 
 
@@ -114,24 +101,10 @@ def fiber_polynomial(curve, f: CurveFunction, t: Fraction):
 def _eliminated_presentation(curve, a: RatPolynomial, t: Fraction, lam: Fraction):
     """Res_x(a(x) - t, (T - x)^2 - lam^2 h(x)) as a polynomial in T."""
     p = a - RatPolynomial([t])
-    lam2 = lam * lam
-    npoints = 2 * a.degree + 1
-    xs, ys = [], []
-    c = Fraction(0)
-    while len(xs) < npoints:
-        q = (RatPolynomial([c, -1])) ** 2 - curve.h.scale(lam2)
-        ys.append(resultant(p, q))
-        xs.append(c)
-        c = -c if c > 0 else -c + 1
-    coef = list(ys)
-    n = len(xs)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = RatPolynomial([coef[-1]])
-    for i in range(n - 2, -1, -1):
-        poly = poly * RatPolynomial([-xs[i], 1]) + RatPolynomial([coef[i]])
-    return poly
+    hlam = curve.h.scale(lam * lam)
+    return interpolate(
+        lambda c: resultant(p, RatPolynomial([c, -1]) ** 2 - hlam), 2 * a.degree + 1
+    )
 
 
 # ----------------------------------------------------------------------
@@ -260,13 +233,8 @@ def prospect(
     count: int = 50,
     paranoid: bool = False,
     seed: int = 0,
-    jobs: int = 1,
 ) -> ProspectReport:
-    """Sweep the first ``count`` height-ordered t values and classify each.
-
-    Specializations at distinct t are independent; with jobs > 1 they are
-    evaluated concurrently and merged back in height order.
-    """
+    """Sweep the first ``count`` height-ordered t values and classify each."""
     d = function_degree(curve, f)
     if d < 2:
         raise InvalidInput("prospect needs a function of degree >= 2")
@@ -274,17 +242,7 @@ def prospect(
     it = height_ordered_rationals()
     for _ in range(count):
         ts.append(next(it))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            specs = list(
-                pool.map(
-                    lambda t: classify_specialization(curve, f, t, paranoid, seed), ts
-                )
-            )
-    else:
-        specs = [classify_specialization(curve, f, t, paranoid, seed) for t in ts]
+    specs = [classify_specialization(curve, f, t, paranoid, seed) for t in ts]
     return ProspectReport(
         curve=curve,
         function=f,
@@ -357,37 +315,10 @@ def density_experiment(
     space = riemann_roch_basis(curve, D)
     dim = space.dimension
     counts = {LOCUS_DEGREE_DEFICIENT: 0, LOCUS_IMPRIMITIVE: 0, LOCUS_PRIMITIVE: 0}
-    # for D = n*oo the basis is the pole-ordered monomials; place vector
-    # entries straight into coefficient slots
-    pure_inf = D.entries == ((INFINITY, D.degree),)
-    if pure_inf:
-        from .hypcurve import _monomials_upto
-
-        monos = _monomials_upto(curve, D.degree)
-        na = max(i for i, isy in monos if not isy) + 1
-        nb = max((i for i, isy in monos if isy), default=-1) + 1
-
-    def build(vec):
-        if pure_inf:
-            a = [0] * na
-            b = [0] * nb
-            for c, (i, isy) in zip(vec, monos):
-                if c:
-                    if isy:
-                        b[i] = c
-                    else:
-                        a[i] = c
-            return CurveFunction(curve, RatPolynomial(a), RatPolynomial(b))
-        f = None
-        for c, bfun in zip(vec, space.basis):
-            if c:
-                term = bfun * Fraction(c)
-                f = term if f is None else f + term
-        return f
 
     def classify(vec):
-        f = build(vec)
-        if f is None or f.is_zero() or f.is_constant():
+        f = space.combination(vec)
+        if f.is_zero() or f.is_constant():
             return LOCUS_DEGREE_DEFICIENT
         if function_degree(curve, f) < D.degree:
             return LOCUS_DEGREE_DEFICIENT
@@ -449,12 +380,11 @@ class FunctionCertificate:
         poly, _ = fiber_polynomial(curve, self.function, self.t)
         if poly != self.fiber_poly:
             return False
-        if not factor_over_rationals(poly).is_irreducible():
-            return False
         if self.point_certificate.verdict != PRIMITIVE:
             return False
         if self.point_certificate.modulus != poly:
             return False
+        # also checks that poly is irreducible
         return self.point_certificate.verify(strict=strict)
 
     def to_json(self):
@@ -490,12 +420,8 @@ def find_primitive_function(
     for vec in coefficient_vectors(space.dimension):
         if tried >= candidate_budget:
             break
-        f = None
-        for c, b in zip(vec, space.basis):
-            if c:
-                term = b * Fraction(c)
-                f = term if f is None else f + term
-        if f is None or f.is_zero() or f.is_constant():
+        f = space.combination(vec)
+        if f.is_zero() or f.is_constant():
             continue
         if function_degree(curve, f) < d:
             continue  # locus S

@@ -199,8 +199,10 @@ def test_find_function_budget_exit_3(curve_file, monkeypatch):
     assert main(["find-function", curve_file, "--degree", "4"]) == 3
 
 
-def test_unknown_flag_rejected(curve_file):
+def test_unknown_flag_rejected(curve_file, capsys):
     assert main(["curve-info", curve_file, "--bogus"]) == 1
+    assert main(["prospect", curve_file, "--function", "x^2+y", "--jobs", "2"]) == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_bounds_checked_flags(curve_file):

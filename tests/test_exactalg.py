@@ -142,6 +142,19 @@ def test_composite_modulus_rejected():
         ModpPolynomial(6, [1, 1])
 
 
+def test_divmod_prime_power_modulus():
+    # the shared mod-m kernels also serve Hensel lifting at m = p^k; the
+    # divisor's lead coefficient 2 is a unit mod 81 but 2^79 is not its inverse
+    from primpoints.exactalg import _p_divmod, _p_mul, _p_trim, _z_add
+
+    m = 3 ** 4
+    f = [5, -7, 11, 4, 2, 9]
+    g = [1, 3, 2]
+    quo, rem = _p_divmod(f, g, m)
+    assert len(rem) < len(g)
+    assert _p_trim(_z_add(_p_mul(quo, g, m), rem), m) == _p_trim(f, m)
+
+
 # ----------------------------------------------------------------------
 # Hensel lifting
 

@@ -31,7 +31,7 @@ from primpoints import (
     riemann_roch_basis,
     zero_divisor,
 )
-from primpoints.hypcurve import LaurentSeries
+from primpoints.hypcurve import LaurentSeries, _rational_nth_root
 
 x = POLY_X
 
@@ -199,6 +199,24 @@ def test_rr_dimension_formula_random_divisors(g1, g2):
                 assert (div + D).is_effective() or (div + D).is_zero()
 
 
+def test_rr_combination_matches_basis_sum(g1, g2):
+    rng = random.Random(3)
+    for curve, D in (
+        (g1, Divisor([(split_place(2, 3), 2), (INFINITY, 1)])),
+        (g1, Divisor([(places_over_x(g1, x - 2)[0], 1), (places_over_x(g1, x + 1)[0], 1),
+                      (INFINITY, 2)])),
+        (g2, Divisor([(INFINITY, 10)])),
+    ):
+        rr = riemann_roch_basis(curve, D)
+        for _ in range(20):
+            vec = [rng.randint(-3, 3) for _ in range(rr.dimension)]
+            expect = curve.function(RatPolynomial([0]))
+            for c, b in zip(vec, rr.basis):
+                expect = expect + b * Fraction(c)
+            got = rr.combination(vec)
+            assert (got.a, got.b, got.den) == (expect.a, expect.b, expect.den)
+
+
 def test_rr_with_multiplicity(g1):
     P = split_place(2, 3)
     D = Divisor([(P, 2), (INFINITY, 1)])
@@ -343,3 +361,23 @@ def test_divisor_json_round_trip(g1):
     Q = places_over_x(g1, x + 2)[0]
     D = Divisor([(P, 2), (Q, 1), (INFINITY, 3)])
     assert Divisor.from_json(D.to_json()) == D
+
+
+def test_rational_nth_root_exact():
+    big = Fraction(10 ** 400)  # beyond the float range
+    assert _rational_nth_root(big, 2) == Fraction(10 ** 200)
+    assert _rational_nth_root(big + 1, 2) is None
+    assert _rational_nth_root(Fraction(3 ** 700, 7 ** 350), 7) == Fraction(3 ** 100, 7 ** 50)
+    assert _rational_nth_root(Fraction(2 ** 301), 3) is None
+    assert _rational_nth_root(Fraction(27, 8), 3) == Fraction(3, 2)
+    assert _rational_nth_root(Fraction(26, 8), 3) is None
+    assert _rational_nth_root(Fraction(27, 7), 3) is None
+    assert _rational_nth_root(Fraction(-27, 8), 3) == Fraction(-3, 2)
+    assert _rational_nth_root(-big ** 3, 3) == -big
+    assert _rational_nth_root(Fraction(-4), 2) is None
+    assert _rational_nth_root(Fraction(1, 4), 2) == Fraction(1, 2)
+    assert _rational_nth_root(Fraction(5), 1) == Fraction(5)
+    for n in range(200):
+        for m in (2, 3, 5):
+            root = _rational_nth_root(Fraction(n), m)
+            assert root == next((r for r in range(n + 1) if r ** m == n), None)

@@ -10,6 +10,7 @@ from primpoints import (
     NotAField,
     NumberField,
     POLY_X,
+    PrimitivityCertificate,
     RatPolynomial,
     factor_over_rationals,
     is_primitive_field,
@@ -209,6 +210,22 @@ def test_certificate_s4_quartic():
     cert = is_primitive_field(x ** 4 - x ** 3 - 4 * x ** 2 + 3)
     assert cert.verdict == "primitive" and cert.method == "resolvent_cubic"
     assert cert.verify(strict=True)
+
+
+@pytest.mark.parametrize(
+    "verdict, method, modulus",
+    [
+        ("primitive", "prime_degree", ["-1", "0", "0", "0", "0", "1"]),  # x^5 - 1
+        ("primitive", "bogus", ["-2", "0", "0", "0", "0", "1"]),
+        ("bogus", "prime_degree", ["-2", "0", "0", "0", "0", "1"]),
+        ("primitive", "prime_degree", ["-2", "0", "0", "0", "0", "2"]),  # not monic
+        ("primitive", "principal_subfields", ["0", "0", "0", "0", "0", "1"]),
+        ("primitive", "resolvent_cubic", ["0", "-2", "0", "0", "1"]),  # x(x^3 - 2)
+    ],
+)
+def test_forged_certificates_rejected(verdict, method, modulus):
+    data = {"verdict": verdict, "method": method, "modulus": modulus, "witness": None}
+    assert not PrimitivityCertificate.from_json(data).verify()
 
 
 def test_certificate_reducible_rejected():

@@ -139,13 +139,6 @@ def test_prospect_deterministic(g1):
     assert a == b
 
 
-def test_prospect_jobs_merge_deterministic(g1):
-    f = g1.function(x ** 2, POLY_ONE)
-    a = json.dumps(prospect(g1, f, count=10).to_json(), sort_keys=True)
-    b = json.dumps(prospect(g1, f, count=10, jobs=3).to_json(), sort_keys=True)
-    assert a == b
-
-
 def test_certificates_reverify(g1):
     rep = prospect(g1, g1.function(x ** 2, POLY_ONE), count=10)
     for _, _, cert in rep.primitive_points:
