@@ -355,7 +355,7 @@ def _cmd_contr(args):
 def _cmd_certify(args):
     poly = parse_poly_expr(args.poly)
     policy = "general" if args.paranoid else "auto"
-    cert = is_primitive_field(poly.monic(), policy=policy, seed=args.seed)
+    cert = is_primitive_field(poly.monic(), policy=policy)
     ok = cert.verify(strict=args.paranoid)
     report = {"schema_version": 1, **cert.to_json(), "reverified": ok}
     _emit(report, args, f"{cert.verdict} via {cert.method}")
@@ -396,7 +396,6 @@ def _cmd_find_function(args):
         curve,
         args.degree,
         t_budget=args.t_budget,
-        seed=args.seed,
         paranoid=args.paranoid,
     )
     ok = cert.verify(curve)

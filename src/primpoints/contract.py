@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import InvalidInput, PreconditionFailed, Unsupported
@@ -295,10 +296,7 @@ def _verify_contraction(curve, D: Divisor, g: CurveFunction, e: int):
     )
 
 
-# memoized per (curve, divisor)
-_CONTR_CACHE: dict = {}
-
-
+@lru_cache(maxsize=128)
 def enumerate_contr0(curve, D: Divisor) -> ContractionSet:
     """All genus-0 contraction classes of a multiplicity-one effective D.
 
@@ -308,9 +306,6 @@ def enumerate_contr0(curve, D: Divisor) -> ContractionSet:
     each class keeps the representative of its lexicographically least
     zero/pole pair.  Results are memoized per (curve, D).
     """
-    key = (curve.h, D)
-    if key in _CONTR_CACHE:
-        return _CONTR_CACHE[key]
     if not D.is_effective() or not D.is_multiplicity_one():
         raise PreconditionFailed("divisor must be effective with multiplicity one")
     d = D.degree
@@ -356,9 +351,7 @@ def enumerate_contr0(curve, D: Divisor) -> ContractionSet:
         classes.values(),
         key=lambda c: (c.e, c.source_pair[0].sort_key(), c.source_pair[1].sort_key()),
     )
-    result = ContractionSet(divisor=D, contractions=tuple(chosen))
-    _CONTR_CACHE[key] = result
-    return result
+    return ContractionSet(divisor=D, contractions=tuple(chosen))
 
 
 # ----------------------------------------------------------------------
@@ -514,32 +507,27 @@ def decompose_totally_ramified(curve, f: CurveFunction, e: int):
 # ----------------------------------------------------------------------
 # the imprimitive locus test
 
-_TR_SPAN_CACHE: dict = {}
-
-
 def _monomial_orders(curve, bound):
     g2 = 2 * curve.genus + 1
     monos = _monomials_upto(curve, bound)
     return monos, [2 * i + (g2 if isy else 0) for i, isy in monos]
 
 
+@lru_cache(maxsize=64)
 def _tr_span_checker(curve, n: int, e: int):
     """For the unique degree-e class G in a two-dimensional L(e*oo):
     membership data for span{1, G, ..., G^(n/e)} inside L(n*oo)."""
-    key = (curve.h, n, e)
-    if key not in _TR_SPAN_CACHE:
-        monos_e, orders_e = _monomial_orders(curve, e)
-        i, isy = monos_e[orders_e.index(e)]
-        G = _monomial_function(curve, i, isy)
-        monos_n, _ = _monomial_orders(curve, n)
-        rows = []
-        p = CurveFunction(curve, POLY_ONE)
-        for j in range(n // e + 1):
-            if j:
-                p = p * G
-            rows.append([p.b[k] if isy_n else p.a[k] for k, isy_n in monos_n])
-        _TR_SPAN_CACHE[key] = (SpanChecker(rows), G)
-    return _TR_SPAN_CACHE[key]
+    monos_e, orders_e = _monomial_orders(curve, e)
+    i, isy = monos_e[orders_e.index(e)]
+    G = _monomial_function(curve, i, isy)
+    monos_n, _ = _monomial_orders(curve, n)
+    rows = []
+    p = CurveFunction(curve, POLY_ONE)
+    for j in range(n // e + 1):
+        if j:
+            p = p * G
+        rows.append([p.b[k] if isy_n else p.a[k] for k, isy_n in monos_n])
+    return SpanChecker(rows), G
 
 
 @dataclass(frozen=True)

@@ -965,14 +965,14 @@ def _good_primes(zc, count=3):
     return found
 
 
-def _factor_squarefree_z(zc, seed=0):
+def _factor_squarefree_z(zc):
     """Irreducible factors (primitive, positive lc) of a squarefree primitive zc."""
     n = len(zc) - 1
     if n <= 1:
         return [list(zc)]
     best = None
     for p in _good_primes(zc, count=3):
-        fl = factor_mod_p(ModpPolynomial(p, zc), seed=seed)
+        fl = factor_mod_p(ModpPolynomial(p, zc))
         if best is None or len(fl.factors) < len(best[1].factors):
             best = (p, fl)
         if len(fl.factors) == 1:
@@ -1031,7 +1031,7 @@ def _factor_squarefree_z(zc, seed=0):
     return result
 
 
-def factor_over_rationals(p: RatPolynomial, seed: int = 0) -> FactorList:
+def factor_over_rationals(p: RatPolynomial) -> FactorList:
     """Complete irreducible factorization over Q.
 
     Output factors are monic, ordered by (degree, coefficient tuple); the
@@ -1063,7 +1063,7 @@ def factor_over_rationals(p: RatPolynomial, seed: int = 0) -> FactorList:
             d = _z_sub(c, _z_derivative(b))
             g = _z_gcd(b, d)
             if len(g) > 1:
-                for irr in _factor_squarefree_z(g, seed=seed):
+                for irr in _factor_squarefree_z(g):
                     rp = RatPolynomial(irr)
                     unit *= rp.lc ** i
                     rp = rp.monic()
@@ -1076,8 +1076,8 @@ def factor_over_rationals(p: RatPolynomial, seed: int = 0) -> FactorList:
     return FactorList(unit=unit, factors=ordered)
 
 
-def is_irreducible(p: RatPolynomial, seed: int = 0) -> bool:
+def is_irreducible(p: RatPolynomial) -> bool:
     if p.degree < 1:
         return False
-    fl = factor_over_rationals(p, seed=seed)
+    fl = factor_over_rationals(p)
     return fl.is_irreducible()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DegreeUndefined,
@@ -930,29 +931,11 @@ class LaurentSeries:
         if not self.coeffs or not other.coeffs:
             return LaurentSeries(0, [], prec)
         val = self.val + other.val
-        out = [Fraction(0)] * (prec - val)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    e = i + j
-                    if val + e < prec and d:
-                        out[e] += c * d
-        return LaurentSeries(val, out, prec)
+        return LaurentSeries(
+            val, _trunc_mul(self.coeffs, other.coeffs, prec - val - 1), prec
+        )
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        # unit with generous precision so it never throttles the product
-        result = LaurentSeries(0, [1], self.prec + abs(self.val) * (n + 1) + 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def inverse(self):
         if not self.coeffs:
@@ -980,17 +963,18 @@ class LaurentSeries:
         if root0 is None:
             return None
         nterms = self.prec - self.val
-        unit = [c / c0 for c in self.coeffs] + [Fraction(0)] * (
-            nterms - len(self.coeffs)
-        )
-        # (1 + u)^(1/m) by direct recursion on coefficients
-        out = [Fraction(1)] + [Fraction(0)] * (nterms - 1)
+        u = [c / c0 for c in self.coeffs]
+        # r = u^(1/m) with u[0] = 1 by the power recurrence (Knuth, TAOCP 2,
+        # 4.7): k r_k = sum_{j=1..k} (j/m - (k - j)) u_j r_(k-j)
+        r = [Fraction(1)]
         for k in range(1, nterms):
-            # coefficient of tau^k in out^m must equal unit[k]
-            acc = _power_coeff(out, m, k)
-            out[k] = (unit[k] - acc) / m
+            acc = Fraction(0)
+            for j in range(1, min(k, len(u) - 1) + 1):
+                if u[j]:
+                    acc += (Fraction(j, m) - (k - j)) * u[j] * r[k - j]
+            r.append(acc / k)
         return LaurentSeries(
-            self.val // m, [c * root0 for c in out], self.val // m + nterms
+            self.val // m, [c * root0 for c in r], self.val // m + nterms
         )
 
     def __repr__(self):
@@ -1000,17 +984,8 @@ class LaurentSeries:
         return " + ".join(terms or ["0"]) + f" + O(t^{self.prec})"
 
 
-def _power_coeff(series, m, k):
-    """Coefficient of tau^k in series^m where series[k] is treated as zero
-    (only lower-index terms contribute); series[0] == 1."""
-    base = list(series[:k]) + [Fraction(0)]
-    acc = [Fraction(1)] + [Fraction(0)] * k
-    for _ in range(m):
-        acc = _trunc_mul(acc, base, k)
-    return acc[k]
-
-
 def _trunc_mul(a, b, k):
+    """Coefficients 0..k of the product of coefficient lists a and b."""
     out = [Fraction(0)] * (k + 1)
     for i, x in enumerate(a[: k + 1]):
         if x:
@@ -1049,85 +1024,34 @@ def _rational_nth_root(q: Fraction, m: int):
     return None
 
 
-_SERIES_CACHE = {}
-
-
+@lru_cache(maxsize=64)
 def infinity_series_xy(curve, nterms: int):
     """Laurent expansions of x and y at infinity in tau = x^g / y.
 
     x has valuation -2 and y valuation -(2g+1); both series are rational
-    because the infinite place is rational on the imaginary model.
+    because the infinite place is rational on the imaginary model.  With
+    w = 1/x, s = tau^2 and ht(w) = w^(2g+1) h(1/w), the curve equation is
+    the fixed point w = s * ht(w): each pass of w <- s * ht(w) fixes one
+    more coefficient of w.  Then x = tau^-2 / ht(w) and y = x^g / tau.
     """
-    key = (curve.h, nterms)
-    if key in _SERIES_CACHE:
-        return _SERIES_CACHE[key]
     g = curve.genus
-    h = curve.h
-    lc = h.lc
-    alpha = 1 / lc
-    # U in Q[[tau]] with U^(2g) = sum_j h_j tau^(4g+2-2j) U^j, U(0) = alpha
-    K = nterms + 4 * g + 4
-    U = [alpha] + [Fraction(0)] * (K - 1)
-
-    def f_of(uc):
-        # F(U) = sum_j h_j tau^(4g+2-2j) U^j - U^(2g), truncated at K
-        out = [Fraction(0)] * K
-        upow = [Fraction(1)] + [Fraction(0)] * (K - 1)
-        for j in range(0, h.degree + 1):
-            if j:
-                upow = _trunc_mul(upow, uc, K - 1)
-            shift = 4 * g + 2 - 2 * j
-            cj = h[j]
-            if cj:
-                for i in range(K - shift):
-                    if shift + i < K:
-                        out[shift + i] += cj * upow[i]
-        u2g = [Fraction(1)] + [Fraction(0)] * (K - 1)
-        for _ in range(2 * g):
-            u2g = _trunc_mul(u2g, uc, K - 1)
-        for i in range(K):
-            out[i] -= u2g[i]
-        return out
-
-    def fprime_of(uc):
-        out = [Fraction(0)] * K
-        upow = [Fraction(1)] + [Fraction(0)] * (K - 1)
-        for j in range(1, h.degree + 1):
-            shift = 4 * g + 2 - 2 * j
-            cj = h[j] * j
-            if cj:
-                for i in range(K - shift):
-                    if shift + i < K:
-                        out[shift + i] += cj * upow[i]
-            upow = _trunc_mul(upow, uc, K - 1)
-        if g > 0:
-            u2g1 = [Fraction(1)] + [Fraction(0)] * (K - 1)
-            for _ in range(2 * g - 1):
-                u2g1 = _trunc_mul(u2g1, uc, K - 1)
-            for i in range(K):
-                out[i] -= 2 * g * u2g1[i]
-        return out
-
-    prec = 1
-    while prec < K:
-        prec = min(2 * prec, K)
-        fu = f_of(U)
-        fpu = fprime_of(U)
-        # invert fpu as a power series (constant term is a unit)
-        inv = [1 / fpu[0]] + [Fraction(0)] * (K - 1)
-        for k in range(1, prec):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                s += fpu[i] * inv[k - i]
-            inv[k] = -s / fpu[0]
-        delta = _trunc_mul(fu, inv, K - 1)
-        U = [U[i] - delta[i] for i in range(K)]
-    x_series = LaurentSeries(-2, U, nterms)
-    ug = [Fraction(1)] + [Fraction(0)] * (K - 1)
+    rev = curve.h.coeffs[::-1]  # ht(w) = sum_i rev[i] w^i
+    k = (nterms + 2 * g) // 2 + 1  # coefficients of ht(w) needed, in s
+    w = []
+    for n in range(1, k + 1):
+        # ht(w) mod s^n by Horner; w is exact mod s^n
+        ht = [rev[-1]]
+        for c in reversed(rev[:-1]):
+            ht = _trunc_mul(ht, w, n - 1)
+            ht[0] += c
+        w = [Fraction(0)] + ht
+    ht_tau = LaurentSeries(0, [c for a in ht for c in (a, 0)], 2 * k)  # s = tau^2
+    u = ht_tau.inverse()  # tau^2 * x
+    ug = LaurentSeries(0, [1], 2 * k)
     for _ in range(g):
-        ug = _trunc_mul(ug, U, K - 1)
-    y_series = LaurentSeries(-(2 * g + 1), ug, nterms)
-    _SERIES_CACHE[key] = (x_series, y_series)
+        ug = ug * u
+    x_series = LaurentSeries(-2, u.coeffs, nterms)
+    y_series = LaurentSeries(-(2 * g + 1), ug.coeffs, nterms)
     return x_series, y_series
 
 

@@ -10,7 +10,7 @@ cubic (degree 4), or the principal-subfields computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -405,7 +405,7 @@ class NfFactorization:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 
 
-def trager_factor(f: NfPolynomial, seed: int = 0) -> NfFactorization:
+def trager_factor(f: NfPolynomial) -> NfFactorization:
     """Complete irreducible factorization over the coefficient field.
 
     Norm-shift method: find s with squarefree Norm(f(x - s*theta)), factor the
@@ -431,7 +431,7 @@ def trager_factor(f: NfPolynomial, seed: int = 0) -> NfFactorization:
                 break
         else:  # pragma: no cover - sequence is infinite
             raise InvalidInput("no squarefree shift found")
-        fl = factor_over_rationals(norm, seed=seed)
+        fl = factor_over_rationals(norm)
         if fl.is_irreducible():
             pieces = [sqf]
         else:
@@ -497,18 +497,14 @@ class PrincipalSubfield:
     generator_minpoly: RatPolynomial
 
 
-def principal_subfields(L: NumberField, seed: int = 0) -> list:
+def principal_subfields(L: NumberField) -> list:
     """One subfield per irreducible factor of the modulus over L.
 
     Every subfield of L is an intersection of the returned ones; the list
     always contains L itself (from the factor x - theta).
     """
-    return _principal_subfields_impl(L, seed)[0]
-
-
-def _principal_subfields_impl(L: NumberField, seed: int = 0):
     m_over_L = NfPolynomial.from_rat(L, L.modulus)
-    fact = trager_factor(m_over_L, seed=seed)
+    fact = trager_factor(m_over_L)
     d = L.degree
     out = []
     for g, _ in fact.factors:
@@ -541,7 +537,7 @@ def _principal_subfields_impl(L: NumberField, seed: int = 0):
             )
         )
     out.sort(key=_entry_sort_key)
-    return out, fact.shift
+    return out
 
 
 def _entry_sort_key(e: PrincipalSubfield):
@@ -567,7 +563,12 @@ def _squarefree_int_part(n: int, bound: int = 1_000_000):
 
 
 def _canonical_quadratic(L: NumberField, gen: FieldElement, minpoly: RatPolynomial):
-    """Normalize a quadratic generator so its minpoly becomes x^2 - D, D squarefree."""
+    """Normalize a quadratic generator so its minpoly becomes x^2 - D.
+
+    D is an integer free of square factors p^2 with p <= 10^6 only: the
+    trial division in _squarefree_int_part stops there, so a larger square
+    factor can stay in D (2 * 1000003^2 is returned unchanged).
+    """
     b, c = minpoly[1], minpoly[0]
     shifted = gen + L.element([b / 2])
     disc = b * b / 4 - c  # shifted^2 == disc
@@ -676,14 +677,14 @@ class PrimitivityCertificate:
     method: str
     modulus: RatPolynomial
     witness: SubfieldWitness | None = None
-    details: dict = dc_field(default_factory=dict)
 
     def verify(self, strict: bool = False) -> bool:
         """Re-check the certificate from scratch.
 
-        strict=True recomputes the verdict with the principal-subfields
-        method and compares (slow, exhaustive).  Whatever the method, the
-        modulus must be monic and irreducible over Q.
+        The modulus must be monic and irreducible over Q.  A primitive
+        verdict by principal subfields carries no witness, so it is
+        recomputed; strict=True recomputes and compares the verdict for
+        every method (slow).  Principal subfields run at most once.
         """
         if self.verdict not in (PRIMITIVE, IMPRIMITIVE) or self.method not in _METHODS:
             return False
@@ -708,9 +709,10 @@ class PrimitivityCertificate:
                     f.degree == 1 for f, _ in factor_over_rationals(res).factors
                 ):
                     return False
-        if strict:
-            fresh = is_primitive_field(self.modulus, policy="general")
-            if fresh.verdict != self.verdict:
+        if strict or (
+            self.verdict == PRIMITIVE and self.method == METHOD_PRINCIPAL_SUBFIELDS
+        ):
+            if (_principal_witness(m) is None) != (self.verdict == PRIMITIVE):
                 return False
         return True
 
@@ -751,9 +753,7 @@ def resolvent_cubic(q: RatPolynomial) -> RatPolynomial:
     )
 
 
-def is_primitive_field(
-    m: RatPolynomial, policy: str = "auto", seed: int = 0
-) -> PrimitivityCertificate:
+def is_primitive_field(m: RatPolynomial, policy: str = "auto") -> PrimitivityCertificate:
     """Decide whether Q[x]/(m) admits a proper intermediate field.
 
     policy 'auto' uses the prime-degree shortcut and, at degree 4, the
@@ -763,7 +763,7 @@ def is_primitive_field(
         raise InvalidInput("modulus must be monic")
     if policy not in ("auto", "general"):
         raise InvalidInput(f"unknown policy {policy!r}")
-    if not factor_over_rationals(m, seed=seed).is_irreducible():
+    if not factor_over_rationals(m).is_irreducible():
         raise NotAField(f"{m} is reducible over Q")
     d = m.degree
     if policy == "auto":
@@ -773,18 +773,11 @@ def is_primitive_field(
             )
         if d == 4:
             res = resolvent_cubic(m)
-            roots = [
-                -f[0] for f, _ in factor_over_rationals(res, seed=seed).factors
-                if f.degree == 1
-            ]
-            if not roots:
+            if not any(f.degree == 1 for f, _ in factor_over_rationals(res).factors):
                 return PrimitivityCertificate(
-                    verdict=PRIMITIVE,
-                    method=METHOD_RESOLVENT_CUBIC,
-                    modulus=m,
-                    details={"resolvent": res},
+                    verdict=PRIMITIVE, method=METHOD_RESOLVENT_CUBIC, modulus=m
                 )
-            witness, shift = _principal_witness(m, seed)
+            witness = _principal_witness(m)
             if witness is None:  # pragma: no cover - resolvent root guarantees one
                 raise InvalidInput("resolvent root without subfield witness")
             return PrimitivityCertificate(
@@ -792,38 +785,24 @@ def is_primitive_field(
                 method=METHOD_RESOLVENT_CUBIC,
                 modulus=m,
                 witness=witness,
-                details={"resolvent": res, "resolvent_roots": roots,
-                         "trager_shift": shift},
             )
-    witness, shift = _principal_witness(m, seed)
-    if witness is None:
-        return PrimitivityCertificate(
-            verdict=PRIMITIVE,
-            method=METHOD_PRINCIPAL_SUBFIELDS,
-            modulus=m,
-            details={"trager_shift": shift},
-        )
+    witness = _principal_witness(m)
     return PrimitivityCertificate(
-        verdict=IMPRIMITIVE,
+        verdict=PRIMITIVE if witness is None else IMPRIMITIVE,
         method=METHOD_PRINCIPAL_SUBFIELDS,
         modulus=m,
         witness=witness,
-        details={"trager_shift": shift},
     )
 
 
-def _principal_witness(m: RatPolynomial, seed: int = 0):
+def _principal_witness(m: RatPolynomial):
     """First proper principal subfield as a witness, or None."""
     L = NumberField(m, check=False)
-    entries, shift = _principal_subfields_impl(L, seed=seed)
-    for e in entries:
+    for e in principal_subfields(L):
         if 1 < e.degree < L.degree:
-            return (
-                SubfieldWitness(
-                    degree=e.degree,
-                    generator=e.generator,
-                    generator_minpoly=e.generator_minpoly,
-                ),
-                shift,
+            return SubfieldWitness(
+                degree=e.degree,
+                generator=e.generator,
+                generator_minpoly=e.generator_minpoly,
             )
-    return None, shift
+    return None

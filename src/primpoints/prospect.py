@@ -144,7 +144,7 @@ class Specialization:
 
 
 def classify_specialization(
-    curve, f: CurveFunction, t, paranoid: bool = False, seed: int = 0
+    curve, f: CurveFunction, t, paranoid: bool = False
 ) -> Specialization:
     """Fiber polynomial, irreducibility, and primitivity at one t."""
     t = Fraction(t)
@@ -154,7 +154,7 @@ def classify_specialization(
         return Specialization(t=t, fiber_poly=None, status=STATUS_DEGENERATE)
     if not is_squarefree(poly):
         return Specialization(t=t, fiber_poly=poly, status=STATUS_BRANCH_LIKE, lam=lam)
-    fl = factor_over_rationals(poly, seed=seed)
+    fl = factor_over_rationals(poly)
     if not fl.is_irreducible():
         return Specialization(
             t=t,
@@ -163,9 +163,9 @@ def classify_specialization(
             factors=fl.factors,
             lam=lam,
         )
-    cert = is_primitive_field(poly, policy="auto", seed=seed)
+    cert = is_primitive_field(poly, policy="auto")
     if paranoid:
-        check = is_primitive_field(poly, policy="general", seed=seed)
+        check = is_primitive_field(poly, policy="general")
         if check.verdict != cert.verdict:
             raise VerificationFailure(
                 f"method disagreement at t={t}: {cert.verdict} vs {check.verdict}"
@@ -242,7 +242,7 @@ def prospect(
     it = height_ordered_rationals()
     for _ in range(count):
         ts.append(next(it))
-    specs = [classify_specialization(curve, f, t, paranoid, seed) for t in ts]
+    specs = [classify_specialization(curve, f, t, paranoid) for t in ts]
     return ProspectReport(
         curve=curve,
         function=f,
@@ -403,7 +403,6 @@ def find_primitive_function(
     d: int,
     t_budget: int = 40,
     candidate_budget: int = 200,
-    seed: int = 0,
     paranoid: bool = False,
 ):
     """First height-ordered f in L(d*oo) of exact degree d that avoids the
@@ -432,7 +431,7 @@ def find_primitive_function(
         for t in height_ordered_rationals():
             if usable >= t_budget:
                 break
-            s = classify_specialization(curve, f, t, paranoid=paranoid, seed=seed)
+            s = classify_specialization(curve, f, t, paranoid=paranoid)
             if s.status in (STATUS_BRANCH_LIKE, STATUS_DEGENERATE):
                 continue
             usable += 1

@@ -23,7 +23,8 @@ from primpoints import (
     places_over_x,
     prospect,
 )
-from primpoints.contract import _verify_contraction
+from primpoints.contract import _tr_span_checker, _verify_contraction
+from primpoints.hypcurve import infinity_series_xy
 from primpoints.linalg import solve
 
 x = POLY_X
@@ -300,3 +301,8 @@ def test_imprimitive_functions_specialize_imprimitively(g1):
             assert s.certificate.witness.verify(s.fiber_poly)
             checked += 1
     assert checked >= 4
+
+
+def test_module_caches_bounded():
+    for cached in (infinity_series_xy, enumerate_contr0, _tr_span_checker):
+        assert cached.cache_info().maxsize is not None

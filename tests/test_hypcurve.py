@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -339,15 +340,22 @@ def test_function_with_divisor_disjointness(g1):
 # expansions at infinity
 
 def test_series_satisfy_curve_equation(g1, g2, g3):
-    for curve in (g1, g2, g3):
-        xs, ys = infinity_series_xy(curve, 8)
+    for curve, nterms in product((g1, g2, g3), (8, 60)):
+        tau = LaurentSeries(1, [1], nterms + 10)
+        xs, ys = infinity_series_xy(curve, nterms)
         assert xs.order() == -2
         assert ys.order() == -(2 * curve.genus + 1)
-        hval = LaurentSeries(0, [], 10)
+        assert xs.prec == ys.prec == nterms
+        hval = LaurentSeries(0, [], nterms + 2)
         for c in reversed(curve.h.coeffs):
-            hval = hval * xs + LaurentSeries(0, [c], 10)
+            hval = hval * xs + LaurentSeries(0, [c], nterms + 2)
         diff = ys * ys - hval
         assert diff.is_zero_to_prec()
+        # tau = x^g / y is the uniformizer: tau * y == x^g
+        xg = LaurentSeries(0, [1], nterms + 10)
+        for _ in range(curve.genus):
+            xg = xg * xs
+        assert (tau * ys - xg).is_zero_to_prec()
 
 
 def test_series_orders_match_valuations(g1):
@@ -361,6 +369,36 @@ def test_divisor_json_round_trip(g1):
     Q = places_over_x(g1, x + 2)[0]
     D = Divisor([(P, 2), (Q, 1), (INFINITY, 3)])
     assert Divisor.from_json(D.to_json()) == D
+
+
+def test_nth_root_recovers_series(g1, g2):
+    for curve, f in (
+        (g1, g1.function(x ** 2 - 3, x)),
+        (g1, g1.function(POLY_ONE, x - 1) * Fraction(2, 3)),
+        (g2, g2.function(x ** 3 + x, POLY_ONE)),
+    ):
+        base = function_series(curve, f, 12)
+        for m in (2, 3, 5):
+            root = function_series(curve, f ** m, 12).nth_root(m)
+            assert root is not None
+            lead = base.order()
+            sign = root.coefficient(lead) / base.coefficient(lead)
+            assert root.order() == lead and sign in (1, -1)
+            assert all(
+                root.coefficient(e) == sign * base.coefficient(e)
+                for e in range(lead, min(root.prec, base.prec))
+            )
+
+
+def test_nth_root_rejects_non_powers(g1):
+    ys = function_series(g1, g1.y, 10)  # valuation -3
+    assert ys.nth_root(2) is None
+    assert (ys * ys * 2).nth_root(2) is None  # leading coefficient 2
+    assert (ys * ys * 4).nth_root(2) is not None
+    assert (ys * ys * ys * -1).nth_root(3) is not None
+    assert (ys * ys * -1).nth_root(2) is None
+    with pytest.raises(InvalidInput):
+        LaurentSeries(0, [], 5).nth_root(2)
 
 
 def test_rational_nth_root_exact():

@@ -221,6 +221,8 @@ def test_certificate_s4_quartic():
         ("primitive", "prime_degree", ["-2", "0", "0", "0", "0", "2"]),  # not monic
         ("primitive", "principal_subfields", ["0", "0", "0", "0", "0", "1"]),
         ("primitive", "resolvent_cubic", ["0", "-2", "0", "0", "1"]),  # x(x^3 - 2)
+        # x^4 - 10x^2 + 1 has the subfield Q(sqrt 2), though it carries no witness
+        ("primitive", "principal_subfields", ["1", "0", "-10", "0", "1"]),
     ],
 )
 def test_forged_certificates_rejected(verdict, method, modulus):
