@@ -40,6 +40,12 @@ from .numfield import is_primitive_field
 from .prospect import density_experiment, find_primitive_function, prospect
 
 
+# work budgets: inputs past these limits exit 1 before any work is done
+MAX_EXPONENT = 512  # largest ``^`` exponent in an expression
+MAX_SWEEP = 100000  # largest --t-height and --samples
+MAX_DIGITS = 4300  # longest integer literal (Python's default int() limit)
+
+
 class ParseError(InvalidInput):
     def __init__(self, message, pos):
         super().__init__(f"{message} (at position {pos})")
@@ -68,6 +74,8 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer longer than {MAX_DIGITS} digits", i)
             tokens.append(("num", text[i:j], i))
             i = j
             continue
@@ -155,6 +163,8 @@ class _ExprParser:
             e = int(tok[1])
             if neg:
                 raise ParseError("negative exponents are not supported", pos)
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent above {MAX_EXPONENT}", tok[2])
             return base ** e
         return base
 
@@ -432,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         if curve:
             p.add_argument("curve", help="curve JSON file: {\"h\": [...]}")
         p.add_argument("--output", help="write the JSON report to this path")
-        p.add_argument("--seed", type=_positive(int, 0), default=0)
 
     p = sub.add_parser("curve-info", help="validate a curve file")
     common(p)
@@ -464,18 +473,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     p.add_argument(
         "--t-height",
-        type=_positive(int, 1, 100000),
+        type=_positive(int, 1, MAX_SWEEP),
         default=50,
         help="number of height-ordered t values to sweep",
     )
     p.add_argument("--paranoid", action="store_true")
+    p.add_argument("--seed", type=_positive(int, 0), default=0)
     p.set_defaults(func=_cmd_prospect)
 
     p = sub.add_parser("density", help="classify a coefficient box of L(D)")
     common(p)
     p.add_argument("--divisor", required=True)
     p.add_argument("--coeff-height", type=_positive(int, 1, 64), required=True)
-    p.add_argument("--samples", type=_positive(int, 1), default=None)
+    p.add_argument("--samples", type=_positive(int, 1, MAX_SWEEP), default=None)
+    p.add_argument("--seed", type=_positive(int, 0), default=0)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("find-function", help="certified primitive degree-d function")

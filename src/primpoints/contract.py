@@ -45,7 +45,7 @@ from .hypcurve import (
     _ord_u,
     _sqrt_lift,
 )
-from .linalg import SpanChecker, in_span
+from .linalg import in_span
 from .numfield import NfPolynomial, NumberField, nf_norm
 
 
@@ -463,8 +463,7 @@ def decompose_totally_ramified(curve, f: CurveFunction, e: int):
     pole_orders = [2 * i if not isy else 2 * i + 2 * curve.genus + 1 for i, isy in monos]
     if max(pole_orders) != e:
         return None  # no exact-degree-e function exists (Weierstrass gap)
-    nterms = 2 * n + 4
-    s = function_series(curve, f, nterms)
+    s = function_series(curve, f, e)
     lead = s.coefficient(-n)
     root = (s * (1 / lead)).nth_root(m)
     if root is None:
@@ -482,7 +481,7 @@ def decompose_totally_ramified(curve, f: CurveFunction, e: int):
             continue
         i, isy = order_to_mono[o]
         mono = _monomial_function(curve, i, isy)
-        mser = function_series(curve, mono, nterms)
+        mser = function_series(curve, mono, e)
         coeff = c / mser.coefficient(-o)
         residual = residual - mser * coeff
         gfun = gfun + mono * coeff
@@ -506,29 +505,6 @@ def decompose_totally_ramified(curve, f: CurveFunction, e: int):
 
 # ----------------------------------------------------------------------
 # the imprimitive locus test
-
-def _monomial_orders(curve, bound):
-    g2 = 2 * curve.genus + 1
-    monos = _monomials_upto(curve, bound)
-    return monos, [2 * i + (g2 if isy else 0) for i, isy in monos]
-
-
-@lru_cache(maxsize=64)
-def _tr_span_checker(curve, n: int, e: int):
-    """For the unique degree-e class G in a two-dimensional L(e*oo):
-    membership data for span{1, G, ..., G^(n/e)} inside L(n*oo)."""
-    monos_e, orders_e = _monomial_orders(curve, e)
-    i, isy = monos_e[orders_e.index(e)]
-    G = _monomial_function(curve, i, isy)
-    monos_n, _ = _monomial_orders(curve, n)
-    rows = []
-    p = CurveFunction(curve, POLY_ONE)
-    for j in range(n // e + 1):
-        if j:
-            p = p * G
-        rows.append([p.b[k] if isy_n else p.a[k] for k, isy_n in monos_n])
-    return SpanChecker(rows), G
-
 
 @dataclass(frozen=True)
 class LocusTestResult:
@@ -554,8 +530,12 @@ def imprimitive_locus_test(curve, D: Divisor, f: CurveFunction) -> LocusTestResu
     """Does f of full degree factor through a genus-0 contraction of D?
 
     Functions of degree below deg D belong to the degenerate locus and are
-    reported as such.  Multiplicity-one D uses the pair enumeration; pure
-    n*oo uses exact decomposition (complete for both shapes).
+    reported as such.  Multiplicity-one D uses the pair enumeration.  For
+    pure n*oo one exact rule decides: f with f.b = 0 lies in Q[x] and factors
+    through x (e = 2); otherwise each e | n with e > 2g is decided by
+    decompose_totally_ramified, which is complete there for both parities.
+    No e <= 2g can occur once f.b != 0: for even e, L(e*oo) lies in Q[x],
+    and odd e <= 2g is a Weierstrass gap.
     """
     if f.is_zero() or f.is_constant():
         return LocusTestResult(
@@ -578,8 +558,6 @@ def imprimitive_locus_test(curve, D: Divisor, f: CurveFunction) -> LocusTestResu
         n = D.degree
         if not f.is_polynomial_form():
             raise InvalidInput("f must lie in L(n*oo)")
-        monos_n, _ = _monomial_orders(curve, n)
-        fvec = [f.b[i] if isy else f.a[i] for i, isy in monos_n]
 
         def hit(g, e):
             fibers = ((POINT_INF, Divisor([(INFINITY, e)])),)
@@ -594,21 +572,13 @@ def imprimitive_locus_test(curve, D: Divisor, f: CurveFunction) -> LocusTestResu
                 ),
             )
 
+        if f.b.is_zero() and n > 2:
+            return hit(curve.x, 2)  # f = a(x) factors through x
         for e in _divisors_of(n):
-            monos_e, orders_e = _monomial_orders(curve, e)
-            if max(orders_e) != e:
-                continue  # Weierstrass gap: no degree-e map totally ramified at oo
-            if len(monos_e) == 2:
-                # single class modulo affine maps; a precomputed span decides
-                checker, G = _tr_span_checker(curve, n, e)
-                if checker.contains(fvec):
-                    return hit(G, e)
-                continue
-            if e % 2 == 0:
-                continue  # even-degree maps here are polynomials in x: e = 2 covers them
-            dec = decompose_totally_ramified(curve, f, e)
-            if dec is not None:
-                return hit(dec[0], e)
+            if e > 2 * curve.genus:
+                dec = decompose_totally_ramified(curve, f, e)
+                if dec is not None:
+                    return hit(dec[0], e)
         return LocusTestResult(verdict="no_factorization")
     raise Unsupported(
         "locus test implemented for multiplicity-one divisors and n*oo only"

@@ -1056,8 +1056,9 @@ def infinity_series_xy(curve, nterms: int):
 
 
 def function_series(curve, f: CurveFunction, nterms: int) -> LaurentSeries:
-    """Expansion of f at infinity, nterms known coefficients past the pole
-    order (at least; precision is absolute at tau^(pole order + nterms))."""
+    """Expansion of f at infinity with exactly nterms known coefficients
+    past the pole order: precision is absolute at tau^(val + nterms), where
+    val is the valuation of f at infinity."""
     deg_bound = 2 * max(f.a.degree, 0) + 2 * max(f.b.degree, 0) + 2 * curve.genus + 1
     needed = deg_bound + nterms + 2 * f.den.degree + 2
     xs, ys = infinity_series_xy(curve, needed)
@@ -1071,4 +1072,4 @@ def function_series(curve, f: CurveFunction, nterms: int) -> LaurentSeries:
     num = poly_series(f.a) + poly_series(f.b) * ys
     if f.den.degree > 0:
         num = num * poly_series(f.den).inverse()
-    return num
+    return LaurentSeries(num.val, num.coeffs, min(num.prec, num.val + nterms))

@@ -46,6 +46,9 @@ from .numfield import (
     is_primitive_field,
 )
 
+# most vectors, (2H+1)^dim - 1, that an exhaustive density run classifies
+MAX_EXHAUSTIVE_VECTORS = 10 ** 6
+
 
 # ----------------------------------------------------------------------
 # height-ordered iterators
@@ -305,7 +308,8 @@ def density_experiment(
     loci: degree below deg D, contracted (imprimitive), or primitive.
 
     Exhaustive mode enumerates every nonzero vector with entries in
-    [-H, H]; seeded mode draws ``samples`` nonzero vectors uniformly.
+    [-H, H], at most MAX_EXHAUSTIVE_VECTORS of them; seeded mode draws
+    ``samples`` nonzero vectors uniformly.
     Divisors whose full-degree functions can have pole shapes outside the
     locus test's scope (affine support mixed with repeated infinity)
     propagate Unsupported rather than guessing."""
@@ -326,6 +330,12 @@ def density_experiment(
         return LOCUS_IMPRIMITIVE if res.is_imprimitive else LOCUS_PRIMITIVE
 
     if samples is None:
+        box = (2 * H + 1) ** dim - 1
+        if box > MAX_EXHAUSTIVE_VECTORS:
+            raise InvalidInput(
+                f"exhaustive box of {box} vectors exceeds "
+                f"{MAX_EXHAUSTIVE_VECTORS}; draw samples instead"
+            )
         total = 0
         for vec in product(range(-H, H + 1), repeat=dim):
             if all(v == 0 for v in vec):

@@ -203,6 +203,7 @@ def test_unknown_flag_rejected(curve_file, capsys):
     assert main(["curve-info", curve_file, "--bogus"]) == 1
     assert main(["prospect", curve_file, "--function", "x^2+y", "--jobs", "2"]) == 1
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert main(["certify", "--poly", "x^5-2", "--seed", "1"]) == 1
 
 
 def test_bounds_checked_flags(curve_file):
@@ -210,6 +211,16 @@ def test_bounds_checked_flags(curve_file):
                  "--coeff-height", "0"]) == 1
     assert main(["prospect", curve_file, "--function", "x", "--t-height",
                  "-4"]) == 1
+    # work budgets
+    assert main(["function-degree", curve_file, "--function", "x^513"]) == 1
+    assert main(["function-degree", curve_file, "--function", "x^512"]) == 0
+    assert main(["function-degree", curve_file, "--function",
+                 "x^" + "9" * 5000]) == 1
+    assert main(["density", curve_file, "--divisor", "4*inf", "--coeff-height",
+                 "1", "--samples", "100001"]) == 1
+    # (2*4+1)^7 - 1 = 4782968 vectors in the exhaustive box of L(7*inf)
+    assert main(["density", curve_file, "--divisor", "7*inf",
+                 "--coeff-height", "4"]) == 1
 
 
 def test_output_file(curve_file, tmp_path, capsys):

@@ -17,13 +17,15 @@ from primpoints import (
     enumerate_contr0,
     factors_through,
     fiber_divisor,
+    function_degree,
     function_with_divisor,
     imprimitive_locus_test,
     is_primitive_field,
     places_over_x,
     prospect,
+    riemann_roch_basis,
 )
-from primpoints.contract import _tr_span_checker, _verify_contraction
+from primpoints.contract import _verify_contraction
 from primpoints.hypcurve import infinity_series_xy
 from primpoints.linalg import solve
 
@@ -273,6 +275,43 @@ def test_decomposition_weierstrass_gap(g2):
     assert r.verdict == "no_factorization"
 
 
+def test_locus_even_composition_genus_1(g1):
+    # a composition through an even e > 2g: x^2 + y has degree 4
+    u = g1.function(x ** 2, POLY_ONE)
+    r = imprimitive_locus_test(g1, Divisor([(INFINITY, 8)]), u * u + 3 * u)
+    assert r.is_imprimitive and r.contraction.e == 4
+    assert r.contraction.g == u
+
+
+def test_locus_even_composition_genus_2(g2):
+    # x^3 + y has degree 6 > 2g
+    v = g2.function(x ** 3, POLY_ONE)
+    r = imprimitive_locus_test(g2, Divisor([(INFINITY, 12)]), v * v)
+    assert r.is_imprimitive and r.contraction.e == 6
+    assert r.contraction.g == v
+
+
+@pytest.mark.parametrize("genus,n", [(1, 8), (1, 9), (2, 10), (2, 12)])
+def test_locus_detects_compositions(g1, g2, genus, n):
+    curve = {1: g1, 2: g2}[genus]
+    rng = random.Random(f"compose:{genus}:{n}")
+    D = Divisor([(INFINITY, n)])
+    for e in (e for e in range(2 * genus + 1, n) if n % e == 0):
+        space = riemann_roch_basis(curve, Divisor([(INFINITY, e)]))
+        built = 0
+        while built < 3:
+            g = space.combination(
+                [rng.randint(-3, 3) for _ in range(space.dimension)]
+            )
+            if g.is_constant() or function_degree(curve, g) != e:
+                continue
+            f = g ** (n // e) + rng.randint(-3, 3) * g + rng.randint(-3, 3)
+            r = imprimitive_locus_test(curve, D, f)
+            assert r.is_imprimitive, (e, g)
+            assert factors_through(curve, f, r.contraction.g)
+            built += 1
+
+
 def test_locus_mixed_pole_shape_unsupported(g1):
     # a full-degree function with affine poles plus a repeated infinity is
     # outside both implemented routes and must say so
@@ -304,5 +343,5 @@ def test_imprimitive_functions_specialize_imprimitively(g1):
 
 
 def test_module_caches_bounded():
-    for cached in (infinity_series_xy, enumerate_contr0, _tr_span_checker):
+    for cached in (infinity_series_xy, enumerate_contr0):
         assert cached.cache_info().maxsize is not None

@@ -13,6 +13,7 @@ from primpoints import (
     Place,
     POLY_ONE,
     POLY_X,
+    POLY_ZERO,
     RatPolynomial,
     SingularModel,
     Unsupported,
@@ -362,6 +363,23 @@ def test_series_orders_match_valuations(g1):
     for f in (g1.x, g1.y, g1.function(x ** 2, POLY_ONE), g1.function(x - 2)):
         s = function_series(g1, f, 4)
         assert s.order() == function_valuation(g1, f, INFINITY)
+
+
+def test_series_has_exactly_nterms(g1, g2):
+    for curve, f in (
+        (g1, g1.function(x ** 2 - 3, x)),
+        (g1, g1.function(POLY_ONE, x - 1, x ** 2 + 2)),
+        (g1, g1.function(POLY_ONE, POLY_ZERO, x ** 2 + 2)),  # zero at infinity
+        (g2, g2.function(x ** 5 + x, x ** 2 - 1)),  # degree 10
+        (g2, g2.function(x, POLY_ONE, x - 3)),
+    ):
+        for k in (1, 5, 12):
+            s = function_series(curve, f, k)
+            ref = function_series(curve, f, k + 20)
+            assert s.prec - s.order() == k
+            assert all(
+                s.coefficient(e) == ref.coefficient(e) for e in range(s.order(), s.prec)
+            )
 
 
 def test_divisor_json_round_trip(g1):
