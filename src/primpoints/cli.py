@@ -44,6 +44,7 @@ from .prospect import density_experiment, find_primitive_function, prospect
 MAX_EXPONENT = 512  # largest ``^`` exponent in an expression
 MAX_SWEEP = 100000  # largest --t-height and --samples
 MAX_DIGITS = 4300  # longest integer literal (Python's default int() limit)
+MAX_DIVISOR_DEGREE = 64  # largest sum of |m| * deg P over the terms of a divisor
 
 
 class ParseError(InvalidInput):
@@ -224,8 +225,19 @@ def _split_top_level(text, sep="+"):
     return parts
 
 
+def _charge(size: int, amount: int) -> int:
+    size += amount
+    if size > MAX_DIVISOR_DEGREE:
+        raise InvalidInput(f"divisor degree above {MAX_DIVISOR_DEGREE}")
+    return size
+
+
 def parse_divisor(text: str, curve: HyperellipticCurve) -> Divisor:
+    """Parse the divisor mini-language; the sum of |m| * deg P over the
+    terms may not exceed MAX_DIVISOR_DEGREE, checked before any u is
+    factored."""
     entries = []
+    size = 0
     for raw in _split_top_level(text.strip()):
         term = raw.strip()
         if not term:
@@ -240,9 +252,8 @@ def parse_divisor(text: str, curve: HyperellipticCurve) -> Divisor:
                     raise InvalidInput(f"bad multiplicity {head!r}") from exc
                 term = tail.strip()
         if term == "inf":
-            entries.append((INFINITY, mult))
-            continue
-        if term.startswith("place(") and term.endswith(")"):
+            place = INFINITY
+        elif term.startswith("place(") and term.endswith(")"):
             body = term[len("place("):-1]
             u_text = v_text = None
             for arg in _split_top_level(body, sep=","):
@@ -257,27 +268,28 @@ def parse_divisor(text: str, curve: HyperellipticCurve) -> Divisor:
             if u_text is None:
                 raise InvalidInput("place(...) needs u=")
             u = parse_poly_expr(u_text).monic()
+            _charge(size, abs(mult) * u.degree)
             if not factor_over_rationals(u).is_irreducible():
                 raise InvalidInput(f"u = {u} is reducible")
             if (curve.h % u).is_zero():
                 if v_text not in (None, "0"):
                     raise InvalidInput(f"u = {u} is ramified; v must be omitted or 0")
-                entries.append((Place(KIND_RAMIFIED, u, None), mult))
-                continue
-            found = places_over_x(curve, u, check=False)
-            if v_text is not None:
+                place = Place(KIND_RAMIFIED, u, None)
+            elif v_text is not None:
                 v = parse_poly_expr(v_text) % u
-                if ((v * v - curve.h) % u).is_zero():
-                    entries.append((Place(KIND_SPLIT, u, v), mult))
-                    continue
-                raise InvalidInput(f"v = {v_text} does not satisfy v^2 = h mod u")
-            if found[0].kind == KIND_INERT:
-                entries.append((found[0], mult))
-                continue
-            raise InvalidInput(
-                f"u = {u} splits; specify v to pick one of the two places"
-            )
-        raise InvalidInput(f"cannot parse divisor term {raw!r}")
+                if not ((v * v - curve.h) % u).is_zero():
+                    raise InvalidInput(f"v = {v_text} does not satisfy v^2 = h mod u")
+                place = Place(KIND_SPLIT, u, v)
+            else:
+                place = places_over_x(curve, u, check=False)[0]
+                if place.kind != KIND_INERT:
+                    raise InvalidInput(
+                        f"u = {u} splits; specify v to pick one of the two places"
+                    )
+        else:
+            raise InvalidInput(f"cannot parse divisor term {raw!r}")
+        size = _charge(size, abs(mult) * place.degree)
+        entries.append((place, mult))
     return Divisor(entries)
 
 

@@ -4,7 +4,10 @@ A contraction for an effective divisor D is a function g of degree e with
 1 < e < deg D whose pullback of some divisor D' on the projective line is
 exactly D.  For multiplicity-one D these are enumerated through ordered
 pairs of disjoint equal-degree subdivisors (zero fiber, pole fiber), with
-principality tested in the Jacobian and the pullback verified exactly.  For
+principality tested in the Jacobian and the pullback verified exactly.  The
+pullback check needs the image g(P) of each place as a closed point of P^1;
+it is the squarefree part of the characteristic polynomial of g(P) over Q,
+one resultant rule for split, ramified and inert places alike.  For
 totally-ramified divisors n*oo the same locus is decided per function by
 exact functional decomposition through the expansion at infinity.
 """
@@ -21,13 +24,15 @@ from .exactalg import (
     POLY_ONE,
     POLY_ZERO,
     RatPolynomial,
-    factor_over_rationals,
+    interpolate,
     poly_gcd,
     rat_to_str,
+    resultant,
+    squarefree_part,
 )
 from .hypcurve import (
     INFINITY,
-    KIND_RAMIFIED,
+    KIND_INERT,
     KIND_SPLIT,
     CurveFunction,
     Divisor,
@@ -46,7 +51,6 @@ from .hypcurve import (
     _sqrt_lift,
 )
 from .linalg import in_span
-from .numfield import NfPolynomial, NumberField, nf_norm
 
 
 # ----------------------------------------------------------------------
@@ -90,106 +94,49 @@ def point_to_json(pt):
 # ----------------------------------------------------------------------
 # values of functions at places
 
-def function_value_at_place(curve, f: CurveFunction, place: Place):
-    """The image g(P) as a point of P^1: ('inf',), ('rat', q), or an
-    algebraic value tagged with enough data to recover its minimal
-    polynomial over Q."""
+def function_value_at_place(curve, f: CurveFunction, place: Place) -> tuple:
+    """The image f(P) as a closed point of P^1.
+
+    A pole maps to infinity and a zero to 0.  At infinity a unit has
+    deg a = deg den with den monic, so its value is lc(a).  At an affine
+    place over u, u^j (j = ord_u den) is divided out of the numerator and
+    den, y is replaced by its lift mod u^(j+1) at a split place and dropped
+    at a ramified one, and f(P) = num/d in Q[x]/(u).  At an inert place
+    f(P) = (a + b*ybar)/d with ybar^2 = h.  Up to a constant, the
+    characteristic polynomial of f(P) over Q is Res_x(u, T*d - num), or
+    Res_x(u, (T*d - a)^2 - b^2*h) at an inert place; it is interpolated in
+    T, and being a power of the minimal polynomial, its squarefree part is
+    the point.
+    """
     v = function_valuation(curve, f, place)
     if v < 0:
         return POINT_INF
     if v > 0:
         return point_rat(0)
     if place.kind == INFINITY.kind:
-        s = function_series(curve, f, 2)
-        return point_rat(s.coefficient(0))
+        return point_rat(f.a.lc)
     u = place.u
-    jden = _ord_u(f.den, u) if f.den.degree > 0 else 0
+    j = _ord_u(f.den, u)
+    uj = u ** j
+    d = (f.den // uj) % u
+    b = POLY_ZERO
     if place.kind == KIND_SPLIT:
-        k = jden + 1
-        vk = _sqrt_lift(curve, u, place.v, k)
-        w = (f.a + f.b * vk) % (u ** k)
-        w1 = w // (u ** jden) if jden else w
-        d1 = (f.den // (u ** jden)) if jden else f.den
-        L = None
-        num = w1 % u
-        den = d1 % u
-        if u.degree == 1:
-            c = -u[0]
-            return point_rat(num(c) / den(c))
-        L = NumberField(u, check=False)
-        val = L.from_poly(num) * L.from_poly(den).inverse()
-        if val.is_rational():
-            return point_rat(val.as_rational())
-        return ("alg", u, val)
-    if place.kind == KIND_RAMIFIED:
-        # numerator valuation is even here, so the y part does not survive
-        j = jden  # 2*ord_u(num-part) == 2*jden at valuation zero
-        a1 = f.a // (u ** j) if j else f.a
-        d1 = f.den // (u ** j) if j else f.den
-        if u.degree == 1:
-            c = -u[0]
-            return point_rat(a1(c) / d1(c))
-        L = NumberField(u, check=False)
-        val = L.from_poly(a1 % u) * L.from_poly(d1 % u).inverse()
-        if val.is_rational():
-            return point_rat(val.as_rational())
-        return ("alg", u, val)
-    # inert place: value lives in the quadratic extension of Q[x]/(u) by ybar
-    j = jden
-    a1 = f.a // (u ** j) if j else f.a
-    b1 = f.b // (u ** j) if j else f.b
-    d1 = f.den // (u ** j) if j else f.den
-    L = NumberField(u, check=False)
-    dinv = L.from_poly(d1 % u).inverse()
-    c0 = L.from_poly(a1 % u) * dinv
-    c1 = L.from_poly(b1 % u) * dinv
-    if c1.is_zero():
-        if c0.is_rational():
-            return point_rat(c0.as_rational())
-        return ("alg", u, c0)
-    return ("rel", u, c0, c1)
+        vk = _sqrt_lift(curve, u, place.v, j + 1)
+        a = ((f.a + f.b * vk) % (uj * u)) // uj
+    else:
+        a = (f.a // uj) % u
+        if place.kind == KIND_INERT:
+            b = (f.b // uj) % u
+    b2h = b * b * (curve.h % u)
 
+    def charpoly_at(t):
+        q = d * t - a
+        if b2h:
+            q = q * q - b2h
+        return resultant(u, q) if q else Fraction(0)
 
-def _rel_mul(L, hbar, z1, z2):
-    """(a0 + a1*ybar)(b0 + b1*ybar) with ybar^2 = hbar, over L."""
-    a0, a1 = z1
-    b0, b1 = z2
-    return (a0 * b0 + a1 * b1 * hbar, a0 * b1 + a1 * b0)
-
-
-def value_minpoly(curve, value) -> RatPolynomial:
-    """Monic minimal polynomial over Q of a finite place value."""
-    if value[0] == "rat":
-        return RatPolynomial([-value[1], 1])
-    if value[0] == "alg":
-        return value[2].minimal_polynomial()
-    _, u, c0, c1 = value
-    L = c0.field
-    hbar = L.from_poly(curve.h)
-    # z = c0 + c1*ybar is a root of (T - c0)^2 - c1^2 hbar over L
-    quad = NfPolynomial(
-        L, [c0 * c0 - c1 * c1 * hbar, L.element([-2]) * c0, L.one]
-    )
-    char = nf_norm(quad)
-    for factor, _ in factor_over_rationals(char).factors:
-        # evaluate factor at z in the relative ring
-        acc = (L.zero, L.zero)
-        power = (L.one, L.zero)
-        for i, coeff in enumerate(factor.coeffs):
-            if i:
-                power = _rel_mul(L, hbar, power, (c0, c1))
-            if coeff:
-                ce = L.element([coeff])
-                acc = (acc[0] + ce * power[0], acc[1] + ce * power[1])
-        if acc[0].is_zero() and acc[1].is_zero():
-            return factor
-    raise InvalidInput("no factor of the characteristic polynomial vanishes")
-
-
-def value_point(curve, value) -> tuple:
-    if value[0] in ("inf", "rat"):
-        return value
-    return point_closed(value_minpoly(curve, value))
+    npoints = (2 if b2h else 1) * u.degree + 1
+    return point_closed(squarefree_part(interpolate(charpoly_at, npoints)))
 
 
 # ----------------------------------------------------------------------
@@ -199,10 +146,7 @@ def compose_point_function(curve, g: CurveFunction, pt) -> CurveFunction:
     """mu(g) for a finite point with minimal polynomial mu (or g - c)."""
     if pt[0] == "rat":
         return g - pt[1]
-    acc = CurveFunction(curve, POLY_ZERO)
-    for c in reversed(pt[1].coeffs):
-        acc = acc * g + c
-    return acc
+    return pt[1](g)
 
 
 def fiber_over_point(curve, g: CurveFunction, pt) -> Divisor:
@@ -265,13 +209,11 @@ def _divisors_of(n: int):
     return [e for e in range(2, n) if n % e == 0]
 
 
-def _verify_contraction(curve, D: Divisor, g: CurveFunction, e: int):
+def _verify_contraction(curve, D: Divisor, g: CurveFunction, e: int, source_pair=()):
     """Check g^*(image divisor) == D exactly; return a Contraction or None."""
-    values = []
-    for place, _ in D.entries:
-        values.append((place, value_point(curve, function_value_at_place(curve, g, place))))
     groups = {}
-    for place, pt in values:
+    for place, _ in D.entries:
+        pt = function_value_at_place(curve, g, place)
         groups.setdefault((point_sort_key(pt), pt[0]), [pt, []])[1].append(place)
     fibers = []
     target = []
@@ -292,7 +234,7 @@ def _verify_contraction(curve, D: Divisor, g: CurveFunction, e: int):
         e=e,
         target_divisor=tuple(target),
         fibers=tuple(fibers),
-        source_pair=(),
+        source_pair=source_pair,
     )
 
 
@@ -327,23 +269,13 @@ def enumerate_contr0(curve, D: Divisor) -> ContractionSet:
                 if not is_principal(curve, D0 - Dinf):
                     continue
                 g = function_with_divisor(curve, D0, Dinf)
-                rec = _verify_contraction(curve, D, g, e)
+                rec = _verify_contraction(curve, D, g, e, (D0, Dinf))
                 if rec is not None:
-                    pair_key = (D0.sort_key(), Dinf.sort_key())
-                    candidates[pair_key] = (
-                        rec,
-                        Contraction(
-                            g=rec.g,
-                            e=rec.e,
-                            target_divisor=rec.target_divisor,
-                            fibers=rec.fibers,
-                            source_pair=(D0, Dinf),
-                        ),
-                    )
+                    candidates[(D0.sort_key(), Dinf.sort_key())] = rec
     # dedup by fiber partition; keep the lexicographically least source pair
     classes = {}
     for pair_key in sorted(candidates):
-        rec = candidates[pair_key][1]
+        rec = candidates[pair_key]
         pkey = (rec.e, rec.partition_key())
         if pkey not in classes:
             classes[pkey] = rec
@@ -418,7 +350,7 @@ def factors_through(curve, f: CurveFunction, g) -> bool:
     # candidate target points: images of the poles of f
     seen = {}
     for place, _ in pd.entries:
-        pt = value_point(curve, function_value_at_place(curve, g, place))
+        pt = function_value_at_place(curve, g, place)
         seen.setdefault((point_sort_key(pt), pt[0]), pt)
     E = []
     for _, pt in sorted(seen.items()):

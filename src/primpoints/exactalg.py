@@ -310,18 +310,6 @@ class RatPolynomial:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def from_int(cls, *coeffs):
-        return cls(coeffs)
-
-    @classmethod
-    def x_power(cls, k, coeff=1):
-        return cls([0] * k + [coeff])
-
-    @classmethod
-    def constant(cls, q):
-        return cls([q])
-
-    @classmethod
     def from_json(cls, items):
         return cls([rat_from_str(s) for s in items])
 
@@ -449,12 +437,6 @@ class RatPolynomial:
         acc = Fraction(0) if not isinstance(x, RatPolynomial) else RatPolynomial()
         for c in reversed(self._c):
             acc = acc * x + c
-        return acc
-
-    def compose(self, inner: "RatPolynomial") -> "RatPolynomial":
-        acc = RatPolynomial()
-        for c in reversed(self._c):
-            acc = acc * inner + RatPolynomial([c])
         return acc
 
     def monic(self) -> "RatPolynomial":
@@ -700,12 +682,6 @@ class ModpPolynomial:
 
     def monic(self):
         return self._wrap(_p_monic(list(self._c), self.p))
-
-    def to_rat(self, symmetric=False) -> RatPolynomial:
-        if symmetric:
-            half = self.p // 2
-            return RatPolynomial([x - self.p if x > half else x for x in self._c])
-        return RatPolynomial(self._c)
 
     def __str__(self):
         return f"{RatPolynomial(self._c)} (mod {self.p})"

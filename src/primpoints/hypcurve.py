@@ -1058,18 +1058,31 @@ def infinity_series_xy(curve, nterms: int):
 def function_series(curve, f: CurveFunction, nterms: int) -> LaurentSeries:
     """Expansion of f at infinity with exactly nterms known coefficients
     past the pole order: precision is absolute at tau^(val + nterms), where
-    val is the valuation of f at infinity."""
-    deg_bound = 2 * max(f.a.degree, 0) + 2 * max(f.b.degree, 0) + 2 * curve.genus + 1
-    needed = deg_bound + nterms + 2 * f.den.degree + 2
-    xs, ys = infinity_series_xy(curve, needed)
+    val is the valuation of f at infinity.
+
+    x and y are known to nterms + 2 and nterms + 2g + 1 coefficients past
+    their poles, and products, inverses and sums of terms of different
+    valuation keep the least relative precision of their inputs."""
+    if f.is_zero():
+        raise InvalidInput("expansion of the zero function")
+    xs, ys = infinity_series_xy(curve, nterms)
 
     def poly_series(p: RatPolynomial) -> LaurentSeries:
-        acc = LaurentSeries(0, [], needed)
-        for c in reversed(p.coeffs):
-            acc = acc * xs + LaurentSeries(0, [c], needed)
+        # Horner from the leading coefficient: a zero start would cost two
+        # terms of precision at the first product
+        acc = LaurentSeries(0, [p.lc], nterms + 2)
+        for c in reversed(p.coeffs[:-1]):
+            acc = acc * xs + LaurentSeries(0, [c], nterms + 2)
         return acc
 
-    num = poly_series(f.a) + poly_series(f.b) * ys
+    # a zero part is skipped: its empty series would carry an absolute
+    # precision that cuts the sum short
+    parts = []
+    if f.a:
+        parts.append(poly_series(f.a))
+    if f.b:
+        parts.append(poly_series(f.b) * ys)
+    num = parts[0] if len(parts) == 1 else parts[0] + parts[1]
     if f.den.degree > 0:
         num = num * poly_series(f.den).inverse()
     return LaurentSeries(num.val, num.coeffs, min(num.prec, num.val + nterms))

@@ -116,11 +116,6 @@ class FieldElement:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise InvalidInput("element is not rational")
-        return self.coeffs[0]
-
     def to_poly(self) -> RatPolynomial:
         return RatPolynomial(self.coeffs)
 
@@ -634,13 +629,9 @@ class SubfieldWitness:
             return False
         if not factor_over_rationals(self.generator_minpoly).is_irreducible():
             return False
-        L = self.generator.field
-        if L.modulus != modulus:
+        if self.generator.field.modulus != modulus:
             return False
-        acc = L.zero
-        for c in reversed(self.generator_minpoly.coeffs):
-            acc = acc * self.generator + L.element([c])
-        return acc.is_zero()
+        return self.generator_minpoly(self.generator).is_zero()
 
     def to_json(self):
         return {

@@ -221,6 +221,14 @@ def test_bounds_checked_flags(curve_file):
     # (2*4+1)^7 - 1 = 4782968 vectors in the exhaustive box of L(7*inf)
     assert main(["density", curve_file, "--divisor", "7*inf",
                  "--coeff-height", "4"]) == 1
+    # sum of |m| * deg P over the divisor's terms
+    assert main(["rr-basis", curve_file, "--divisor",
+                 "63*inf+place(u=x-2,v=3)"]) == 0
+    assert main(["rr-basis", curve_file, "--divisor",
+                 "64*inf+place(u=x-2,v=3)"]) == 1
+    assert main(["rr-basis", curve_file, "--divisor", "800*inf"]) == 1
+    assert main(["rr-basis", curve_file, "--divisor", "-65*inf"]) == 1
+    assert main(["rr-basis", curve_file, "--divisor", "place(u=x^65+2)"]) == 1
 
 
 def test_output_file(curve_file, tmp_path, capsys):

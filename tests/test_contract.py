@@ -152,6 +152,46 @@ def test_multiplicity_violation(g1):
 
 
 # ----------------------------------------------------------------------
+# values at places: the characteristic-polynomial rule
+
+VALUE_PLACES = {
+    # places of degree 1 and 2: split, inert and ramified over x - c; split
+    # and ramified over irreducible quadratics
+    1: [x, x - 2, x - 1, x + 1, x ** 2 - x + 2, x ** 2 - x + 1],
+    2: [x - 1, x, x ** 2 - x + 1],
+}
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_value_at_place_lies_in_its_fiber(g1, g2, genus):
+    from primpoints.contract import fiber_over_point, function_value_at_place, point_degree
+
+    curve = {1: g1, 2: g2}[genus]
+    funcs = [
+        curve.function(x ** 2, POLY_ONE),
+        curve.function(x ** 3 + 1, RatPolynomial([2]), x ** 2 + 3),
+        curve.function(x, POLY_ONE, x - 5),
+    ]
+    seen = set()
+    for u in VALUE_PLACES[genus]:
+        for p in places_over_x(curve, u):
+            extra = []
+            if p.kind == "split":
+                # den vanishes at P, and y - v vanishes there too
+                f = curve.function(-p.v, POLY_ONE, p.u)
+                extra = [f, f * f + curve.x]
+            for f in funcs + extra:
+                value = function_value_at_place(curve, f, p)
+                assert p in fiber_over_point(curve, f, value).support()
+                assert p.degree % point_degree(value) == 0
+                seen.add((p.kind, p.u.degree, point_degree(value)))
+    expected = {("split", 2, 2), ("inert", 1, 2), ("ramified", 1, 1)}
+    if genus == 1:
+        expected |= {("split", 1, 1), ("ramified", 2, 2)}
+    assert expected <= seen
+
+
+# ----------------------------------------------------------------------
 # factoring through a contraction
 
 def test_factors_through_examples(g1):

@@ -382,6 +382,25 @@ def test_series_has_exactly_nterms(g1, g2):
             )
 
 
+def test_series_asks_only_for_nterms(g2, monkeypatch):
+    from primpoints import hypcurve
+
+    asked = []
+    real = hypcurve.infinity_series_xy
+
+    def spy(curve, nterms):
+        asked.append(nterms)
+        return real(curve, nterms)
+
+    monkeypatch.setattr(hypcurve, "infinity_series_xy", spy)
+    f = g2.function(x ** 5 + x, x ** 2 - 1)  # degree 10
+    s = function_series(g2, f, 10)
+    assert s.prec - s.order() == 10
+    assert asked and max(asked) <= 10
+    with pytest.raises(InvalidInput):
+        function_series(g2, g2.function(POLY_ZERO), 10)
+
+
 def test_divisor_json_round_trip(g1):
     P = split_place(2, 3)
     Q = places_over_x(g1, x + 2)[0]
