@@ -254,6 +254,25 @@ def _p_xgcd(a, b, p):
     return r0, s0, t0
 
 
+def _p_resultant(f, g, p):
+    """Sylvester resultant of reduced f, g over F_p (0 when either is zero),
+    by the same Euclidean recursion as ``resultant``."""
+    if not f or not g:
+        return 0
+    a, b = f, g
+    acc = 1
+    while len(b) > 1:
+        r = _p_mod(a, b, p)
+        if not r:
+            return 0
+        da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1
+        if da % 2 and db % 2:
+            acc = -acc
+        acc = acc * pow(b[-1], da - dr, p) % p
+        a, b = b, r
+    return acc * pow(b[-1], len(a) - 1, p) % p
+
+
 # ----------------------------------------------------------------------
 # primality
 

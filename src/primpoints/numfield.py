@@ -18,13 +18,23 @@ from .errors import DivisionByZero, InvalidInput, NotAField
 from .exactalg import (
     POLY_ONE,
     POLY_X,
+    POLY_ZERO,
+    ModpPolynomial,
     RatPolynomial,
+    _p_gcd,
+    _p_mod,
+    _p_mul,
+    _p_resultant,
+    _p_trim,
+    _z_add,
+    _z_derivative,
     factor_over_rationals,
     interpolate,
     is_prime,
     is_squarefree,
     rat_to_str,
     resultant,
+    squarefree_part,
 )
 from .linalg import in_span, nullspace
 
@@ -338,20 +348,6 @@ class NfPolynomial:
             self.field, [i * self.coeffs[i] for i in range(1, len(self.coeffs))]
         )
 
-    def __call__(self, v: FieldElement) -> FieldElement:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
-    def compose_linear(self, scale: FieldElement, shift: FieldElement):
-        """self(scale*x + shift) by Horner."""
-        xpoly = NfPolynomial(self.field, [shift, scale])
-        acc = NfPolynomial(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * xpoly + NfPolynomial(self.field, [c])
-        return acc
-
     def gcd(self, other) -> "NfPolynomial":
         a, b = self, other
         if a.is_zero() and b.is_zero():
@@ -365,19 +361,90 @@ class NfPolynomial:
         return f"NfPolynomial[{terms}]"
 
 
-def nf_norm(f: NfPolynomial) -> RatPolynomial:
-    """Norm resultant Res_y(m(y), f(x) with theta -> y), by interpolation."""
+def nf_norm(f: NfPolynomial, shift: int = 0) -> RatPolynomial:
+    """Norm of f(x + shift*theta) from L[x] down to Q[x].
+
+    With m the modulus of L = Q[y]/(m) and F(x, y) the lift of f's
+    coefficients to Q[y], the norm is Res_y(m(y), F(x + shift*y, y)).  It is
+    interpolated from its values at n*d + 1 rational points x = c
+    (n = deg f, d = [L:Q]), each the resultant of two RatPolynomials.
+    """
     L = f.field
-    d = L.degree
     n = f.degree
     if n < 0:
         raise InvalidInput("norm of the zero polynomial")
+    m = L.modulus
+    lifted = [c.to_poly() for c in reversed(f.coeffs)]
 
     def sample(c):
-        val = f(L.element([c]))
-        return Fraction(0) if val.is_zero() else resultant(L.modulus, val.to_poly())
+        arg = RatPolynomial([c, shift])
+        val = POLY_ZERO
+        for a in lifted:
+            val = val * arg + a
+        val = val % m
+        return Fraction(0) if val.is_zero() else resultant(m, val)
 
-    return interpolate(sample, n * d + 1)
+    return interpolate(sample, n * L.degree + 1)
+
+
+# The shift screen reduces norms mod this prime.  It interpolates a norm of
+# degree n*d from n*d + 1 integers, which must stay distinct mod p; no norm
+# this code can compute has a degree anywhere near p.
+_SCREEN_PRIME = 2 ** 31 - 1
+# shifts screened mod p before each later shift gets the exact test
+_SCREENED_SHIFTS = 4
+
+
+def _squarefree_norm(g: NfPolynomial, skip) -> tuple:
+    """(s, nf_norm(g, s)) for the first shift s, in _shift_sequence order and
+    not in skip, whose norm is squarefree.
+
+    The first _SCREENED_SHIFTS candidates are screened by the norm mod p: a
+    reduction of full degree that is squarefree mod p proves the norm over Q
+    squarefree, so only the accepted shift has its exact norm computed.  A
+    rejected shift is passed over even if its norm is squarefree over Q.
+    Later shifts, and every shift when p divides a denominator of the
+    modulus or of g, get the exact squarefree test.
+    """
+    L = g.field
+    p = _SCREEN_PRIME
+    lifted = [c.to_poly() for c in reversed(g.coeffs)]
+    screened = 0
+    if all(q.denominator % p for h in [L.modulus, *lifted] for q in h.coeffs):
+        screened = _SCREENED_SHIFTS
+        m_p = list(ModpPolynomial.reduce(L.modulus, p).coeffs)
+        lifted_p = [list(ModpPolynomial.reduce(a, p).coeffs) for a in lifted]
+    for s in _shift_sequence():
+        if s in skip:
+            continue
+        if screened:
+            screened -= 1
+            if _norm_squarefree_mod_p(m_p, lifted_p, s):
+                return s, nf_norm(g, s)
+            continue
+        norm = nf_norm(g, s)
+        if is_squarefree(norm):
+            return s, norm
+
+
+def _norm_squarefree_mod_p(m_p, lifted_p, s: int) -> bool:
+    """Whether nf_norm(g, s) mod p has full degree and is squarefree, given
+    the modulus and g's lifted coefficients (highest first) mod p."""
+    p = _SCREEN_PRIME
+    nd = (len(lifted_p) - 1) * (len(m_p) - 1)
+
+    def sample(c):
+        arg = _p_trim([int(c), s], p)
+        val = []
+        for a in lifted_p:
+            val = _p_trim(_z_add(_p_mul(val, arg, p), a), p)
+        return _p_resultant(m_p, _p_mod(val, m_p, p), p)
+
+    # the rational interpolant of the residues is p-integral (p > nd + 1)
+    # and reduces to the norm mod p
+    norm = list(ModpPolynomial.reduce(interpolate(sample, nd + 1), p).coeffs)
+    slope = _p_trim(_z_derivative(norm), p)
+    return len(norm) == nd + 1 and len(_p_gcd(norm, slope, p)) == 1
 
 
 @dataclass(frozen=True)
@@ -403,8 +470,11 @@ class NfFactorization:
 def trager_factor(f: NfPolynomial) -> NfFactorization:
     """Complete irreducible factorization over the coefficient field.
 
-    Norm-shift method: find s with squarefree Norm(f(x - s*theta)), factor the
-    norm over Q, and pull factors back through gcds over the field.
+    Norm-shift method (Trager 1976): take g, the squarefree part of f, and
+    an integer s for which Norm(g(x + s*theta)) = nf_norm(g, s) is
+    squarefree.  Each irreducible factor G of that norm over Q pulls back to
+    the irreducible factor gcd(g, G(x - s*theta)) of g over L, and the
+    multiplicities come from dividing f by these factors.
     """
     if f.is_zero():
         raise InvalidInput("cannot factor zero")
@@ -413,30 +483,19 @@ def trager_factor(f: NfPolynomial) -> NfFactorization:
     monic = f.monic()
     if monic.degree == 0:
         return NfFactorization(unit=unit, factors=(), shift=0)
-    sqf = monic // monic.gcd(monic.derivative())
-    theta = L.theta
-    shift_used = 0
-    pieces = []
-    if sqf.degree >= 1:
-        for s in _shift_sequence():
-            shifted = sqf.compose_linear(L.one, L.element([s]) * theta if s else L.zero)
-            norm = nf_norm(shifted)
-            if is_squarefree(norm):
-                shift_used = s
-                break
-        else:  # pragma: no cover - sequence is infinite
-            raise InvalidInput("no squarefree shift found")
-        fl = factor_over_rationals(norm)
-        if fl.is_irreducible():
-            pieces = [sqf]
-        else:
-            # f(x) = shifted(x - s*theta), so factors pull back through x - s*theta
-            back = L.element([-shift_used]) * theta if shift_used else L.zero
-            for gq, _ in fl.factors:
-                gl = NfPolynomial.from_rat(L, gq).compose_linear(L.one, back)
-                h = sqf.gcd(gl)
-                if h.degree >= 1:
-                    pieces.append(h)
+    skip = ()
+    if all(c.is_rational() for c in monic.coeffs):
+        g_q = squarefree_part(RatPolynomial([c.coeffs[0] for c in monic.coeffs]))
+        sqf = NfPolynomial.from_rat(L, g_q)
+        if L.degree > 1:
+            # shift 0 gives the norm g^d; when m | g, the roots
+            # alpha_j -+ alpha_i of the norms at -+1 repeat
+            skip = (0, 1, -1) if (g_q % L.modulus).is_zero() else (0,)
+    else:
+        sqf = monic // monic.gcd(monic.derivative())
+    shift_used, norm = _squarefree_norm(sqf, skip)
+    fl = factor_over_rationals(norm)
+    pieces = [sqf] if fl.is_irreducible() else _pull_back(sqf, fl, shift_used)
     # recover multiplicities by exact division
     factors = []
     rem = monic
@@ -454,6 +513,32 @@ def trager_factor(f: NfPolynomial) -> NfFactorization:
     if rem.degree != 0:
         raise InvalidInput("factorization incomplete; bad shift search?")
     return NfFactorization(unit=unit, factors=tuple(factors), shift=shift_used)
+
+
+def _pull_back(g: NfPolynomial, fl, s: int) -> list:
+    """The irreducible factors of the squarefree monic g over L, one for each
+    irreducible factor G of its squarefree norm fl = Norm(g(x + s*theta)).
+
+    Each is gcd(g, G(x - s*theta)) with G(x - s*theta) taken mod g by
+    Horner, except the one of the largest G: g divided by all the others.
+    """
+    L = g.field
+    back = NfPolynomial(L, [L.element([-s]) * L.theta, L.one])
+    norm_factors = [G for G, _ in fl.factors]
+    largest = max(norm_factors, key=lambda G: G.degree)
+    pieces = []
+    rest = NfPolynomial(L, [L.one])
+    for G in norm_factors:
+        if G is largest:
+            continue
+        acc = NfPolynomial(L)
+        for c in reversed(G.coeffs):
+            acc = (acc * back + NfPolynomial(L, [L.element([c])])) % g
+        h = g.gcd(acc)
+        if h.degree >= 1:
+            pieces.append(h)
+            rest = rest * h
+    return pieces + [g // rest]
 
 
 def _shift_sequence():
@@ -756,6 +841,12 @@ def is_primitive_field(m: RatPolynomial, policy: str = "auto") -> PrimitivityCer
         raise InvalidInput(f"unknown policy {policy!r}")
     if not factor_over_rationals(m).is_irreducible():
         raise NotAField(f"{m} is reducible over Q")
+    return _decide_primitivity(m, policy)
+
+
+def _decide_primitivity(m: RatPolynomial, policy: str) -> PrimitivityCertificate:
+    """is_primitive_field for a modulus already known to be monic and
+    irreducible over Q, and a valid policy."""
     d = m.degree
     if policy == "auto":
         if d == 1 or is_prime(d):

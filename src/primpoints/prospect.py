@@ -42,8 +42,8 @@ from .numfield import (
     METHOD_FROM_SPECIALIZATION,
     PRIMITIVE,
     PrimitivityCertificate,
+    _decide_primitivity,
     coefficient_vectors,
-    is_primitive_field,
 )
 
 # most vectors, (2H+1)^dim - 1, that an exhaustive density run classifies
@@ -166,9 +166,10 @@ def classify_specialization(
             factors=fl.factors,
             lam=lam,
         )
-    cert = is_primitive_field(poly, policy="auto")
+    # poly is monic, and irreducible by the factorization above
+    cert = _decide_primitivity(poly, "auto")
     if paranoid:
-        check = is_primitive_field(poly, policy="general")
+        check = _decide_primitivity(poly, "general")
         if check.verdict != cert.verdict:
             raise VerificationFailure(
                 f"method disagreement at t={t}: {cert.verdict} vs {check.verdict}"

@@ -2,22 +2,34 @@
 
 Factorization over Q, resultants and discriminants of random integer
 polynomials (degree <= 8, coefficients in [-20, 20]) must agree with
-sympy's.  sympy is only a test-time oracle; the module is skipped when it is
-not installed.
+sympy's.  So must, over random number fields Q[x]/(m) of degree 2-6, the
+Trager factorization of m, the norms of polynomials over the field, and the
+minimal polynomials of field elements.  sympy is only a test-time oracle;
+the module is skipped when it is not installed.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from primpoints import RatPolynomial, factor_over_rationals, resultant
+from primpoints import (
+    NfPolynomial,
+    NumberField,
+    RatPolynomial,
+    factor_over_rationals,
+    nf_norm,
+    resultant,
+    trager_factor,
+)
 from primpoints.exactalg import discriminant
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 X = sympy.Symbol("x")
+Y = sympy.Symbol("y")
 
 # ascending coefficients with a nonzero leading one: degree 0..8
 int_polys = st.tuples(
@@ -27,11 +39,27 @@ int_polys = st.tuples(
 positive_degree_polys = int_polys.filter(lambda p: p.degree >= 1)
 
 DIFFERENTIAL = settings(max_examples=60, deadline=None)
+# a sympy factorization over a number field takes up to a third of a second
+FIELD_DIFFERENTIAL = settings(max_examples=15, deadline=None)
+
+
+def monic_irreducible(min_degree, max_degree):
+    """Monic irreducible integer polynomials, coefficients in [-9, 9]."""
+    return (
+        st.integers(min_degree, max_degree)
+        .flatmap(lambda d: st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+        .map(lambda c: RatPolynomial(c + [1]))
+        .filter(lambda m: factor_over_rationals(m).is_irreducible())
+    )
 
 
 def to_sympy(p: RatPolynomial):
     return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(p.coeffs)], X, domain="QQ")
+
+
+def in_y(p: RatPolynomial):
+    return to_sympy(p).as_expr().subs(X, Y)
 
 
 def to_fraction(c) -> Fraction:
@@ -73,3 +101,54 @@ def test_resultant_matches_sympy(p, q):
 @given(positive_degree_polys)
 def test_discriminant_matches_sympy(p):
     assert discriminant(p) == to_fraction(sympy.discriminant(to_sympy(p)))
+
+
+@FIELD_DIFFERENTIAL
+@given(monic_irreducible(2, 6))
+def test_trager_matches_sympy_over_own_field(m):
+    # m over Q[x]/(m): the degrees of its factors over its own field
+    L = NumberField(m, check=False)
+    f = NfPolynomial.from_rat(L, m)
+    fact = trager_factor(f)
+    assert fact.expand() == f
+    theta = sympy.CRootOf(in_y(m), 0)
+    _, factors = sympy.factor_list(to_sympy(m).as_expr(), X, extension=theta)
+    theirs = sorted(sympy.degree(g, X) for g, e in factors for _ in range(e))
+    assert sorted(g.degree for g, e in fact.factors for _ in range(e)) == theirs
+
+
+@FIELD_DIFFERENTIAL
+@given(
+    monic_irreducible(3, 4),
+    st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=2, max_size=4),
+    st.integers(-3, 3),
+)
+def test_nf_norm_matches_sylvester(m, rows, shift):
+    # nf_norm(f, s) == Res_y(m(y), F(x + s*y, y)), F the lift of f to Q[x, y]
+    L = NumberField(m, check=False)
+    coeffs = [L.element(row[: L.degree]) for row in rows]
+    assume(not coeffs[-1].is_zero())
+    f = NfPolynomial(L, coeffs)
+    big_f = sum(
+        in_y(c.to_poly()) * (X + shift * Y) ** k for k, c in enumerate(f.coeffs)
+    )
+    sylv = DomainMatrix.from_Matrix(sylvester(in_y(m), sympy.expand(big_f), Y))
+    det = sylv.domain.to_sympy(sylv.det())
+    theirs = [to_fraction(c) for c in reversed(sympy.Poly(det, X).all_coeffs())]
+    assert nf_norm(f, shift) == RatPolynomial(theirs)
+
+
+@FIELD_DIFFERENTIAL
+@given(
+    monic_irreducible(2, 4),
+    st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+)
+def test_minimal_polynomial_matches_sympy(m, coords):
+    L = NumberField(m, check=False)
+    a = L.element(coords[: L.degree])
+    theta = sympy.CRootOf(in_y(m), 0)
+    expr = sum(c * theta ** i for i, c in enumerate(coords[: L.degree]))
+    theirs = sympy.Poly(sympy.minimal_polynomial(expr, X), X).monic()
+    assert a.minimal_polynomial() == RatPolynomial(
+        [to_fraction(c) for c in reversed(theirs.all_coeffs())]
+    )

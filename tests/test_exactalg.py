@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from primpoints import (
     InvalidInput,
@@ -18,6 +18,7 @@ from primpoints import (
     resultant,
     squarefree_part,
 )
+from primpoints.exactalg import _p_resultant
 
 x = POLY_X
 
@@ -305,6 +306,15 @@ def test_resultant_examples():
 def test_resultant_swap_sign(p, q):
     sign = -1 if (p.degree * q.degree) % 2 else 1
     assert resultant(p, q) == sign * resultant(q, p)
+
+
+@settings(max_examples=50)
+@given(nonzero_polys, nonzero_polys)
+def test_resultant_mod_p_reduces_resultant(p, q):
+    # with lead coefficients prime to 13 the Sylvester matrix keeps its shape
+    assume(p.lc % 13 and q.lc % 13)
+    reduced = [list(ModpPolynomial.reduce(f, 13).coeffs) for f in (p, q)]
+    assert _p_resultant(*reduced, 13) == resultant(p, q) % 13
 
 
 def test_resultant_zero_input():

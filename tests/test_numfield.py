@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from primpoints import (
     resolvent_cubic,
     trager_factor,
 )
+from primpoints import numfield
+from primpoints.exactalg import rat_to_str
 
 x = POLY_X
 SWINNERTON = x ** 4 - 10 * x ** 2 + 1
@@ -121,6 +125,57 @@ def test_trager_factors_are_irreducible():
         assert refact.factors[0][0] == g
 
 
+def test_one_exact_norm_per_factorization(monkeypatch):
+    # shifts are screened by their norm mod p, so only the shift used has
+    # its exact norm computed
+    shifts = []
+    exact = numfield.nf_norm
+
+    def counted(f, shift=0):
+        shifts.append(shift)
+        return exact(f, shift)
+
+    monkeypatch.setattr(numfield, "nf_norm", counted)
+    for m in (x ** 6 - x - 1, x ** 6 - 2, SWINNERTON):
+        shifts.clear()
+        principal_subfields(NumberField(m))
+        assert len(shifts) == 1
+        # shifts 0 and +-1 never give m over its own field a squarefree norm
+        assert abs(shifts[0]) >= 2
+
+
+def test_screen_skipped_when_prime_divides_a_denominator(monkeypatch):
+    def no_screen(*args):
+        raise AssertionError("screened a norm that has no reduction mod p")
+
+    monkeypatch.setattr(numfield, "_norm_squarefree_mod_p", no_screen)
+    m = x ** 2 - Fraction(2, numfield._SCREEN_PRIME)
+    L = NumberField(m)
+    f = NfPolynomial.from_rat(L, m)
+    fact = trager_factor(f)
+    assert [(g.degree, mult) for g, mult in fact.factors] == [(1, 1), (1, 1)]
+    assert fact.expand() == f
+    # an input whose coefficients carry p in a denominator
+    g = NfPolynomial(L, [L.element([0, 3]), L.one]) * f
+    fact = trager_factor(g)
+    assert sorted(h.degree for h, _ in fact.factors) == [1, 1, 1]
+    assert fact.expand() == g
+
+
+def test_exact_test_after_inconclusive_screens(monkeypatch):
+    # a screen that never passes leaves every later shift to the exact test
+    fields = [x ** 3 - 2, SWINNERTON, x ** 2 + 1]
+    inputs = [NfPolynomial.from_rat(NumberField(m), m) for m in fields]
+    L = NumberField(x ** 2 + 1)
+    inputs.append(NfPolynomial(L, [L.element([0, -1]), L.zero, L.one]))  # x^2 - i
+    expected = [trager_factor(f).factors for f in inputs]
+    monkeypatch.setattr(numfield, "_norm_squarefree_mod_p", lambda *args: False)
+    for f, factors in zip(inputs, expected):
+        fact = trager_factor(f)
+        assert fact.factors == factors
+        assert fact.expand() == f
+
+
 # ----------------------------------------------------------------------
 # principal subfields
 
@@ -160,6 +215,26 @@ def test_principal_subfields_cyclotomic8():
     }
     # the full field appears in the list
     assert any(e.degree == 4 for e in entries)
+
+
+PINNED = Path(__file__).with_name("principal_subfields_pinned.json")
+
+
+def test_principal_subfields_pinned():
+    # recorded when each factorization still computed four exact norms: the
+    # shift screen must not move a basis, generator or minimal polynomial
+    for entry in json.loads(PINNED.read_text()):
+        L = NumberField(RatPolynomial.from_json(entry["modulus"]))
+        got = [
+            {
+                "degree": e.degree,
+                "basis": [[rat_to_str(c) for c in b.coeffs] for b in e.basis],
+                "generator": [rat_to_str(c) for c in e.generator.coeffs],
+                "minpoly": e.generator_minpoly.to_json(),
+            }
+            for e in principal_subfields(L)
+        ]
+        assert got == entry["subfields"], entry["modulus"]
 
 
 # ----------------------------------------------------------------------
