@@ -33,6 +33,7 @@ from .exactalg import (
     is_prime,
     is_squarefree,
     rat_to_str,
+    rational_roots,
     resultant,
     squarefree_part,
 )
@@ -606,18 +607,21 @@ def principal_subfields(L: NumberField) -> list:
                 vec.extend(coef.coeffs)
             cols.append(vec)
         rows = [[cols[j][i] for j in range(d)] for i in range(k * d)]
-        kernel = nullspace(rows, ncols=d)
-        basis = tuple(L.element(v) for v in kernel)
-        gen, minpoly = _subfield_generator(L, basis)
-        if len(basis) == 2:
-            gen, minpoly = _canonical_quadratic(L, gen, minpoly)
-        out.append(
-            PrincipalSubfield(
-                degree=len(basis), basis=basis, generator=gen, generator_minpoly=minpoly
-            )
-        )
+        out.append(_subfield_entry(L, nullspace(rows, ncols=d)))
     out.sort(key=_entry_sort_key)
     return out
+
+
+def _subfield_entry(L: NumberField, kernel) -> PrincipalSubfield:
+    """The entry for a subfield given as the rref-canonical basis that
+    nullspace returns; its generator depends on the subfield alone."""
+    basis = tuple(L.element(v) for v in kernel)
+    gen, minpoly = _subfield_generator(L, basis)
+    if len(basis) == 2:
+        gen, minpoly = _canonical_quadratic(L, gen, minpoly)
+    return PrincipalSubfield(
+        degree=len(basis), basis=basis, generator=gen, generator_minpoly=minpoly
+    )
 
 
 def _entry_sort_key(e: PrincipalSubfield):
@@ -757,10 +761,13 @@ class PrimitivityCertificate:
     def verify(self, strict: bool = False) -> bool:
         """Re-check the certificate from scratch.
 
-        The modulus must be monic and irreducible over Q.  A primitive
-        verdict by principal subfields carries no witness, so it is
-        recomputed; strict=True recomputes and compares the verdict for
-        every method (slow).  Principal subfields run at most once.
+        The modulus must be monic and irreducible over Q, and the method must
+        fit the verdict: prime_degree only proves primitivity, and
+        resolvent_cubic needs a quartic whose resolvent has a rational root
+        exactly when the verdict is imprimitive.  A primitive verdict by
+        principal subfields carries no witness, so it is recomputed;
+        strict=True recomputes and compares the verdict for every method
+        (slow).  Principal subfields run at most once.
         """
         if self.verdict not in (PRIMITIVE, IMPRIMITIVE) or self.method not in _METHODS:
             return False
@@ -770,21 +777,17 @@ class PrimitivityCertificate:
         if self.verdict == IMPRIMITIVE:
             if self.witness is None or not self.witness.verify(self.modulus):
                 return False
-        else:
-            if self.witness is not None:
+        elif self.witness is not None:
+            return False
+        if self.method == METHOD_PRIME_DEGREE:
+            d = m.degree
+            if self.verdict == IMPRIMITIVE or (d != 1 and not is_prime(d)):
                 return False
-            if self.method == METHOD_PRIME_DEGREE:
-                d = self.modulus.degree
-                if d != 1 and not is_prime(d):
-                    return False
-            elif self.method == METHOD_RESOLVENT_CUBIC:
-                if self.modulus.degree != 4:
-                    return False
-                res = resolvent_cubic(self.modulus)
-                if any(
-                    f.degree == 1 for f, _ in factor_over_rationals(res).factors
-                ):
-                    return False
+        elif self.method == METHOD_RESOLVENT_CUBIC:
+            if m.degree != 4:
+                return False
+            if bool(rational_roots(resolvent_cubic(m))) != (self.verdict == IMPRIMITIVE):
+                return False
         if strict or (
             self.verdict == PRIMITIVE and self.method == METHOD_PRINCIPAL_SUBFIELDS
         ):
@@ -833,7 +836,8 @@ def is_primitive_field(m: RatPolynomial, policy: str = "auto") -> PrimitivityCer
     """Decide whether Q[x]/(m) admits a proper intermediate field.
 
     policy 'auto' uses the prime-degree shortcut and, at degree 4, the
-    resolvent cubic; policy 'general' always runs principal subfields.
+    resolvent cubic, whose rational roots also give the witness;
+    policy 'general' always runs principal subfields.
     """
     if m.is_zero() or not m.is_monic():
         raise InvalidInput("modulus must be monic")
@@ -854,19 +858,16 @@ def _decide_primitivity(m: RatPolynomial, policy: str) -> PrimitivityCertificate
                 verdict=PRIMITIVE, method=METHOD_PRIME_DEGREE, modulus=m
             )
         if d == 4:
-            res = resolvent_cubic(m)
-            if not any(f.degree == 1 for f, _ in factor_over_rationals(res).factors):
+            roots = rational_roots(resolvent_cubic(m))
+            if not roots:
                 return PrimitivityCertificate(
                     verdict=PRIMITIVE, method=METHOD_RESOLVENT_CUBIC, modulus=m
                 )
-            witness = _principal_witness(m)
-            if witness is None:  # pragma: no cover - resolvent root guarantees one
-                raise InvalidInput("resolvent root without subfield witness")
             return PrimitivityCertificate(
                 verdict=IMPRIMITIVE,
                 method=METHOD_RESOLVENT_CUBIC,
                 modulus=m,
-                witness=witness,
+                witness=_resolvent_witness(m, roots) or _principal_witness(m),
             )
     witness = _principal_witness(m)
     return PrimitivityCertificate(
@@ -888,3 +889,40 @@ def _principal_witness(m: RatPolynomial):
                 generator_minpoly=e.generator_minpoly,
             )
     return None
+
+
+def _resolvent_witness(m: RatPolynomial, roots):
+    """_principal_witness(m) for an imprimitive quartic m, read off the
+    rational roots of its resolvent cubic; None if a root fails its check.
+
+    With m = x^4 + p3 x^3 + q2 x^2 + r1 x + s0 and alpha_1 = theta, a root
+    t = alpha_1 alpha_2 + alpha_3 alpha_4 names a pairing of the roots of m.
+    Vieta gives s = alpha_1 + alpha_2 and P = alpha_1 alpha_2 = s theta -
+    theta^2 from P (p3 + 2s) = t s + r1, solved for s in L:
+        s = -(p3 theta^2 + 2 (q2 - t) theta + r1) / (2 theta^2 + p3 theta + t),
+    whose denominator has degree 2 < 4 and so is never 0.  The subfield is
+    Q(s), or Q(P) when s is rational; each root gives one quadratic
+    subfield, and the least entry by _entry_sort_key is the witness, as in
+    principal_subfields.
+    """
+    L = NumberField(m, check=False)
+    p3, q2, r1, s0 = m[3], m[2], m[1], m[0]
+    theta = L.theta
+    entries = []
+    for t in roots:
+        s = -L.element([r1, 2 * (q2 - t), p3]) / L.element([t, p3, 2])
+        if s.is_rational():
+            g = s * theta - theta * theta
+            quadratic = g * g - t * g + s0
+        else:
+            g = s
+            quadratic = g * g + p3 * g + (q2 - t)
+        if g.is_rational() or not quadratic.is_zero():
+            return None
+        # span{1, g} is the kernel of its orthogonal complement
+        complement = nullspace([list(L.one.coeffs), list(g.coeffs)])
+        entries.append(_subfield_entry(L, nullspace(complement)))
+    best = min(entries, key=_entry_sort_key)
+    return SubfieldWitness(
+        degree=2, generator=best.generator, generator_minpoly=best.generator_minpoly
+    )

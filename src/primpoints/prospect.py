@@ -174,6 +174,8 @@ def classify_specialization(
             raise VerificationFailure(
                 f"method disagreement at t={t}: {cert.verdict} vs {check.verdict}"
             )
+        if check.witness != cert.witness:
+            raise VerificationFailure(f"witness disagreement at t={t}")
     return Specialization(
         t=t, fiber_poly=poly, status=STATUS_IRREDUCIBLE, certificate=cert, lam=lam
     )

@@ -4,8 +4,9 @@ Factorization over Q, resultants and discriminants of random integer
 polynomials (degree <= 8, coefficients in [-20, 20]) must agree with
 sympy's.  So must, over random number fields Q[x]/(m) of degree 2-6, the
 Trager factorization of m, the norms of polynomials over the field, and the
-minimal polynomials of field elements.  sympy is only a test-time oracle;
-the module is skipped when it is not installed.
+minimal polynomials of field elements (against the squarefree part of the
+characteristic polynomial of multiplication by the element).  sympy is only
+a test-time oracle; the module is skipped when it is not installed.
 """
 
 from fractions import Fraction
@@ -144,11 +145,20 @@ def test_nf_norm_matches_sylvester(m, rows, shift):
     st.lists(st.integers(-5, 5), min_size=4, max_size=4),
 )
 def test_minimal_polynomial_matches_sympy(m, coords):
+    # the oracle is the squarefree part of the characteristic polynomial of
+    # multiplication by a, i.e. of a(C) for the companion matrix C of m:
+    # sympy.minimal_polynomial on a CRootOf expression can take minutes
     L = NumberField(m, check=False)
     a = L.element(coords[: L.degree])
-    theta = sympy.CRootOf(in_y(m), 0)
-    expr = sum(c * theta ** i for i, c in enumerate(coords[: L.degree]))
-    theirs = sympy.Poly(sympy.minimal_polynomial(expr, X), X).monic()
+    companion = sympy.Matrix(L.degree, L.degree, lambda i, j: (
+        -sympy.Rational(m[i].numerator, m[i].denominator) if j == L.degree - 1
+        else int(i == j + 1)
+    ))
+    mult = sum(
+        (c * companion ** i for i, c in enumerate(coords[: L.degree])),
+        sympy.zeros(L.degree, L.degree),
+    )
+    theirs = sympy.Poly(sympy.sqf_part(mult.charpoly(X).as_expr()), X).monic()
     assert a.minimal_polynomial() == RatPolynomial(
         [to_fraction(c) for c in reversed(theirs.all_coeffs())]
     )

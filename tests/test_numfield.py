@@ -14,6 +14,7 @@ from primpoints import (
     POLY_X,
     PrimitivityCertificate,
     RatPolynomial,
+    classify_specialization,
     factor_over_rationals,
     is_primitive_field,
     nf_arithmetic,
@@ -305,6 +306,28 @@ def test_forged_certificates_rejected(verdict, method, modulus):
     assert not PrimitivityCertificate.from_json(data).verify()
 
 
+@pytest.mark.parametrize(
+    "method, modulus, generator, minpoly",
+    [
+        # a quadratic subfield of a sextic field is no resolvent-cubic proof
+        ("resolvent_cubic", ["-2", "0", "0", "0", "0", "0", "1"], ["0", "0", "0", "1"],
+         ["-2", "0", "1"]),
+        # the prime-degree shortcut never proves a field imprimitive
+        ("prime_degree", ["1", "0", "-10", "0", "1"], ["0", "0", "1"], ["1", "-10", "1"]),
+    ],
+)
+def test_mislabelled_imprimitive_certificates_rejected(method, modulus, generator, minpoly):
+    data = {
+        "verdict": "imprimitive",
+        "method": method,
+        "modulus": modulus,
+        "witness": {"degree": 2, "generator_coeffs": generator, "minpoly": minpoly},
+    }
+    cert = PrimitivityCertificate.from_json(data)
+    assert cert.witness.verify(cert.modulus)
+    assert not cert.verify()
+
+
 def test_certificate_reducible_rejected():
     with pytest.raises(NotAField):
         is_primitive_field(x ** 4 - 1)
@@ -342,3 +365,87 @@ def test_prime_degree_shortcut_confirmed():
         general = is_primitive_field(m, policy="general")
         assert general.verdict == "primitive"
         checked += 1
+
+
+# ----------------------------------------------------------------------
+# quartic witnesses from the resolvent root
+
+# V4 (x^4 - 10x^2 + 1, x^4 + 1), D4 (x^4 - 2, x^4 + 3) and C4
+# (x^4 + x^3 + x^2 + x + 1, x^4 - 4x^2 + 2) fields
+IMPRIMITIVE_QUARTICS = [
+    SWINNERTON, x ** 4 + 1, x ** 4 - 2, x ** 4 + 3,
+    x ** 4 + x ** 3 + x ** 2 + x + 1, x ** 4 - 4 * x ** 2 + 2,
+]
+
+
+def _imprimitive_moduli():
+    """The fields above, each also presented by the minimal polynomials of
+    two random non-integral generators."""
+    rng = random.Random(47)
+    for base in IMPRIMITIVE_QUARTICS:
+        yield base
+        L = NumberField(base)
+        found = 0
+        while found < 2:
+            a = L.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)])
+            m = a.minimal_polynomial()
+            if m.degree == 4:
+                found += 1
+                yield m
+
+
+def test_resolvent_witness_matches_principal_subfields():
+    pairings = set()
+    for m in _imprimitive_moduli():
+        roots = numfield.rational_roots(resolvent_cubic(m))
+        assert len(roots) in (1, 3)
+        # alpha_1 + alpha_2 is rational exactly when p3^2 == 4 (q2 - t)
+        pairings.update(m[3] ** 2 == 4 * (m[2] - t) for t in roots)
+        ours = numfield._resolvent_witness(m, roots)
+        assert ours is not None
+        assert ours.to_json() == numfield._principal_witness(m).to_json(), m
+    assert pairings == {True, False}
+
+
+def _count_trager(monkeypatch):
+    calls = []
+    exact = numfield.trager_factor
+
+    def counted(f):
+        calls.append(f)
+        return exact(f)
+
+    monkeypatch.setattr(numfield, "trager_factor", counted)
+    return calls
+
+
+def test_imprimitive_quartic_fibers_make_no_trager_call(g1, monkeypatch):
+    calls = _count_trager(monkeypatch)
+    certs = []
+    for a in range(-2, 3):
+        f = g1.function(x ** 2 + a * x)
+        for t in (2, 3, Fraction(1, 2), -5):
+            spec = classify_specialization(g1, f, t)
+            if spec.status == "irreducible":
+                certs.append(spec.certificate)
+    assert len(certs) >= 10
+    assert calls == []
+    for cert in certs:
+        assert cert.verdict == "imprimitive" and cert.method == "resolvent_cubic"
+        assert cert.witness == numfield._principal_witness(cert.modulus)
+
+
+def test_failed_resolvent_check_falls_back(monkeypatch):
+    moduli = [SWINNERTON, x ** 4 - 2, x ** 4 + x ** 3 + x ** 2 + x + 1]
+    expected = [numfield._principal_witness(m) for m in moduli]
+    true_roots = numfield.rational_roots
+    # a wrong resolvent root names no pairing, so its generator fails the check
+    monkeypatch.setattr(numfield, "rational_roots", lambda p: [t + 1 for t in true_roots(p)])
+    calls = _count_trager(monkeypatch)
+    for m, witness in zip(moduli, expected):
+        roots = numfield.rational_roots(resolvent_cubic(m))
+        assert numfield._resolvent_witness(m, roots) is None
+        calls.clear()
+        cert = is_primitive_field(m)
+        assert calls
+        assert cert.verdict == "imprimitive" and cert.witness == witness

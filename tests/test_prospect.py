@@ -13,6 +13,8 @@ from primpoints import (
     POLY_X,
     RatPolynomial,
     SearchBudgetExhausted,
+    SubfieldWitness,
+    VerificationFailure,
     classify_specialization,
     coefficient_vectors,
     density_experiment,
@@ -23,6 +25,7 @@ from primpoints import (
     is_squarefree,
     prospect,
 )
+from primpoints import numfield
 
 x = POLY_X
 
@@ -117,6 +120,25 @@ def test_prospect_x2_always_imprimitive(g1):
         assert s.certificate.witness.degree == 2
         assert s.certificate.witness.verify(s.fiber_poly)
     assert rep.primitive_points == []
+
+
+def test_paranoid_compares_witnesses(g1, monkeypatch):
+    f = g1.function(x ** 2 + x)
+    spec = classify_specialization(g1, f, 3, paranoid=True)
+    assert spec.certificate.verdict == "imprimitive"
+    # -g generates the same subfield, with the same minimal polynomial x^2 - D,
+    # so only the comparison with principal subfields can tell it is not
+    # the canonical witness
+    right = numfield._resolvent_witness
+
+    def negated(m, roots):
+        w = right(m, roots)
+        return SubfieldWitness(w.degree, -w.generator, w.generator_minpoly)
+
+    monkeypatch.setattr(numfield, "_resolvent_witness", negated)
+    assert classify_specialization(g1, f, 3).certificate.verify()
+    with pytest.raises(VerificationFailure):
+        classify_specialization(g1, f, 3, paranoid=True)
 
 
 def test_prospect_x2y_point(g1):
