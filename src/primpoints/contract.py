@@ -7,9 +7,11 @@ pairs of disjoint equal-degree subdivisors (zero fiber, pole fiber), with
 principality tested in the Jacobian and the pullback verified exactly.  The
 pullback check needs the image g(P) of each place as a closed point of P^1;
 it is the squarefree part of the characteristic polynomial of g(P) over Q,
-one resultant rule for split, ramified and inert places alike.  For
-totally-ramified divisors n*oo the same locus is decided per function by
-exact functional decomposition through the expansion at infinity.
+one resultant rule for split, ramified and inert places alike.  No fiber is
+factored: for deg g = e the fiber g^*(pt) has degree e * deg pt, and places
+over pt fill it exactly when their degrees, times their indices, add up to
+that.  For totally-ramified divisors n*oo the same locus is decided per
+function by exact functional decomposition through the expansion at infinity.
 """
 
 from __future__ import annotations
@@ -46,11 +48,14 @@ from .hypcurve import (
     is_principal,
     pole_divisor,
     riemann_roch_basis,
-    zero_divisor,
     _ord_u,
     _sqrt_lift,
 )
 from .linalg import in_span
+
+# enumerate_contr0 walks pairs of subsets of supp D, exponential work in the
+# number of places; larger supports are refused up front
+MAX_CONTR_PLACES = 10
 
 
 # ----------------------------------------------------------------------
@@ -149,11 +154,18 @@ def compose_point_function(curve, g: CurveFunction, pt) -> CurveFunction:
     return pt[1](g)
 
 
-def fiber_over_point(curve, g: CurveFunction, pt) -> Divisor:
-    """g^*(pt) as an effective divisor (the scheme fiber)."""
-    if pt[0] == "inf":
-        return pole_divisor(curve, g)
-    return zero_divisor(curve, compose_point_function(curve, g, pt))
+def _image_groups(curve, g: CurveFunction, places):
+    """The places grouped by image, [(g(P), [P, ...])] in point order."""
+    groups = {}
+    for place in places:
+        pt = function_value_at_place(curve, g, place)
+        groups.setdefault((point_sort_key(pt), pt[0]), (pt, []))[1].append(place)
+    return [group for _, group in sorted(groups.items())]
+
+
+def _fills_fiber(pt, e: int, weighted) -> bool:
+    """Whether the (P, e_P) pairs over pt make up g^*(pt), for deg g = e."""
+    return sum(w * p.degree for p, w in weighted) == e * point_degree(pt)
 
 
 # ----------------------------------------------------------------------
@@ -210,29 +222,20 @@ def _divisors_of(n: int):
 
 
 def _verify_contraction(curve, D: Divisor, g: CurveFunction, e: int, source_pair=()):
-    """Check g^*(image divisor) == D exactly; return a Contraction or None."""
-    groups = {}
-    for place, _ in D.entries:
-        pt = function_value_at_place(curve, g, place)
-        groups.setdefault((point_sort_key(pt), pt[0]), [pt, []])[1].append(place)
+    """Check g^*(image divisor) == D exactly; return a Contraction or None.
+
+    D has multiplicity one and deg g = e, as function_with_divisor ensures;
+    the places of D over each image, of index 1, must fill its fiber.
+    """
     fibers = []
-    target = []
-    for _, (pt, places) in sorted(groups.items()):
-        fib = fiber_over_point(curve, g, pt)
-        expected = Divisor([(p, 1) for p in places])
-        if fib != expected:
+    for pt, places in _image_groups(curve, g, D.support()):
+        if not _fills_fiber(pt, e, [(p, 1) for p in places]):
             return None
-        fibers.append((pt, fib))
-        target.append((pt, 1))
-    total = Divisor([(p, m) for _, fib in fibers for p, m in fib.entries])
-    if total != D:
-        return None
-    if sum(point_degree(pt) * m for pt, m in target) * e != D.degree:
-        return None
+        fibers.append((pt, Divisor([(p, 1) for p in places])))
     return Contraction(
         g=g,
         e=e,
-        target_divisor=tuple(target),
+        target_divisor=tuple((pt, 1) for pt, _ in fibers),
         fibers=tuple(fibers),
         source_pair=source_pair,
     )
@@ -250,12 +253,13 @@ def enumerate_contr0(curve, D: Divisor) -> ContractionSet:
     """
     if not D.is_effective() or not D.is_multiplicity_one():
         raise PreconditionFailed("divisor must be effective with multiplicity one")
-    d = D.degree
-    places = list(D.support())
+    places = D.support()
+    if len(places) > MAX_CONTR_PLACES:
+        raise InvalidInput(f"more than {MAX_CONTR_PLACES} places to contract")
     candidates = {}
-    for e in _divisors_of(d):
+    for e in _divisors_of(D.degree):
         subsets = []
-        for r in range(1, len(places) + 1):
+        for r in range(1, min(len(places), e) + 1):
             for combo in combinations(range(len(places)), r):
                 deg = sum(places[i].degree for i in combo)
                 if deg == e:
@@ -338,26 +342,31 @@ def _membership(curve, target: CurveFunction, basis) -> list | None:
 def factors_through(curve, f: CurveFunction, g) -> bool:
     """Whether f = phi(g) for a rational map phi with poles bounded by f's.
 
-    g may be a Contraction or a bare CurveFunction.  Decided by exact linear
-    algebra: f must lie in the span of pullbacks under g of the basis of
-    L(E) on P^1, where E is the largest divisor with g^*(E) <= polediv(f).
+    g may be a Contraction c (with c.e = deg c.g) or a bare CurveFunction.
+    Decided by exact linear algebra: f must lie in the span of pullbacks
+    under g of the basis of L(E) on P^1, where E is the largest divisor with
+    g^*(E) <= polediv(f).  A pole P over pt has index e_P = ord_P(mu_pt(g)),
+    or -ord_P(g) at oo; E holds pt min(ord_P polediv(f) // e_P) times when
+    the poles over pt fill its fiber, and not at all otherwise.
     """
     if isinstance(g, Contraction):
-        g = g.g
+        e, g = g.e, g.g
+    else:
+        e = function_degree(curve, g)
     if f.is_zero() or f.is_constant():
         raise InvalidInput("f must be nonconstant")
     pd = pole_divisor(curve, f)
-    # candidate target points: images of the poles of f
-    seen = {}
-    for place, _ in pd.entries:
-        pt = function_value_at_place(curve, g, place)
-        seen.setdefault((point_sort_key(pt), pt[0]), pt)
     E = []
-    for _, pt in sorted(seen.items()):
-        fib = fiber_over_point(curve, g, pt)
-        m = min(pd.mult(p) // m_f for p, m_f in fib.entries)
-        if m > 0:
-            E.append((pt, m))
+    for pt, places in _image_groups(curve, g, pd.support()):
+        if pt[0] == "inf":
+            weighted = [(p, -function_valuation(curve, g, p)) for p in places]
+        else:
+            mu_of_g = compose_point_function(curve, g, pt)
+            weighted = [(p, function_valuation(curve, mu_of_g, p)) for p in places]
+        if _fills_fiber(pt, e, weighted):
+            m = min(pd.mult(p) // w for p, w in weighted)
+            if m > 0:
+                E.append((pt, m))
     basis = _p1_basis_functions(curve, g, E)
     return _membership(curve, f, basis) is not None
 

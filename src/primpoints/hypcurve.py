@@ -198,10 +198,6 @@ class Divisor:
         self._hash = None
 
     @classmethod
-    def of(cls, *pairs):
-        return cls(list(pairs))
-
-    @classmethod
     def zero(cls):
         return cls()
 
@@ -247,9 +243,6 @@ class Divisor:
 
     def __eq__(self, other):
         return isinstance(other, Divisor) and self.entries == other.entries
-
-    def __le__(self, other):
-        return (other - self).is_effective() or (other - self).is_zero()
 
     def __hash__(self):
         if self._hash is None:
@@ -659,41 +652,28 @@ def _rr_system(curve, D: Divisor):
 def _vanishing_rows(curve, place, r, monomials):
     """Linear conditions v_place(alpha + beta*y) >= r over monomial coords."""
     u = place.u
-    rows = []
     if place.kind == KIND_SPLIT:
-        mod = u ** r
         vk = _sqrt_lift(curve, u, place.v, r)
-        rem = []
-        for i, isy in monomials:
-            poly = POLY_X ** i if not isy else (POLY_X ** i) * vk
-            rem.append((poly % mod).coeffs)
-        for c in range(mod.degree):
-            rows.append([col[c] if c < len(col) else Fraction(0) for col in rem])
-    elif place.kind == KIND_INERT:
-        mod = u ** r
-        for want_y in (False, True):
-            rem = []
-            for i, isy in monomials:
-                if isy == want_y:
-                    rem.append(((POLY_X ** i) % mod).coeffs)
-                else:
-                    rem.append(())
-            for c in range(mod.degree):
-                rows.append([col[c] if c < len(col) else Fraction(0) for col in rem])
-    else:  # ramified
-        for want_y, order in ((False, (r + 1) // 2), (True, r // 2)):
-            if order <= 0:
-                continue
-            mod = u ** order
-            rem = []
-            for i, isy in monomials:
-                if isy == want_y:
-                    rem.append(((POLY_X ** i) % mod).coeffs)
-                else:
-                    rem.append(())
-            for c in range(mod.degree):
-                rows.append([col[c] if c < len(col) else Fraction(0) for col in rem])
+        polys = [(POLY_X ** i) * vk if isy else POLY_X ** i for i, isy in monomials]
+        return _remainder_rows(polys, u ** r)
+    # alpha and beta vanish separately: to order r at an inert place; at a
+    # ramified one (y a uniformizer) alpha to ceil(r/2) and beta to floor(r/2)
+    orders = (r, r) if place.kind == KIND_INERT else ((r + 1) // 2, r // 2)
+    rows = []
+    for want_y, order in zip((False, True), orders):
+        if order > 0:
+            polys = [POLY_X ** i if isy == want_y else POLY_ZERO for i, isy in monomials]
+            rows.extend(_remainder_rows(polys, u ** order))
     return rows
+
+
+def _remainder_rows(polys, mod):
+    """Row c (c < deg mod) holds the x^c coefficient of each poly % mod."""
+    rem = [(poly % mod).coeffs for poly in polys]
+    return [
+        [col[c] if c < len(col) else Fraction(0) for col in rem]
+        for c in range(mod.degree)
+    ]
 
 
 def _vector_to_function(curve, vec, monomials, den) -> CurveFunction:

@@ -454,7 +454,6 @@ class NfFactorization:
 
     unit: FieldElement
     factors: tuple  # of (monic irreducible NfPolynomial, mult)
-    shift: int  # Trager shift actually used
 
     def expand(self) -> NfPolynomial:
         L = self.unit.field
@@ -483,7 +482,7 @@ def trager_factor(f: NfPolynomial) -> NfFactorization:
     unit = f.lc
     monic = f.monic()
     if monic.degree == 0:
-        return NfFactorization(unit=unit, factors=(), shift=0)
+        return NfFactorization(unit=unit, factors=())
     skip = ()
     if all(c.is_rational() for c in monic.coeffs):
         g_q = squarefree_part(RatPolynomial([c.coeffs[0] for c in monic.coeffs]))
@@ -513,7 +512,7 @@ def trager_factor(f: NfPolynomial) -> NfFactorization:
             factors.append((h, mult))
     if rem.degree != 0:
         raise InvalidInput("factorization incomplete; bad shift search?")
-    return NfFactorization(unit=unit, factors=tuple(factors), shift=shift_used)
+    return NfFactorization(unit=unit, factors=tuple(factors))
 
 
 def _pull_back(g: NfPolynomial, fl, s: int) -> list:

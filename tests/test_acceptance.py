@@ -38,7 +38,6 @@ from primpoints import (
     prospect,
     riemann_roch_basis,
 )
-from primpoints.contract import _verify_contraction
 from primpoints.exactalg import primes_below
 
 from test_contract import contr0_oracle

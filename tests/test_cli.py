@@ -17,6 +17,7 @@ from primpoints import (
     parse_poly_expr,
 )
 from primpoints.cli import ParseError, main
+from primpoints.contract import MAX_CONTR_PLACES
 
 x = POLY_X
 
@@ -229,6 +230,11 @@ def test_bounds_checked_flags(curve_file):
     assert main(["rr-basis", curve_file, "--divisor", "800*inf"]) == 1
     assert main(["rr-basis", curve_file, "--divisor", "-65*inf"]) == 1
     assert main(["rr-basis", curve_file, "--divisor", "place(u=x^65+2)"]) == 1
+    # contraction enumeration walks subsets of the support: one place more
+    # than MAX_CONTR_PLACES (11 inert places, degree 22) is refused
+    inert = [f"place(u=x-{c})" for c in (1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)]
+    assert len(inert) == MAX_CONTR_PLACES + 1
+    assert main(["contr", curve_file, "--divisor", "+".join(inert)]) == 1
 
 
 def test_output_file(curve_file, tmp_path, capsys):

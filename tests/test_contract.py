@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,12 +24,20 @@ from primpoints import (
     imprimitive_locus_test,
     is_primitive_field,
     places_over_x,
+    pole_divisor,
     prospect,
     riemann_roch_basis,
+    zero_divisor,
 )
-from primpoints.contract import _verify_contraction
+from primpoints import contract as contract_module
+from primpoints.cli import main
+from primpoints.contract import (
+    _verify_contraction,
+    compose_point_function,
+    function_value_at_place,
+    point_sort_key,
+)
 from primpoints.hypcurve import infinity_series_xy
-from primpoints.linalg import solve
 
 x = POLY_X
 
@@ -42,9 +52,17 @@ def x2_fiber(curve):
     return fib
 
 
+def fiber_over_point(curve, g, pt):
+    """g^*(pt) as an effective divisor (the scheme fiber), by factoring."""
+    if pt[0] == "inf":
+        return pole_divisor(curve, g)
+    return zero_divisor(curve, compose_point_function(curve, g, pt))
+
+
 # ----------------------------------------------------------------------
 # brute-force oracle: every disjoint equal-degree pair, no divisibility
-# shortcut, no principality pre-filter; pullback checked explicitly
+# shortcut, no principality pre-filter; the pullback is checked by
+# factoring every fiber, not by the degree count of _verify_contraction
 
 def contr0_oracle(curve, D):
     places = list(D.support())
@@ -68,9 +86,20 @@ def contr0_oracle(curve, D):
                 g = function_with_divisor(curve, D0, Dinf)
             except NotPrincipal:
                 continue
-            rec = _verify_contraction(curve, D, g, e)
-            if rec is not None:
-                found.setdefault((rec.e, rec.partition_key()), rec)
+            groups = {}
+            for p in places:
+                pt = function_value_at_place(curve, g, p)
+                groups.setdefault((point_sort_key(pt), pt[0]), (pt, []))[1].append(p)
+            fibers = [fiber_over_point(curve, g, pt) for pt, _ in groups.values()]
+            if sum(fibers, Divisor()) != D or any(
+                fib != Divisor([(p, 1) for p in group])
+                for fib, (_, group) in zip(fibers, groups.values())
+            ):
+                continue
+            parts = frozenset(
+                frozenset(p.sort_key() for p in fib.support()) for fib in fibers
+            )
+            found.setdefault((e, parts), g)
     return found
 
 
@@ -164,7 +193,7 @@ VALUE_PLACES = {
 
 @pytest.mark.parametrize("genus", [1, 2])
 def test_value_at_place_lies_in_its_fiber(g1, g2, genus):
-    from primpoints.contract import fiber_over_point, function_value_at_place, point_degree
+    from primpoints.contract import point_degree
 
     curve = {1: g1, 2: g2}[genus]
     funcs = [
@@ -201,6 +230,86 @@ def test_factors_through_examples(g1):
     assert factors_through(g1, g1.function(x ** 2 + x), c)
 
 
+def test_factors_through_ramified_pole(g1):
+    # x ramifies at the place P over x + 1, so P has index e_P = 2 in the
+    # fiber x^*(-1) = 2P and in x^*(oo) = 2*oo
+    c = enumerate_contr0(g1, x2_fiber(g1)).contractions[0]
+    for g in (g1.x, c):
+        # pole divisor 2P + 2*oo: E = (-1) + (oo)
+        assert factors_through(g1, g1.function(x ** 2 + 1, den=x + 1), g)
+        # pole divisor 4P: E = 2*(-1)
+        assert factors_through(g1, g1.function(POLY_ONE, den=(x + 1) ** 2), g)
+        # pole divisor P + oo: each mult // 2 is 0, so E = 0
+        assert not factors_through(g1, g1.function(POLY_ONE.scale(0), POLY_ONE, x + 1), g)
+
+
+def test_factors_through_fiber_beyond_the_poles(g1, monkeypatch):
+    # the fiber x^*(2) = P + P' with P' = (2, -3) not a pole of f gives E no
+    # point at 2; a function with poles at both places gets one
+    seen = []
+    real = contract_module._p1_basis_functions
+
+    def spy(curve, g, E):
+        seen.append(E)
+        return real(curve, g, E)
+
+    monkeypatch.setattr(contract_module, "_p1_basis_functions", spy)
+    one_sided = g1.function(RatPolynomial([3]), POLY_ONE, x - 2)  # (y+3)/(x-2)
+    assert pole_divisor(g1, one_sided) == Divisor([(split_place(2, 3), 1), (INFINITY, 1)])
+    assert not factors_through(g1, one_sided, g1.x)
+    assert seen.pop() == []
+    both = g1.function(x ** 2 + 1, den=x - 2)
+    assert factors_through(g1, both, g1.x)
+    assert seen.pop() == [(("rat", Fraction(2)), 1), (("inf",), 1)]
+
+
+def _count_factoring(monkeypatch):
+    from primpoints import exactalg, hypcurve, numfield
+
+    calls = []
+    real = exactalg.factor_over_rationals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (exactalg, hypcurve, numfield, contract_module):
+        monkeypatch.setattr(module, "factor_over_rationals", counted, raising=False)
+    return calls
+
+
+def test_verify_contraction_factors_nothing(g1, monkeypatch):
+    D = x2_fiber(g1)
+    c = enumerate_contr0(g1, D).contractions[0]
+    torsion = Divisor(
+        [(split_place(2, 3), 1), (split_place(0, 1), 1), (Place("ramified", x + 1), 1), (INFINITY, 1)]
+    )
+    ct = enumerate_contr0(g1, torsion).contractions[0]
+    calls = _count_factoring(monkeypatch)
+    for divisor, rec in ((D, c), (torsion, ct)):
+        again = _verify_contraction(g1, divisor, rec.g, rec.e, rec.source_pair)
+        assert again == rec
+    # a Moebius image of x contracts D as well; y of degree 3 sends P =
+    # (2, 3) to 3, whose fiber P + (x^2 + 2x + 4; y=3) has degree 3, not 1
+    moebius = _verify_contraction(g1, D, g1.function(x, den=x - 2), 2)
+    assert [pt for pt, _ in moebius.target_divisor] == [("rat", Fraction(1, 2)), ("inf",)]
+    assert _verify_contraction(g1, D, g1.y, 3) is None
+    assert calls == []
+
+
+def test_verify_contraction_inert_degree_four_image(g2, monkeypatch):
+    # the inert place over x^2 - 3x - 1 has a degree-4 image under this
+    # degree-6 g: its fiber has degree 24, far more than the place itself.
+    # Factoring that fiber took tens of seconds; the count needs no factoring
+    inert = places_over_x(g2, x ** 2 - 3 * x - 1)[0]
+    assert inert.kind == "inert" and inert.degree == 4
+    g = g2.function(x ** 3 + 1, RatPolynomial([2]), x ** 2 + 3)
+    assert function_degree(g2, g) == 6
+    calls = _count_factoring(monkeypatch)
+    assert _verify_contraction(g2, Divisor([(inert, 1)]), g, 6) is None
+    assert calls == []
+
+
 def test_dimension_comparison_examples(g1):
     D = x2_fiber(g1)
     c = enumerate_contr0(g1, D).contractions[0]
@@ -229,6 +338,21 @@ def test_dimension_comparison_examples(g1):
     assert set(contr0_oracle(g1, fib)) == {
         (c.e, c.partition_key()) for c in cs2.contractions
     }
+
+
+CONTR_PINNED = Path(__file__).with_name("contr_pinned.json")
+
+
+def test_contr_reports_pinned(tmp_path, capsys):
+    # recorded while the pullback was still checked by factoring each fiber;
+    # the split places over quadratics and the inert place over x^2 - 3x - 1
+    # give target points of degree 2
+    curve_file = tmp_path / "curve.json"
+    for entry in json.loads(CONTR_PINNED.read_text()):
+        curve_file.write_text(json.dumps({"h": entry["h"]}))
+        assert main(["contr", str(curve_file), "--divisor", entry["divisor"]]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(entry["report"], indent=2, sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------
