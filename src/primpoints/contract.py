@@ -264,18 +264,21 @@ def enumerate_contr0(curve, D: Divisor) -> ContractionSet:
                 deg = sum(places[i].degree for i in combo)
                 if deg == e:
                     subsets.append(frozenset(combo))
-        for s0 in subsets:
-            for sinf in subsets:
+        # D0 - Dinf is principal exactly when Dinf - D0 is, so principality
+        # is decided once per unordered pair and both orders are verified
+        for k, s0 in enumerate(subsets):
+            for sinf in subsets[k + 1:]:
                 if s0 & sinf:
                     continue
                 D0 = Divisor([(places[i], 1) for i in s0])
                 Dinf = Divisor([(places[i], 1) for i in sinf])
                 if not is_principal(curve, D0 - Dinf):
                     continue
-                g = function_with_divisor(curve, D0, Dinf)
-                rec = _verify_contraction(curve, D, g, e, (D0, Dinf))
-                if rec is not None:
-                    candidates[(D0.sort_key(), Dinf.sort_key())] = rec
+                for zeros, poles in ((D0, Dinf), (Dinf, D0)):
+                    g = function_with_divisor(curve, zeros, poles)
+                    rec = _verify_contraction(curve, D, g, e, (zeros, poles))
+                    if rec is not None:
+                        candidates[(zeros.sort_key(), poles.sort_key())] = rec
     # dedup by fiber partition; keep the lexicographically least source pair
     classes = {}
     for pair_key in sorted(candidates):

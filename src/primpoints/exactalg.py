@@ -600,20 +600,51 @@ def resultant(p: RatPolynomial, q: RatPolynomial) -> Fraction:
 
 def interpolate(sample, npoints: int) -> RatPolynomial:
     """The polynomial of degree < npoints through (c, sample(c)) at the
-    points c = 0, 1, -1, 2, -2, ..., by Newton divided differences."""
+    points c = 0, 1, -1, 2, -2, ..., by Lagrange's formula over Z.
+
+    With N = prod_j (x - c_j) and w_i = prod_{j != i} (c_i - c_j), the
+    interpolant is sum_i y_i * (N / (x - c_i)) / w_i.  The samples y_i
+    (ints or Fractions) are scaled to integers by their common denominator
+    D, the weights share the denominator W = lcm(w_i), and the quotients
+    N / (x - c_i) come from synthetic division; only the final coefficients
+    sum_i (y_i D) (W / w_i) (N / (x - c_i)) / (D W) become Fractions.
+    """
     xs = []
-    c = Fraction(0)
+    c = 0
     while len(xs) < npoints:
         xs.append(c)
         c = -c if c > 0 else -c + 1
-    coef = [sample(c) for c in xs]
-    for j in range(1, npoints):
-        for i in range(npoints - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = RatPolynomial([coef[-1]])
-    for i in range(npoints - 2, -1, -1):
-        poly = poly * RatPolynomial([-xs[i], 1]) + RatPolynomial([coef[i]])
-    return poly
+    ys = [sample(Fraction(c)) for c in xs]
+    den = 1
+    for y in ys:
+        den = den * y.denominator // int_gcd(den, y.denominator)
+    node_poly = [1]
+    for c in xs:
+        node_poly = [0] + node_poly
+        for k in range(len(node_poly) - 1):
+            node_poly[k] -= c * node_poly[k + 1]
+    weights = []
+    for c in xs:
+        w = 1
+        for cj in xs:
+            if cj != c:
+                w *= c - cj
+        weights.append(w)
+    common = 1
+    for w in weights:
+        common = common * abs(w) // int_gcd(common, w)
+    acc = [0] * npoints
+    for c, w, y in zip(xs, weights, ys):
+        scale = y.numerator * (den // y.denominator) * (common // w)
+        if not scale:
+            continue
+        # N / (x - c), highest coefficient first
+        q = node_poly[npoints]
+        for k in range(npoints - 1, -1, -1):
+            acc[k] += scale * q
+            q = node_poly[k] + c * q
+    total = den * common
+    return RatPolynomial([Fraction(a, total) for a in acc])
 
 
 def discriminant(p: RatPolynomial) -> Fraction:
@@ -961,19 +992,31 @@ def _good_primes(zc, count=3):
 
 
 def _factor_squarefree_z(zc):
-    """Irreducible factors (primitive, positive lc) of a squarefree primitive zc."""
+    """Irreducible factors (primitive, positive lc) of a squarefree primitive zc.
+
+    Every factor over Z has a degree that is a sum of factor degrees mod
+    each good prime (Musser 1978).  The sets of such sums, as bit masks, are
+    intersected over the primes: when only 0 and n are left, zc is
+    irreducible with no Hensel lift, and otherwise recombination tries only
+    subsets whose degree sum is left.
+    """
     n = len(zc) - 1
     if n <= 1:
         return [list(zc)]
+    irreducible = 1 | (1 << n)
+    degree_sums = (1 << (n + 1)) - 1
     best = None
     for p in _good_primes(zc, count=3):
         fl = factor_mod_p(ModpPolynomial(p, zc))
         if best is None or len(fl.factors) < len(best[1].factors):
             best = (p, fl)
-        if len(fl.factors) == 1:
+        sums = 1
+        for f, _ in fl.factors:
+            sums |= sums << f.degree
+        degree_sums &= sums
+        if degree_sums == irreducible:
             return [list(zc)]
     p, fl = best
-    modular = [list(f.coeffs) for f, _ in fl.factors]
     bound = _mignotte_bound(zc)
     k = 1
     pk = p
@@ -999,6 +1042,8 @@ def _factor_squarefree_z(zc):
             degsum = sum(len(lifted[i]) - 1 for i in subset)
             if degsum >= len(current) - 1:
                 continue  # proper divisors only; the remainder is handled below
+            if not (degree_sums >> degsum) & 1:
+                continue
             lc_cur = current[-1]
             cand = [lc_cur]
             for i in subset:

@@ -475,6 +475,11 @@ def trager_factor(f: NfPolynomial) -> NfFactorization:
     squarefree.  Each irreducible factor G of that norm over Q pulls back to
     the irreducible factor gcd(g, G(x - s*theta)) of g over L, and the
     multiplicities come from dividing f by these factors.
+
+    When f has rational coefficients and the modulus m of L divides it, as
+    for every principal_subfields call, x - theta is a known factor: it is
+    divided out first, and only the cofactor has its norm computed and
+    factored.  For m of degree d that norm has degree d*(d - 1), not d^2.
     """
     if f.is_zero():
         raise InvalidInput("cannot factor zero")
@@ -484,18 +489,25 @@ def trager_factor(f: NfPolynomial) -> NfFactorization:
     if monic.degree == 0:
         return NfFactorization(unit=unit, factors=())
     skip = ()
+    known = []
     if all(c.is_rational() for c in monic.coeffs):
         g_q = squarefree_part(RatPolynomial([c.coeffs[0] for c in monic.coeffs]))
         sqf = NfPolynomial.from_rat(L, g_q)
         if L.degree > 1:
-            # shift 0 gives the norm g^d; when m | g, the roots
-            # alpha_j -+ alpha_i of the norms at -+1 repeat
-            skip = (0, 1, -1) if (g_q % L.modulus).is_zero() else (0,)
+            # shift 0 gives the norm g^d
+            skip = (0,)
+            if (g_q % L.modulus).is_zero():
+                # the roots alpha_j + alpha_i (j != i) of the cofactor's
+                # norm at -1 repeat
+                known = [NfPolynomial(L, [-L.theta, L.one])]
+                sqf = sqf // known[0]
+                skip = (0, -1)
     else:
         sqf = monic // monic.gcd(monic.derivative())
     shift_used, norm = _squarefree_norm(sqf, skip)
     fl = factor_over_rationals(norm)
     pieces = [sqf] if fl.is_irreducible() else _pull_back(sqf, fl, shift_used)
+    pieces = known + pieces
     # recover multiplicities by exact division
     factors = []
     rem = monic

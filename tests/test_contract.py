@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -66,8 +67,6 @@ def fiber_over_point(curve, g, pt):
 
 def contr0_oracle(curve, D):
     places = list(D.support())
-    from itertools import combinations
-
     subsets = []
     for r in range(1, len(places) + 1):
         for combo in combinations(range(len(places)), r):
@@ -172,6 +171,41 @@ def test_enumeration_matches_oracle_random(g1):
         cs = enumerate_contr0(g1, D)
         oracle = contr0_oracle(g1, D)
         assert set(oracle) == {(c.e, c.partition_key()) for c in cs.contractions}
+
+
+def test_principality_decided_once_per_unordered_pair(g1, monkeypatch):
+    # the six rational places of y^2 = x^3 + 1: D0 - Dinf is principal
+    # exactly when Dinf - D0 is, so each unordered pair is tested once
+    places = [
+        split_place(0, 1),
+        split_place(0, -1),
+        split_place(2, 3),
+        split_place(2, -3),
+        Place("ramified", x + 1),
+        INFINITY,
+    ]
+    D = Divisor([(p, 1) for p in places])
+    tested = []
+    real = contract_module.is_principal
+
+    def counted(curve, E):
+        tested.append(
+            frozenset(frozenset(p for p, m in E.entries if m * sign > 0) for sign in (1, -1))
+        )
+        return real(curve, E)
+
+    monkeypatch.setattr(contract_module, "is_principal", counted)
+    cs = enumerate_contr0.__wrapped__(g1, D)
+    expected = {
+        frozenset((frozenset(a), frozenset(b)))
+        for e in (2, 3)
+        for a in combinations(places, e)
+        for b in combinations(places, e)
+        if not set(a) & set(b)
+    }
+    assert len(tested) == len(expected) == 55
+    assert set(tested) == expected
+    assert [c.e for c in cs.contractions] == [2, 2, 2]
 
 
 def test_multiplicity_violation(g1):

@@ -18,7 +18,8 @@ from primpoints import (
     resultant,
     squarefree_part,
 )
-from primpoints.exactalg import _p_resultant
+from primpoints import exactalg
+from primpoints.exactalg import _p_resultant, interpolate
 
 x = POLY_X
 
@@ -292,6 +293,41 @@ def test_factor_count_mod_p_upper_bounds_rational_count():
                     found += 1
 
 
+def test_degree_sets_prove_irreducible_without_lifting(monkeypatch):
+    # reducible at each good prime, but degrees 1 + 3 mod 5 and 2 + 2 mod 7
+    # leave no proper factor degree over Q
+    f = [-2, 2, -1, -5, 1]
+    assert exactalg._good_primes(f) == [5, 7, 11]
+    patterns = [
+        sorted(g.degree for g, _ in factor_mod_p(ModpPolynomial(p, f)).factors)
+        for p in (5, 7, 11)
+    ]
+    assert patterns == [[1, 3], [2, 2], [1, 3]]
+    lifts = []
+    real_lift = exactalg.hensel_lift
+
+    def counted(*args):
+        lifts.append(args)
+        return real_lift(*args)
+
+    monkeypatch.setattr(exactalg, "hensel_lift", counted)
+    assert factor_over_rationals(RatPolynomial(f)).is_irreducible()
+    assert lifts == []
+
+
+def test_swinnerton_dyer_octic_under_degree_prune():
+    # reducible mod every prime into factors of degree <= 2, so every degree
+    # sum stays possible and recombination alone proves irreducibility
+    sd8 = x ** 8 - 40 * x ** 6 + 352 * x ** 4 - 960 * x ** 2 + 576
+    assert factor_over_rationals(sd8).is_irreducible()
+    for cofactor in (x ** 4 - 10 * x ** 2 + 1, (x ** 2 - 7) * (x - 1)):
+        f = sd8 * cofactor
+        fl = factor_over_rationals(f)
+        assert fl.expand() == f
+        expected = [sd8] + [g for g, _ in factor_over_rationals(cofactor).factors]
+        assert sorted(g.coeffs for g, _ in fl.factors) == sorted(g.coeffs for g in expected)
+
+
 # ----------------------------------------------------------------------
 # resultants
 
@@ -326,3 +362,53 @@ def test_xgcd_identity():
     g, s, t = poly_xgcd(x ** 4 - 1, x ** 3 + 1)
     assert s * (x ** 4 - 1) + t * (x ** 3 + 1) == g
     assert g.is_monic()
+
+
+# ----------------------------------------------------------------------
+# interpolation
+
+def newton_interpolate(sample, npoints):
+    """The Fraction Newton divided-difference kernel that interpolate
+    replaced; same nodes 0, 1, -1, 2, -2, ..."""
+    xs = []
+    c = Fraction(0)
+    while len(xs) < npoints:
+        xs.append(c)
+        c = -c if c > 0 else -c + 1
+    coef = [sample(c) for c in xs]
+    for j in range(1, npoints):
+        for i in range(npoints - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = RatPolynomial([coef[-1]])
+    for i in range(npoints - 2, -1, -1):
+        poly = poly * RatPolynomial([-xs[i], 1]) + RatPolynomial([coef[i]])
+    return poly
+
+
+def test_interpolate_matches_newton_oracle():
+    rng = random.Random(41)
+    for npoints in range(1, 41):
+        for trial in range(3):
+            if trial == 0:
+                # integer samples, as the mod-p shift screen gives
+                values = [rng.randint(0, 2 ** 31 - 2) for _ in range(npoints)]
+            else:
+                values = [
+                    Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                    if rng.random() < 0.7
+                    else Fraction(0)
+                    for _ in range(npoints)
+                ]
+            nodes = {}
+            sample = lambda c: values[nodes.setdefault(c, len(nodes))]
+            got = interpolate(sample, npoints)
+            nodes.clear()
+            assert got == newton_interpolate(sample, npoints), npoints
+            assert got.degree < npoints
+
+
+def test_interpolate_recovers_a_polynomial():
+    f = RatPolynomial([Fraction(1, 3), 0, -7, Fraction(5, 2), 0, 1])
+    assert interpolate(f, 6) == f
+    assert interpolate(f, 11) == f
+    assert interpolate(lambda c: Fraction(0), 5).is_zero()

@@ -120,6 +120,8 @@ def test_trager_factors_are_irreducible():
     f = NfPolynomial.from_rat(L, x ** 6 - 4)
     fact = trager_factor(f)
     assert fact.expand() == f
+    # x^3 - 2 divides the input, so x - theta is split off before the norm
+    assert (NfPolynomial(L, [-L.theta, L.one]), 1) in fact.factors
     for g, _ in fact.factors:
         refact = trager_factor(g)
         assert refact.is_irreducible()
@@ -128,21 +130,47 @@ def test_trager_factors_are_irreducible():
 
 def test_one_exact_norm_per_factorization(monkeypatch):
     # shifts are screened by their norm mod p, so only the shift used has
-    # its exact norm computed
-    shifts = []
+    # its exact norm computed; x - theta is divided out of m first, so that
+    # norm is the cofactor's, of degree d*(d - 1)
+    calls = []
     exact = numfield.nf_norm
 
     def counted(f, shift=0):
-        shifts.append(shift)
-        return exact(f, shift)
+        norm = exact(f, shift)
+        calls.append((shift, norm.degree))
+        return norm
 
     monkeypatch.setattr(numfield, "nf_norm", counted)
     for m in (x ** 6 - x - 1, x ** 6 - 2, SWINNERTON):
-        shifts.clear()
+        calls.clear()
         principal_subfields(NumberField(m))
-        assert len(shifts) == 1
-        # shifts 0 and +-1 never give m over its own field a squarefree norm
-        assert abs(shifts[0]) >= 2
+        assert len(calls) == 1
+        shift, degree = calls[0]
+        d = m.degree
+        assert degree == d * (d - 1)
+        # at 0 the norm is a power, and at -1 its roots alpha_i + alpha_j repeat
+        assert shift not in (0, -1)
+
+
+def test_known_factor_needs_no_gcd(monkeypatch):
+    gcds = []
+    real_gcd = NfPolynomial.gcd
+
+    def recorded(self, other):
+        h = real_gcd(self, other)
+        gcds.append(h)
+        return h
+
+    monkeypatch.setattr(NfPolynomial, "gcd", recorded)
+    for m, pulled_back in ((x ** 6 - x - 1, 0), (x ** 6 - 2, 2)):
+        L = NumberField(m)
+        gcds.clear()
+        entries = principal_subfields(L)
+        # x^6 - x - 1 has cofactor an irreducible quintic over L, and x^6 - 2
+        # the factors x + theta and x^2 +- theta*x + theta^2
+        assert len(gcds) == pulled_back
+        assert NfPolynomial(L, [-L.theta, L.one]) not in gcds
+        assert [e.degree for e in entries][-1] == 6
 
 
 def test_screen_skipped_when_prime_divides_a_denominator(monkeypatch):
