@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd as int_gcd, isqrt
 
 from .errors import InvalidInput, LiftObstruction
@@ -183,7 +183,8 @@ def _p_mul(a, b, p):
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
+                out[i + j] += x * y
+    # one reduction per output coefficient
     return _p_trim(out, p)
 
 
@@ -194,13 +195,15 @@ def _p_divmod(f, g, p):
     dg = len(g) - 1
     inv = pow(g[-1], -1, p)
     q = [0] * max(0, len(f) - dg)
+    # rem is reduced only where a coefficient is read: at the top, and by
+    # the final _p_trim
     while len(rem) - 1 >= dg and rem:
-        c = rem[-1] * inv % p
-        k = len(rem) - 1 - dg
+        c = rem.pop() * inv % p  # the top coefficient cancels mod p
+        k = len(rem) - dg
         q[k] = c
-        for j, y in enumerate(g):
-            rem[k + j] = (rem[k + j] - c * y) % p
-        while rem and rem[-1] == 0:
+        for j in range(dg):
+            rem[k + j] -= c * g[j]
+        while rem and rem[-1] % p == 0:
             rem.pop()
     return _p_trim(q, p), _p_trim(rem, p)
 
@@ -977,18 +980,22 @@ def _mignotte_bound(zc):
 
 
 def _good_primes(zc, count=3):
-    found = []
-    p = 2
+    return list(islice(_iter_good_primes(zc), count))
+
+
+def _iter_good_primes(zc):
+    """The primes p, in increasing order, with p not dividing lc(zc) and
+    zc mod p squarefree of full degree."""
     lc = zc[-1]
-    while len(found) < count:
+    p = 1
+    while True:
+        p += 1
         if is_prime(p) and lc % p:
             fmod = _p_trim([x % p for x in zc], p)
             if len(fmod) == len(zc):
                 d = _p_trim([i * fmod[i] % p for i in range(1, len(fmod))], p)
                 if d and len(_p_gcd(fmod, d, p)) == 1:
-                    found.append(p)
-        p += 1
-    return found
+                    yield p
 
 
 def _factor_squarefree_z(zc):

@@ -5,14 +5,16 @@ coordinate vectors in the power basis.  The module decides whether a field
 has a proper intermediate subfield and emits checkable certificates: either
 a witness (generator plus minimal polynomial of a proper subfield) or a
 primitivity verdict obtained from the prime-degree shortcut, the resolvent
-cubic (degree 4), or the principal-subfields computation.
+cubic (degree 4), or the principal-subfields computation, which Frobenius
+cycle types mod small primes settle first when they prove the Galois group
+primitive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .errors import DivisionByZero, InvalidInput, NotAField
 from .exactalg import (
@@ -21,8 +23,11 @@ from .exactalg import (
     POLY_ZERO,
     ModpPolynomial,
     RatPolynomial,
+    _iter_good_primes,
+    _p_distinct_degree,
     _p_gcd,
     _p_mod,
+    _p_monic,
     _p_mul,
     _p_resultant,
     _p_trim,
@@ -776,9 +781,11 @@ class PrimitivityCertificate:
         fit the verdict: prime_degree only proves primitivity, and
         resolvent_cubic needs a quartic whose resolvent has a rational root
         exactly when the verdict is imprimitive.  A primitive verdict by
-        principal subfields carries no witness, so it is recomputed;
-        strict=True recomputes and compares the verdict for every method
-        (slow).  Principal subfields run at most once.
+        principal subfields carries no witness, so it is recomputed by
+        _principal_witness, which accepts a Frobenius cycle type that proves
+        the Galois group primitive before it runs principal subfields;
+        strict=True recomputes and compares the verdict for every method.
+        Principal subfields run at most once.
         """
         if self.verdict not in (PRIMITIVE, IMPRIMITIVE) or self.method not in _METHODS:
             return False
@@ -847,8 +854,11 @@ def is_primitive_field(m: RatPolynomial, policy: str = "auto") -> PrimitivityCer
     """Decide whether Q[x]/(m) admits a proper intermediate field.
 
     policy 'auto' uses the prime-degree shortcut and, at degree 4, the
-    resolvent cubic, whose rational roots also give the witness;
-    policy 'general' always runs principal subfields.
+    resolvent cubic, whose rational roots also give the witness.  Every
+    other field, and every field under policy 'general', is decided by
+    _principal_witness: Frobenius cycle types when they prove the Galois
+    group primitive, and otherwise principal subfields.  The method is
+    principal_subfields either way, since its verdict is theirs.
     """
     if m.is_zero() or not m.is_monic():
         raise InvalidInput("modulus must be monic")
@@ -890,7 +900,14 @@ def _decide_primitivity(m: RatPolynomial, policy: str) -> PrimitivityCertificate
 
 
 def _principal_witness(m: RatPolynomial):
-    """First proper principal subfield as a witness, or None."""
+    """First proper principal subfield as a witness, or None.
+
+    A Frobenius cycle type that proves Gal(m) primitive answers None at
+    once: a field with a primitive Galois group has no proper subfield.
+    Principal subfields run only when no cycle type settles it.
+    """
+    if _frobenius_primitive(m):
+        return None
     L = NumberField(m, check=False)
     for e in principal_subfields(L):
         if 1 < e.degree < L.degree:
@@ -900,6 +917,51 @@ def _principal_witness(m: RatPolynomial):
                 generator_minpoly=e.generator_minpoly,
             )
     return None
+
+
+# good primes whose Frobenius cycle types _frobenius_primitive reads
+_FROBENIUS_PRIMES = 20
+
+
+def _frobenius_primitive(m: RatPolynomial) -> bool:
+    """Whether the cycle types of Frobenius at the first _FROBENIUS_PRIMES
+    good primes of the irreducible m prove Gal(m) primitive; False proves
+    nothing.
+
+    At a prime p not dividing the leading coefficient, with m mod p
+    squarefree of full degree, the degrees of the irreducible factors of
+    m mod p are the cycle type of an element of Gal(m).  Gal(m) is
+    transitive, and it is primitive when
+    (a) one cycle type has a cycle of prime length k > d/2: the other
+        cycles are shorter, so a power of the element is a k-cycle, which
+        must fix each of at most d/2 blocks and so lie inside one block of
+        size at most d/2 < k; or
+    (b) the cycle types with a fixed point, each with one fixed point
+        removed, share no subset sum but 0 and d - 1: conjugated to fix the
+        same root, these elements lie in its stabiliser, whose orbits on
+        the other d - 1 roots are shared subset sums, so the stabiliser is
+        transitive there and Gal(m) is 2-transitive.
+    """
+    d = m.degree
+    _, zc = m.to_zpoly()
+    two_transitive = 1 | (1 << (d - 1))
+    orbit_sums = (1 << d) - 1
+    for p in islice(_iter_good_primes(zc), _FROBENIUS_PRIMES):
+        monic = _p_monic(_p_trim([c % p for c in zc], p), p)
+        cycles = []
+        for block, k in _p_distinct_degree(monic, p):
+            cycles += [k] * ((len(block) - 1) // k)
+        if any(2 * k > d and is_prime(k) for k in cycles):
+            return True
+        if 1 in cycles:
+            cycles.remove(1)
+            sums = 1
+            for k in cycles:
+                sums |= sums << k
+            orbit_sums &= sums
+            if orbit_sums == two_transitive:
+                return True
+    return False
 
 
 def _resolvent_witness(m: RatPolynomial, roots):

@@ -5,7 +5,9 @@ polynomials (degree <= 8, coefficients in [-20, 20]) must agree with
 sympy's.  So must, over random number fields Q[x]/(m) of degree 2-6, the
 Trager factorization of m, the norms of polynomials over the field, and the
 minimal polynomials of field elements (against the squarefree part of the
-characteristic polynomial of multiplication by the element).  sympy is only
+characteristic polynomial of multiplication by the element).  A quartic or
+sextic field that Frobenius cycle types prove primitive must have a
+primitive Galois group by sympy's galois_group.  sympy is only
 a test-time oracle; the module is skipped when it is not installed.
 """
 
@@ -24,9 +26,11 @@ from primpoints import (
     trager_factor,
 )
 from primpoints.exactalg import discriminant
+from primpoints.numfield import _frobenius_primitive
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from sympy.polys.numberfields.galoisgroups import galois_group  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 X = sympy.Symbol("x")
@@ -162,3 +166,24 @@ def test_minimal_polynomial_matches_sympy(m, coords):
     assert a.minimal_polynomial() == RatPolynomial(
         [to_fraction(c) for c in reversed(theirs.all_coeffs())]
     )
+
+
+monic_of_degree = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.integers(-5, 5), min_size=d, max_size=d)
+).map(lambda c: RatPolynomial(c + [1]))
+# imprimitive g(h(x)) of degree 4 and 6 beside random quartics and sextics
+quartics_and_sextics = st.one_of(
+    monic_irreducible(4, 4),
+    monic_irreducible(6, 6),
+    st.tuples(monic_of_degree, monic_of_degree)
+    .map(lambda gh: gh[0](gh[1]))
+    .filter(lambda m: m.degree in (4, 6) and factor_over_rationals(m).is_irreducible()),
+)
+
+
+@DIFFERENTIAL
+@given(quartics_and_sextics)
+def test_frobenius_primitive_matches_sympy_galois_group(m):
+    group, _ = galois_group(to_sympy(m))
+    if _frobenius_primitive(m):
+        assert group.is_primitive()

@@ -412,3 +412,55 @@ def test_interpolate_recovers_a_polynomial():
     assert interpolate(f, 6) == f
     assert interpolate(f, 11) == f
     assert interpolate(lambda c: Fraction(0), 5).is_zero()
+
+
+def reducing_p_mul(a, b, p):
+    """The _p_mul kernel that reduced every coefficient update mod p."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] = (out[i + j] + u * v) % p
+    return exactalg._p_trim(out, p)
+
+
+def reducing_p_divmod(f, g, p):
+    """The _p_divmod kernel that reduced every coefficient update mod p."""
+    if not g:
+        raise ZeroDivisionError
+    rem = [u % p for u in f]
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    q = [0] * max(0, len(f) - dg)
+    while len(rem) - 1 >= dg and rem:
+        c = rem[-1] * inv % p
+        k = len(rem) - 1 - dg
+        q[k] = c
+        for j, v in enumerate(g):
+            rem[k + j] = (rem[k + j] - c * v) % p
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return exactalg._p_trim(q, p), exactalg._p_trim(rem, p)
+
+
+@pytest.mark.parametrize("p", [7, 251, 2 ** 31 - 1, 13 ** 20])
+def test_deferred_reduction_matches_reducing_kernels(p):
+    # 13^20 is a Hensel-lifting modulus; inputs are unreduced, some negative,
+    # some with zero top coefficients mod p
+    rng = random.Random(p)
+
+    def poly(n):
+        c = [rng.randint(-3 * p, 3 * p) for _ in range(n)]
+        if c and rng.random() < 0.2:
+            c[-1] = p * rng.randint(-2, 2)
+        return c
+
+    for _ in range(150):
+        a, b = poly(rng.randint(0, 14)), poly(rng.randint(0, 14))
+        assert exactalg._p_mul(a, b, p) == reducing_p_mul(a, b, p)
+        g = poly(rng.randint(1, 9))
+        while g[-1] % p == 0 or g[-1] % 13 == 0:
+            g[-1] = rng.randint(1, p - 1)
+        assert exactalg._p_divmod(a, g, p) == reducing_p_divmod(a, g, p)

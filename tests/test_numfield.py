@@ -477,3 +477,78 @@ def test_failed_resolvent_check_falls_back(monkeypatch):
         cert = is_primitive_field(m)
         assert calls
         assert cert.verdict == "imprimitive" and cert.witness == witness
+
+
+# ----------------------------------------------------------------------
+# primitivity from Frobenius cycle types
+
+# (degree, fields): principal subfields cost about 3 s on a degree-12 field
+FROBENIUS_FIELDS = [(4, 8), (6, 8), (8, 3), (9, 1), (10, 1), (12, 1)]
+
+
+def test_frobenius_rule_agrees_with_principal_subfields():
+    rng = random.Random(53)
+    proved = 0
+    for d, count in FROBENIUS_FIELDS:
+        found = 0
+        while found < count:
+            m = RatPolynomial([rng.randint(-5, 5) for _ in range(d)] + [1])
+            if not factor_over_rationals(m).is_irreducible():
+                continue
+            found += 1
+            if numfield._frobenius_primitive(m):
+                proved += 1
+                entries = principal_subfields(NumberField(m, check=False))
+                assert [e.degree for e in entries if 1 < e.degree < d] == [], m
+    assert proved >= 15
+
+
+# (deg g, deg h) for the compositions g(h(x)): every split of 4, 6, 8, 9,
+# 10 and 12 into two proper factors
+COMPOSITIONS = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (5, 2),
+                (3, 4), (4, 3), (2, 6), (6, 2)]
+
+
+def test_frobenius_rule_never_proves_a_composition(monkeypatch):
+    rng = random.Random(59)
+    calls = []
+    exact = numfield._p_distinct_degree
+    monkeypatch.setattr(
+        numfield, "_p_distinct_degree", lambda f, p: calls.append(p) or exact(f, p)
+    )
+    for dg, dh in COMPOSITIONS:
+        for _ in range(2):
+            while True:
+                g = RatPolynomial([rng.randint(-5, 5) for _ in range(dg)] + [1])
+                h = RatPolynomial([rng.randint(-5, 5) for _ in range(dh)] + [1])
+                m = g(h)
+                if factor_over_rationals(m).is_irreducible():
+                    break
+            calls.clear()
+            assert not numfield._frobenius_primitive(m), (g, h)
+            assert 0 < len(calls) <= numfield._FROBENIUS_PRIMES
+
+
+def test_frobenius_rule_on_the_imprimitive_quartics():
+    # some of these moduli have denominators
+    for m in _imprimitive_moduli():
+        assert not numfield._frobenius_primitive(m)
+
+
+def test_generic_sextic_decided_and_verified_without_trager(monkeypatch):
+    calls = _count_trager(monkeypatch)
+    m = x ** 6 - x - 1
+    cert = is_primitive_field(m)
+    assert (cert.verdict, cert.method) == ("primitive", "principal_subfields")
+    assert cert.verify() and cert.verify(strict=True)
+    assert calls == []
+
+
+def test_frobenius_fallback_gives_the_same_certificate(monkeypatch):
+    moduli = [x ** 6 - x - 1, x ** 6 + x ** 3 + 1, x ** 6 - 3 * x ** 2 - 1]
+    fast = [json.dumps(is_primitive_field(m).to_json()) for m in moduli]
+    monkeypatch.setattr(numfield, "_FROBENIUS_PRIMES", 0)
+    calls = _count_trager(monkeypatch)
+    slow = [json.dumps(is_primitive_field(m).to_json()) for m in moduli]
+    assert len(calls) == len(moduli)
+    assert slow == fast
