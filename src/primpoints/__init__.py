@@ -51,7 +51,6 @@ from .numfield import (
     PrincipalSubfield,
     SubfieldWitness,
     is_primitive_field,
-    nf_arithmetic,
     nf_norm,
     nf_sqrt,
     principal_subfields,
@@ -66,7 +65,6 @@ from .hypcurve import (
     LaurentSeries,
     Place,
     RRSpace,
-    cantor_reduce,
     curve_new,
     divisor_of,
     fiber_divisor,

@@ -4,14 +4,15 @@ A contraction for an effective divisor D is a function g of degree e with
 1 < e < deg D whose pullback of some divisor D' on the projective line is
 exactly D.  For multiplicity-one D these are enumerated through ordered
 pairs of disjoint equal-degree subdivisors (zero fiber, pole fiber), with
-principality tested in the Jacobian and the pullback verified exactly.  The
-pullback check needs the image g(P) of each place as a closed point of P^1;
-it is the squarefree part of the characteristic polynomial of g(P) over Q,
-one resultant rule for split, ramified and inert places alike.  No fiber is
-factored: for deg g = e the fiber g^*(pt) has degree e * deg pt, and places
-over pt fill it exactly when their degrees, times their indices, add up to
-that.  For totally-ramified divisors n*oo the same locus is decided per
-function by exact functional decomposition through the expansion at infinity.
+principality decided by the Riemann-Roch system of the pole fiber and the
+pullback verified exactly.  The pullback check needs the image g(P) of each
+place as a closed point of P^1; it is the squarefree part of the
+characteristic polynomial of g(P) over Q, one resultant rule for split,
+ramified and inert places alike.  No fiber is factored: for deg g = e the
+fiber g^*(pt) has degree e * deg pt, and places over pt fill it exactly when
+their degrees, times their indices, add up to that.  For totally-ramified
+divisors n*oo the same locus is decided per function by exact functional
+decomposition through the expansion at infinity.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from .hypcurve import (
     function_degree,
     function_series,
     function_valuation,
-    function_with_divisor,
-    is_principal,
     pole_divisor,
     riemann_roch_basis,
+    _monic_at_infinity,
     _ord_u,
+    _principal_function,
     _sqrt_lift,
 )
 from .linalg import in_span
@@ -224,7 +225,7 @@ def _divisors_of(n: int):
 def _verify_contraction(curve, D: Divisor, g: CurveFunction, e: int, source_pair=()):
     """Check g^*(image divisor) == D exactly; return a Contraction or None.
 
-    D has multiplicity one and deg g = e, as function_with_divisor ensures;
+    D has multiplicity one and deg g = e, as _principal_function ensures;
     the places of D over each image, of index 1, must fill its fiber.
     """
     fibers = []
@@ -265,18 +266,25 @@ def enumerate_contr0(curve, D: Divisor) -> ContractionSet:
                 if deg == e:
                     subsets.append(frozenset(combo))
         # D0 - Dinf is principal exactly when Dinf - D0 is, so principality
-        # is decided once per unordered pair and both orders are verified
+        # is decided once per unordered pair, with L(Dinf) solved once per
+        # subdivisor, and both orders are verified
+        divisors = {s: Divisor([(places[i], 1) for i in s]) for s in subsets}
+        spaces = {}
         for k, s0 in enumerate(subsets):
             for sinf in subsets[k + 1:]:
                 if s0 & sinf:
                     continue
-                D0 = Divisor([(places[i], 1) for i in s0])
-                Dinf = Divisor([(places[i], 1) for i in sinf])
-                if not is_principal(curve, D0 - Dinf):
+                D0, Dinf = divisors[s0], divisors[sinf]
+                if sinf not in spaces:
+                    spaces[sinf] = riemann_roch_basis(curve, Dinf)
+                g = _principal_function(curve, D0, spaces[sinf])
+                if g is None:
                     continue
-                for zeros, poles in ((D0, Dinf), (Dinf, D0)):
-                    g = function_with_divisor(curve, zeros, poles)
-                    rec = _verify_contraction(curve, D, g, e, (zeros, poles))
+                for zeros, poles, q in (
+                    (D0, Dinf, g),
+                    (Dinf, D0, _monic_at_infinity(g.inverse())),
+                ):
+                    rec = _verify_contraction(curve, D, q, e, (zeros, poles))
                     if rec is not None:
                         candidates[(zeros.sort_key(), poles.sort_key())] = rec
     # dedup by fiber partition; keep the lexicographically least source pair

@@ -307,10 +307,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_below(bound: int):
-    return [p for p in range(2, bound) if is_prime(p)]
-
-
 # ----------------------------------------------------------------------
 # RatPolynomial
 
@@ -650,16 +646,6 @@ def interpolate(sample, npoints: int) -> RatPolynomial:
     return RatPolynomial([Fraction(a, total) for a in acc])
 
 
-def discriminant(p: RatPolynomial) -> Fraction:
-    n = p.degree
-    if n < 1:
-        raise InvalidInput("discriminant needs degree >= 1")
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    if n == 1:
-        return Fraction(1)
-    return sign * resultant(p, p.derivative()) / p.lc
-
-
 def rational_roots(p: RatPolynomial) -> list:
     """All rational roots, found through the factorization pipeline."""
     return sorted(
@@ -764,9 +750,6 @@ class FactorList:
         for f, m in self.factors:
             acc = acc * f ** m
         return acc
-
-    def factor_count(self):
-        return sum(m for _, m in self.factors)
 
     def is_irreducible(self):
         return len(self.factors) == 1 and self.factors[0][1] == 1

@@ -238,17 +238,6 @@ class FieldElement:
         return f"<{self.to_poly()} in {self.field!r}>"
 
 
-def nf_arithmetic(a: FieldElement, b, op: str) -> FieldElement:
-    """Spec surface for field arithmetic: op in {'add', 'mul', 'inv'}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise InvalidInput(f"unknown operation {op!r}")
-
-
 # ----------------------------------------------------------------------
 # polynomials over a number field
 

@@ -31,6 +31,7 @@ from primpoints import (
     zero_divisor,
 )
 from primpoints import contract as contract_module
+from primpoints import exactalg, hypcurve, numfield
 from primpoints.cli import main
 from primpoints.contract import (
     _verify_contraction,
@@ -173,10 +174,9 @@ def test_enumeration_matches_oracle_random(g1):
         assert set(oracle) == {(c.e, c.partition_key()) for c in cs.contractions}
 
 
-def test_principality_decided_once_per_unordered_pair(g1, monkeypatch):
-    # the six rational places of y^2 = x^3 + 1: D0 - Dinf is principal
-    # exactly when Dinf - D0 is, so each unordered pair is tested once
-    places = [
+def g1_rational_places():
+    # the six rational places of y^2 = x^3 + 1
+    return [
         split_place(0, 1),
         split_place(0, -1),
         split_place(2, 3),
@@ -184,17 +184,21 @@ def test_principality_decided_once_per_unordered_pair(g1, monkeypatch):
         Place("ramified", x + 1),
         INFINITY,
     ]
+
+
+def test_principality_decided_once_per_unordered_pair(g1, monkeypatch):
+    # D0 - Dinf is principal exactly when Dinf - D0 is, so each unordered
+    # pair is tested once
+    places = g1_rational_places()
     D = Divisor([(p, 1) for p in places])
     tested = []
-    real = contract_module.is_principal
+    real = contract_module._principal_function
 
-    def counted(curve, E):
-        tested.append(
-            frozenset(frozenset(p for p, m in E.entries if m * sign > 0) for sign in (1, -1))
-        )
-        return real(curve, E)
+    def counted(curve, d0, space):
+        tested.append(frozenset((frozenset(d0.support()), frozenset(space.divisor.support()))))
+        return real(curve, d0, space)
 
-    monkeypatch.setattr(contract_module, "is_principal", counted)
+    monkeypatch.setattr(contract_module, "_principal_function", counted)
     cs = enumerate_contr0.__wrapped__(g1, D)
     expected = {
         frozenset((frozenset(a), frozenset(b)))
@@ -206,6 +210,26 @@ def test_principality_decided_once_per_unordered_pair(g1, monkeypatch):
     assert len(tested) == len(expected) == 55
     assert set(tested) == expected
     assert [c.e for c in cs.contractions] == [2, 2, 2]
+
+
+def test_principal_functions_factor_nothing(g1, g2, monkeypatch):
+    # principality, the principal functions and their pullbacks are all
+    # decided by linear algebra and degree counts, at places of any degree;
+    # here the split places of degree 2 over two quadratics on y^2 = x^5 - 1
+    num, den = x ** 2 - x + 1, x ** 2 + 2 * x + 2
+    over = {u: Divisor([(p, 1) for p in places_over_x(g2, u)]) for u in (num, den)}
+    calls = []
+    for module in (exactalg, hypcurve, numfield):
+        real = module.factor_over_rationals
+        monkeypatch.setattr(
+            module,
+            "factor_over_rationals",
+            lambda poly, real=real: calls.append(poly) or real(poly),
+        )
+    D = Divisor([(p, 1) for p in g1_rational_places()])
+    assert len(enumerate_contr0.__wrapped__(g1, D).contractions) == 3
+    assert function_with_divisor(g2, over[num], over[den]) == g2.function(num, den=den)
+    assert calls == []
 
 
 def test_multiplicity_violation(g1):
@@ -307,7 +331,7 @@ def _count_factoring(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (exactalg, hypcurve, numfield, contract_module):
+    for module in (exactalg, hypcurve, numfield):
         monkeypatch.setattr(module, "factor_over_rationals", counted, raising=False)
     return calls
 

@@ -1,14 +1,14 @@
 """Differential tests of exact polynomial arithmetic against sympy.
 
-Factorization over Q, resultants and discriminants of random integer
-polynomials (degree <= 8, coefficients in [-20, 20]) must agree with
-sympy's.  So must, over random number fields Q[x]/(m) of degree 2-6, the
-Trager factorization of m, the norms of polynomials over the field, and the
-minimal polynomials of field elements (against the squarefree part of the
-characteristic polynomial of multiplication by the element).  A quartic or
-sextic field that Frobenius cycle types prove primitive must have a
-primitive Galois group by sympy's galois_group.  sympy is only
-a test-time oracle; the module is skipped when it is not installed.
+Factorization over Q and resultants of random integer polynomials (degree
+<= 8, coefficients in [-20, 20]) must agree with sympy's.  So must, over
+random number fields Q[x]/(m) of degree 2-6, the Trager factorization of m,
+the norms of polynomials over the field, and the minimal polynomials of
+field elements (against the squarefree part of the characteristic
+polynomial of multiplication by the element).  A quartic or sextic field
+that Frobenius cycle types prove primitive must have a primitive Galois
+group by sympy's galois_group.  sympy is only a test-time oracle; the module
+is skipped when it is not installed.
 """
 
 from fractions import Fraction
@@ -25,7 +25,6 @@ from primpoints import (
     resultant,
     trager_factor,
 )
-from primpoints.exactalg import discriminant
 from primpoints.numfield import _frobenius_primitive
 
 sympy = pytest.importorskip("sympy")
@@ -41,7 +40,6 @@ int_polys = st.tuples(
     st.lists(st.integers(-20, 20), max_size=8),
     st.integers(-20, 20).filter(lambda c: c != 0),
 ).map(lambda t: RatPolynomial(t[0] + [t[1]]))
-positive_degree_polys = int_polys.filter(lambda p: p.degree >= 1)
 
 DIFFERENTIAL = settings(max_examples=60, deadline=None)
 # a sympy factorization over a number field takes up to a third of a second
@@ -100,12 +98,6 @@ def test_resultant_matches_sympy(p, q):
     # (it gives -1 for Res(x, x^3 + 1))
     sylv = sylvester(to_sympy(p).as_expr(), to_sympy(q).as_expr(), X)
     assert resultant(p, q) == to_fraction(sylv.det())
-
-
-@DIFFERENTIAL
-@given(positive_degree_polys)
-def test_discriminant_matches_sympy(p):
-    assert discriminant(p) == to_fraction(sympy.discriminant(to_sympy(p)))
 
 
 @FIELD_DIFFERENTIAL

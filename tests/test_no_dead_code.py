@@ -1,0 +1,52 @@
+"""The package holds no dead helpers: every module-level def or class is
+referenced elsewhere in the package, exported by primpoints, or named as a
+target in perfbench/spans.py (which times public names it looks up by
+string, so a name may live only there)."""
+
+import ast
+from pathlib import Path
+
+import primpoints
+
+SRC = Path(primpoints.__file__).parent
+SPANS = SRC.parents[1] / "perfbench" / "spans.py"
+
+
+def _used_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_module_level_definition_is_used():
+    files = sorted(SRC.glob("*.py"))
+    assert len(files) >= 9
+    init = ast.parse((SRC / "__init__.py").read_text())
+    used = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    spans = ast.parse(SPANS.read_text())
+    used.update(
+        part
+        for node in ast.walk(spans)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for part in node.value.split(".")
+    )
+    definitions = []
+    for path in files:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = set(_used_names(stmt))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((path.name, stmt.lineno, stmt.name, names))
+            else:
+                used.update(names)
+    for _, _, name, names in definitions:
+        # a recursive call or a method naming its own class is no use
+        used.update(names - {name})
+    dead = [f"{f}:{line}: {name}" for f, line, name, _ in definitions if name not in used]
+    assert dead == []
