@@ -419,8 +419,9 @@ class RatPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other):
@@ -962,33 +963,56 @@ def _mignotte_bound(zc):
     return (1 << n) * norm2 * abs(zc[-1])
 
 
-def _good_primes(zc, count=3):
-    return list(islice(_iter_good_primes(zc), count))
+def _cycle_types(zc, read=None):
+    """Yield (p, ascending degrees of the irreducible factors of zc mod p)
+    at the good primes p in increasing order, by distinct-degree
+    factorization alone: p does not divide lc(zc), and zc mod p is
+    squarefree of full degree, so the degrees are the cycle type of a
+    Frobenius element of the Galois group of zc.
 
-
-def _iter_good_primes(zc):
-    """The primes p, in increasing order, with p not dividing lc(zc) and
-    zc mod p squarefree of full degree."""
+    The pairs already in the list ``read`` come first; then each good
+    prime after the last one read is factored and its pair appended to
+    ``read``, so the callers that share the list factor no prime twice
+    (None reads from the first good prime into a list of its own).
+    """
+    if read is None:
+        read = []
+    yield from read
     lc = zc[-1]
-    p = 1
+    p = read[-1][0] if read else 1
     while True:
         p += 1
-        if is_prime(p) and lc % p:
-            fmod = _p_trim([x % p for x in zc], p)
-            if len(fmod) == len(zc):
-                d = _p_trim([i * fmod[i] % p for i in range(1, len(fmod))], p)
-                if d and len(_p_gcd(fmod, d, p)) == 1:
-                    yield p
+        if not is_prime(p) or lc % p == 0:
+            continue
+        fmod = _p_trim([x % p for x in zc], p)
+        d = _p_trim([i * fmod[i] % p for i in range(1, len(fmod))], p)
+        if not d or len(_p_gcd(fmod, d, p)) != 1:
+            continue
+        degrees = []
+        for block, k in _p_distinct_degree(_p_monic(fmod, p), p):
+            degrees += [k] * ((len(block) - 1) // k)
+        read.append((p, degrees))
+        yield p, degrees
 
 
-def _factor_squarefree_z(zc):
+# good primes whose degree sets _factor_squarefree_z intersects; a quartic
+# reads more, since each costs one quartic DDF and a [1, 3] among them also
+# settles its primitivity (numfield._decide_primitivity)
+_MUSSER_PRIMES = 3
+_QUARTIC_PRIMES = 5
+
+
+def _factor_squarefree_z(zc, read=None):
     """Irreducible factors (primitive, positive lc) of a squarefree primitive zc.
 
     Every factor over Z has a degree that is a sum of factor degrees mod
     each good prime (Musser 1978).  The sets of such sums, as bit masks, are
-    intersected over the primes: when only 0 and n are left, zc is
-    irreducible with no Hensel lift, and otherwise recombination tries only
-    subsets whose degree sum is left.
+    intersected over the cycle types of the first _MUSSER_PRIMES good primes
+    (_QUARTIC_PRIMES for a quartic): when only 0 and n are left, zc is
+    irreducible with no Hensel lift, and otherwise the prime with the fewest
+    factors is split completely and lifted, and recombination tries only
+    subsets whose degree sum is left.  ``read`` is the shared list of
+    _cycle_types, which this call extends.
     """
     n = len(zc) - 1
     if n <= 1:
@@ -996,17 +1020,18 @@ def _factor_squarefree_z(zc):
     irreducible = 1 | (1 << n)
     degree_sums = (1 << (n + 1)) - 1
     best = None
-    for p in _good_primes(zc, count=3):
-        fl = factor_mod_p(ModpPolynomial(p, zc))
-        if best is None or len(fl.factors) < len(best[1].factors):
-            best = (p, fl)
+    count = _QUARTIC_PRIMES if n == 4 else _MUSSER_PRIMES
+    for p, degrees in islice(_cycle_types(zc, read), count):
+        if best is None or len(degrees) < len(best[1]):
+            best = (p, degrees)
         sums = 1
-        for f, _ in fl.factors:
-            sums |= sums << f.degree
+        for k in degrees:
+            sums |= sums << k
         degree_sums &= sums
         if degree_sums == irreducible:
             return [list(zc)]
-    p, fl = best
+    p = best[0]
+    fl = factor_mod_p(ModpPolynomial(p, zc))
     bound = _mignotte_bound(zc)
     k = 1
     pk = p
@@ -1102,6 +1127,12 @@ def factor_over_rationals(p: RatPolynomial) -> FactorList:
             c = _z_div_exact(d, g)
             b = b2
             i += 1
+    return _factor_list(unit, factors)
+
+
+def _factor_list(unit, factors) -> FactorList:
+    """The FactorList of {monic factor: multiplicity}, the factors ordered
+    by (degree, coefficient tuple)."""
     ordered = tuple(sorted(factors.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))
     return FactorList(unit=unit, factors=ordered)
 

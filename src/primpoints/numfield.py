@@ -23,11 +23,12 @@ from .exactalg import (
     POLY_ZERO,
     ModpPolynomial,
     RatPolynomial,
-    _iter_good_primes,
-    _p_distinct_degree,
+    _QUARTIC_PRIMES,
+    _cycle_types,
+    _factor_list,
+    _factor_squarefree_z,
     _p_gcd,
     _p_mod,
-    _p_monic,
     _p_mul,
     _p_resultant,
     _p_trim,
@@ -843,24 +844,66 @@ def is_primitive_field(m: RatPolynomial, policy: str = "auto") -> PrimitivityCer
     """Decide whether Q[x]/(m) admits a proper intermediate field.
 
     policy 'auto' uses the prime-degree shortcut and, at degree 4, the
-    resolvent cubic, whose rational roots also give the witness.  Every
-    other field, and every field under policy 'general', is decided by
-    _principal_witness: Frobenius cycle types when they prove the Galois
-    group primitive, and otherwise principal subfields.  The method is
-    principal_subfields either way, since its verdict is theirs.
+    resolvent-cubic certificate: a Frobenius cycle type [1, 3] proves it
+    primitive, and otherwise the rational roots of the resolvent decide and
+    also give the witness.  Every other field, and every field under policy
+    'general', is decided by _principal_witness: Frobenius cycle types when
+    they prove the Galois group primitive, and otherwise principal
+    subfields.  The method is principal_subfields either way, since its
+    verdict is theirs.  Irreducibility and these rules share one reading of
+    the cycle types (_factor_or_certify).
     """
     if m.is_zero() or not m.is_monic():
         raise InvalidInput("modulus must be monic")
     if policy not in ("auto", "general"):
         raise InvalidInput(f"unknown policy {policy!r}")
-    if not factor_over_rationals(m).is_irreducible():
+    result = _factor_or_certify(m, policy) if is_squarefree(m) else None
+    if not isinstance(result, PrimitivityCertificate):
         raise NotAField(f"{m} is reducible over Q")
-    return _decide_primitivity(m, policy)
+    return result
 
 
-def _decide_primitivity(m: RatPolynomial, policy: str) -> PrimitivityCertificate:
+def _factor_or_certify(m: RatPolynomial, policy: str = "auto"):
+    """The FactorList of a monic squarefree m over Q when m is reducible,
+    and otherwise the PrimitivityCertificate of Q[x]/(m) under a valid
+    policy.
+
+    The cycle types of m at its good primes are read once, by
+    distinct-degree factorization, into one list: the Musser degree test
+    of _factor_squarefree_z, the [1, 3] rule of _decide_primitivity and
+    _frobenius_primitive each continue it where the last one stopped.  A
+    complete split mod p runs only when m must be Hensel-lifted.
+    """
+    d = m.degree
+    _, zc = m.to_zpoly()
+    read = []
+    if d > 1 and zc[0]:
+        factors = _factor_squarefree_z(zc, read)
+        if len(factors) > 1:
+            # m is monic, so the unit is 1
+            return _factor_list(Fraction(1), {RatPolynomial(f).monic(): 1 for f in factors})
+    elif d != 1:
+        # a constant, or divisible by x
+        return factor_over_rationals(m)
+    return _decide_primitivity(m, policy, read)
+
+
+def _decide_primitivity(m: RatPolynomial, policy: str, read=None) -> PrimitivityCertificate:
     """is_primitive_field for a modulus already known to be monic and
-    irreducible over Q, and a valid policy."""
+    irreducible over Q, and a valid policy.
+
+    ``read`` is the list of cycle types of m already read
+    (exactalg._cycle_types), which the rules below continue rather than
+    read again; with None each rule reads afresh.  At degree 4 under 'auto', a
+    cycle type [1, 3] among the first _QUARTIC_PRIMES good primes gives a
+    primitive resolvent_cubic certificate with no rational_roots call: a
+    Frobenius element of that type has order 3, while a rational root of
+    the resolvent cubic would be a pairing of the roots of m fixed by
+    Gal(m), putting Gal(m) inside a D4 of order 8, which has no element of
+    order 3.  So Gal(m) is A4 or S4 and the resolvent has no rational root,
+    the certificate rational_roots would give.  With no [1, 3] read, as for
+    every imprimitive quartic, the resolvent's rational roots decide.
+    """
     d = m.degree
     if policy == "auto":
         if d == 1 or is_prime(d):
@@ -868,7 +911,12 @@ def _decide_primitivity(m: RatPolynomial, policy: str) -> PrimitivityCertificate
                 verdict=PRIMITIVE, method=METHOD_PRIME_DEGREE, modulus=m
             )
         if d == 4:
-            roots = rational_roots(resolvent_cubic(m))
+            _, zc = m.to_zpoly()
+            types = islice(_cycle_types(zc, read), _QUARTIC_PRIMES)
+            if any(degrees == [1, 3] for _, degrees in types):
+                roots = []
+            else:
+                roots = rational_roots(resolvent_cubic(m))
             if not roots:
                 return PrimitivityCertificate(
                     verdict=PRIMITIVE, method=METHOD_RESOLVENT_CUBIC, modulus=m
@@ -877,9 +925,9 @@ def _decide_primitivity(m: RatPolynomial, policy: str) -> PrimitivityCertificate
                 verdict=IMPRIMITIVE,
                 method=METHOD_RESOLVENT_CUBIC,
                 modulus=m,
-                witness=_resolvent_witness(m, roots) or _principal_witness(m),
+                witness=_resolvent_witness(m, roots) or _principal_witness(m, read),
             )
-    witness = _principal_witness(m)
+    witness = _principal_witness(m, read)
     return PrimitivityCertificate(
         verdict=PRIMITIVE if witness is None else IMPRIMITIVE,
         method=METHOD_PRINCIPAL_SUBFIELDS,
@@ -888,14 +936,15 @@ def _decide_primitivity(m: RatPolynomial, policy: str) -> PrimitivityCertificate
     )
 
 
-def _principal_witness(m: RatPolynomial):
+def _principal_witness(m: RatPolynomial, read=None):
     """First proper principal subfield as a witness, or None.
 
     A Frobenius cycle type that proves Gal(m) primitive answers None at
     once: a field with a primitive Galois group has no proper subfield.
-    Principal subfields run only when no cycle type settles it.
+    Principal subfields run only when no cycle type settles it.  ``read``
+    is passed on to _frobenius_primitive.
     """
-    if _frobenius_primitive(m):
+    if _frobenius_primitive(m, read):
         return None
     L = NumberField(m, check=False)
     for e in principal_subfields(L):
@@ -912,10 +961,11 @@ def _principal_witness(m: RatPolynomial):
 _FROBENIUS_PRIMES = 20
 
 
-def _frobenius_primitive(m: RatPolynomial) -> bool:
+def _frobenius_primitive(m: RatPolynomial, read=None) -> bool:
     """Whether the cycle types of Frobenius at the first _FROBENIUS_PRIMES
     good primes of the irreducible m prove Gal(m) primitive; False proves
-    nothing.
+    nothing.  ``read`` holds the cycle types of m already read
+    (exactalg._cycle_types); the primes after them are read on demand.
 
     At a prime p not dividing the leading coefficient, with m mod p
     squarefree of full degree, the degrees of the irreducible factors of
@@ -935,14 +985,11 @@ def _frobenius_primitive(m: RatPolynomial) -> bool:
     _, zc = m.to_zpoly()
     two_transitive = 1 | (1 << (d - 1))
     orbit_sums = (1 << d) - 1
-    for p in islice(_iter_good_primes(zc), _FROBENIUS_PRIMES):
-        monic = _p_monic(_p_trim([c % p for c in zc], p), p)
-        cycles = []
-        for block, k in _p_distinct_degree(monic, p):
-            cycles += [k] * ((len(block) - 1) // k)
-        if any(2 * k > d and is_prime(k) for k in cycles):
+    for _, degrees in islice(_cycle_types(zc, read), _FROBENIUS_PRIMES):
+        if any(2 * k > d and is_prime(k) for k in degrees):
             return True
-        if 1 in cycles:
+        if 1 in degrees:
+            cycles = list(degrees)
             cycles.remove(1)
             sums = 1
             for k in cycles:

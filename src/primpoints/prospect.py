@@ -23,7 +23,6 @@ from .errors import (
 )
 from .exactalg import (
     RatPolynomial,
-    factor_over_rationals,
     interpolate,
     is_squarefree,
     rat_to_str,
@@ -43,6 +42,7 @@ from .numfield import (
     PRIMITIVE,
     PrimitivityCertificate,
     _decide_primitivity,
+    _factor_or_certify,
     coefficient_vectors,
 )
 
@@ -157,17 +157,17 @@ def classify_specialization(
         return Specialization(t=t, fiber_poly=None, status=STATUS_DEGENERATE)
     if not is_squarefree(poly):
         return Specialization(t=t, fiber_poly=poly, status=STATUS_BRANCH_LIKE, lam=lam)
-    fl = factor_over_rationals(poly)
-    if not fl.is_irreducible():
+    # poly is monic: one reading of its cycle types decides both
+    # irreducibility and primitivity
+    cert = _factor_or_certify(poly)
+    if not isinstance(cert, PrimitivityCertificate):  # the FactorList
         return Specialization(
             t=t,
             fiber_poly=poly,
             status=STATUS_REDUCIBLE,
-            factors=fl.factors,
+            factors=cert.factors,
             lam=lam,
         )
-    # poly is monic, and irreducible by the factorization above
-    cert = _decide_primitivity(poly, "auto")
     if paranoid:
         check = _decide_primitivity(poly, "general")
         if check.verdict != cert.verdict:

@@ -7,14 +7,17 @@ the norms of polynomials over the field, and the minimal polynomials of
 field elements (against the squarefree part of the characteristic
 polynomial of multiplication by the element).  A quartic or sextic field
 that Frobenius cycle types prove primitive must have a primitive Galois
-group by sympy's galois_group.  sympy is only a test-time oracle; the module
+group by sympy's galois_group, and a quartic with a cycle type [1, 3]
+among its first good primes must have group A4 or S4 and a resolvent cubic
+with no rational root.  sympy is only a test-time oracle; the module
 is skipped when it is not installed.
 """
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from primpoints import (
     NfPolynomial,
@@ -22,9 +25,12 @@ from primpoints import (
     RatPolynomial,
     factor_over_rationals,
     nf_norm,
+    rational_roots,
+    resolvent_cubic,
     resultant,
     trager_factor,
 )
+from primpoints.exactalg import _QUARTIC_PRIMES, _cycle_types
 from primpoints.numfield import _frobenius_primitive
 
 sympy = pytest.importorskip("sympy")
@@ -179,3 +185,15 @@ def test_frobenius_primitive_matches_sympy_galois_group(m):
     group, _ = galois_group(to_sympy(m))
     if _frobenius_primitive(m):
         assert group.is_primitive()
+
+
+@DIFFERENTIAL
+@given(monic_irreducible(4, 4))
+@example(RatPolynomial([12, 8, 0, 0, 1]))  # x^4 + 8x + 12, group A4
+def test_three_cycle_quartic_is_a4_or_s4(m):
+    _, zc = m.to_zpoly()
+    types = [degrees for _, degrees in islice(_cycle_types(zc, []), _QUARTIC_PRIMES)]
+    if [1, 3] in types:
+        group, _ = galois_group(to_sympy(m))
+        assert group.order() in (12, 24)
+        assert rational_roots(resolvent_cubic(m)) == []

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -64,6 +65,25 @@ def test_squarefree_coprime_with_derivative(p):
     s = squarefree_part(p)
     if s.degree > 0:
         assert poly_gcd(s, s.derivative()).degree == 0
+
+
+# ----------------------------------------------------------------------
+# powers
+
+def test_power_matches_repeated_multiplication(monkeypatch):
+    p = RatPolynomial([Fraction(-3, 2), 0, 2, 1])
+    expected = RatPolynomial([1])
+    for n in range(9):
+        assert p ** n == expected
+        expected = expected * p
+    square = p * p
+    calls = []
+    exact = RatPolynomial.__mul__
+    monkeypatch.setattr(RatPolynomial, "__mul__", lambda a, b: calls.append(b) or exact(a, b))
+    assert p ** 2 == square
+    # one squaring and one product into the result: the square is not
+    # squared again after the last bit
+    assert len(calls) == 2
 
 
 # ----------------------------------------------------------------------
@@ -297,7 +317,10 @@ def test_degree_sets_prove_irreducible_without_lifting(monkeypatch):
     # reducible at each good prime, but degrees 1 + 3 mod 5 and 2 + 2 mod 7
     # leave no proper factor degree over Q
     f = [-2, 2, -1, -5, 1]
-    assert exactalg._good_primes(f) == [5, 7, 11]
+    read = []
+    types = list(islice(exactalg._cycle_types(f, read), 3))
+    assert types == [(5, [1, 3]), (7, [2, 2]), (11, [1, 3])]
+    assert read == types
     patterns = [
         sorted(g.degree for g, _ in factor_mod_p(ModpPolynomial(p, f)).factors)
         for p in (5, 7, 11)

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from primpoints import (
     NfPolynomial,
     NotAField,
     NumberField,
+    POLY_ONE,
     POLY_X,
     PrimitivityCertificate,
     RatPolynomial,
@@ -21,7 +23,7 @@ from primpoints import (
     resolvent_cubic,
     trager_factor,
 )
-from primpoints import numfield
+from primpoints import exactalg, numfield
 from primpoints.exactalg import rat_to_str
 
 x = POLY_X
@@ -433,20 +435,15 @@ def test_resolvent_witness_matches_principal_subfields():
     assert pairings == {True, False}
 
 
-def _count_trager(monkeypatch):
+def _count_calls(monkeypatch, module, name):
     calls = []
-    exact = numfield.trager_factor
-
-    def counted(f):
-        calls.append(f)
-        return exact(f)
-
-    monkeypatch.setattr(numfield, "trager_factor", counted)
+    exact = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or exact(*args))
     return calls
 
 
 def test_imprimitive_quartic_fibers_make_no_trager_call(g1, monkeypatch):
-    calls = _count_trager(monkeypatch)
+    calls = _count_calls(monkeypatch, numfield, "trager_factor")
     certs = []
     for a in range(-2, 3):
         f = g1.function(x ** 2 + a * x)
@@ -467,7 +464,7 @@ def test_failed_resolvent_check_falls_back(monkeypatch):
     true_roots = numfield.rational_roots
     # a wrong resolvent root names no pairing, so its generator fails the check
     monkeypatch.setattr(numfield, "rational_roots", lambda p: [t + 1 for t in true_roots(p)])
-    calls = _count_trager(monkeypatch)
+    calls = _count_calls(monkeypatch, numfield, "trager_factor")
     for m, witness in zip(moduli, expected):
         roots = numfield.rational_roots(resolvent_cubic(m))
         assert numfield._resolvent_witness(m, roots) is None
@@ -510,9 +507,9 @@ COMPOSITIONS = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (5, 2),
 def test_frobenius_rule_never_proves_a_composition(monkeypatch):
     rng = random.Random(59)
     calls = []
-    exact = numfield._p_distinct_degree
+    exact = exactalg._p_distinct_degree
     monkeypatch.setattr(
-        numfield, "_p_distinct_degree", lambda f, p: calls.append(p) or exact(f, p)
+        exactalg, "_p_distinct_degree", lambda f, p: calls.append(p) or exact(f, p)
     )
     for dg, dh in COMPOSITIONS:
         for _ in range(2):
@@ -527,6 +524,38 @@ def test_frobenius_rule_never_proves_a_composition(monkeypatch):
             assert 0 < len(calls) <= numfield._FROBENIUS_PRIMES
 
 
+def test_three_cycle_quartic_fiber_needs_no_split_root_or_lift(g1, monkeypatch):
+    # a stream-quartic fiber: x^2 + y + x - 1 on y^2 = x^3 + 1 at t = 1
+    f = g1.function(x ** 2 + x - 1, POLY_ONE)
+    counted = [
+        _count_calls(monkeypatch, numfield, "rational_roots"),
+        _count_calls(monkeypatch, exactalg, "factor_mod_p"),
+        _count_calls(monkeypatch, exactalg, "hensel_lift"),
+    ]
+    spec = classify_specialization(g1, f, 1)
+    assert spec.fiber_poly == x ** 4 + x ** 3 - 3 * x ** 2 - 4 * x + 3
+    cert = spec.certificate
+    assert (cert.verdict, cert.method) == ("primitive", "resolvent_cubic")
+    assert counted == [[], [], []]
+    _, zc = spec.fiber_poly.to_zpoly()
+    types = [d for _, d in islice(exactalg._cycle_types(zc, []), exactalg._QUARTIC_PRIMES)]
+    assert [1, 3] in types
+    assert cert.verify()
+
+
+def test_sextic_fiber_reads_each_prime_once(g2, monkeypatch):
+    # a stream-sextic fiber: x^3 + y - x^2 + 1 on y^2 = x^5 - 1 at t = 2,
+    # which the Frobenius rule proves primitive only at its 19th good prime
+    f = g2.function(x ** 3 - x ** 2 + 1, POLY_ONE)
+    calls = _count_calls(monkeypatch, exactalg, "_p_distinct_degree")
+    spec = classify_specialization(g2, f, 2)
+    cert = spec.certificate
+    assert (cert.verdict, cert.method) == ("primitive", "principal_subfields")
+    primes = [p for _, p in calls]
+    assert len(primes) > exactalg._MUSSER_PRIMES
+    assert primes == sorted(set(primes))
+
+
 def test_frobenius_rule_on_the_imprimitive_quartics():
     # some of these moduli have denominators
     for m in _imprimitive_moduli():
@@ -534,7 +563,7 @@ def test_frobenius_rule_on_the_imprimitive_quartics():
 
 
 def test_generic_sextic_decided_and_verified_without_trager(monkeypatch):
-    calls = _count_trager(monkeypatch)
+    calls = _count_calls(monkeypatch, numfield, "trager_factor")
     m = x ** 6 - x - 1
     cert = is_primitive_field(m)
     assert (cert.verdict, cert.method) == ("primitive", "principal_subfields")
@@ -546,7 +575,7 @@ def test_frobenius_fallback_gives_the_same_certificate(monkeypatch):
     moduli = [x ** 6 - x - 1, x ** 6 + x ** 3 + 1, x ** 6 - 3 * x ** 2 - 1]
     fast = [json.dumps(is_primitive_field(m).to_json()) for m in moduli]
     monkeypatch.setattr(numfield, "_FROBENIUS_PRIMES", 0)
-    calls = _count_trager(monkeypatch)
+    calls = _count_calls(monkeypatch, numfield, "trager_factor")
     slow = [json.dumps(is_primitive_field(m).to_json()) for m in moduli]
     assert len(calls) == len(moduli)
     assert slow == fast

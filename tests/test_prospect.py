@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -11,8 +13,10 @@ from primpoints import (
     OutOfTheoremRange,
     POLY_ONE,
     POLY_X,
+    PrimitivityCertificate,
     RatPolynomial,
     SearchBudgetExhausted,
+    Specialization,
     SubfieldWitness,
     VerificationFailure,
     classify_specialization,
@@ -24,6 +28,8 @@ from primpoints import (
     height_ordered_rationals,
     is_squarefree,
     prospect,
+    rational_roots,
+    resolvent_cubic,
 )
 from primpoints import numfield
 
@@ -243,3 +249,91 @@ def test_first_candidates_skip_loci(g1):
     # (locus T) before settling on x^2 + y
     f, _ = find_primitive_function(g1, 4)
     assert f == g1.function(x ** 2, POLY_ONE)
+
+
+# ----------------------------------------------------------------------
+# one reading of the cycle types against the two-pass oracle
+
+def _two_pass_decision(m):
+    """The 'auto' decision for a monic irreducible m of degree 4, 6 or 8 as
+    made before irreducibility and primitivity shared their cycle types:
+    the resolvent cubic's rational roots at degree 4, and otherwise
+    _principal_witness on a fresh reading."""
+    if m.degree == 4:
+        roots = rational_roots(resolvent_cubic(m))
+        witness = None
+        if roots:
+            witness = numfield._resolvent_witness(m, roots) or numfield._principal_witness(m)
+        method = "resolvent_cubic"
+    else:
+        witness = numfield._principal_witness(m)
+        method = "principal_subfields"
+    return PrimitivityCertificate(
+        verdict="primitive" if witness is None else "imprimitive",
+        method=method,
+        modulus=m,
+        witness=witness,
+    )
+
+
+def _two_pass_specialization(t, m):
+    fl = factor_over_rationals(m)
+    if not fl.is_irreducible():
+        return Specialization(t=t, fiber_poly=m, status="reducible", factors=fl.factors)
+    return Specialization(
+        t=t, fiber_poly=m, status="irreducible", certificate=_two_pass_decision(m)
+    )
+
+
+def _random_monic(rng, d, den=1):
+    return RatPolynomial(
+        [Fraction(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(d)] + [1]
+    )
+
+
+def _differential_fibers():
+    """Monic squarefree fibers of degree 4, 6 and 8: irreducible ones,
+    reducible ones (some divisible by x), imprimitive quartics with and
+    without denominators, and compositions g(h(x))."""
+    rng = random.Random(61)
+    for d, count in ((4, 16), (6, 6), (8, 3)):
+        found = 0
+        while found < count:
+            m = _random_monic(rng, d)
+            if factor_over_rationals(m).is_irreducible():
+                found += 1
+                yield m
+    for a, b in ((1, 3), (2, 2), (2, 4), (3, 3), (4, 4), (1, 7)):
+        yield _random_monic(rng, a) * _random_monic(rng, b)
+    for d in (3, 5, 7):
+        yield x * _random_monic(rng, d)
+    for den in (1, 1, 3, 3, 3):
+        yield _random_monic(rng, 2, den)(_random_monic(rng, 2, den))
+    # an irreducible degree-8 composition costs up to a second a side in
+    # principal subfields
+    for dg, dh in ((2, 3), (3, 2), (4, 2)):
+        while True:
+            m = _random_monic(rng, dg)(_random_monic(rng, dh))
+            if factor_over_rationals(m).is_irreducible():
+                yield m
+                break
+
+
+def test_one_pass_matches_two_pass_oracle(monkeypatch):
+    fibers = [m for m in _differential_fibers() if is_squarefree(m)]
+    statuses = set()
+    quartic_verdicts = set()
+    for m in fibers:
+        expected = _two_pass_specialization(Fraction(1), m)
+        # the module, which the package's prospect() function shadows
+        monkeypatch.setattr(
+            sys.modules["primpoints.prospect"], "fiber_polynomial", lambda curve, f, t: (m, None)
+        )
+        ours = classify_specialization(None, None, 1)
+        assert json.dumps(ours.to_json()) == json.dumps(expected.to_json()), m
+        statuses.add(ours.status)
+        if ours.certificate is not None and m.degree == 4:
+            quartic_verdicts.add(ours.certificate.verdict)
+    assert len(fibers) >= 40
+    assert statuses == {"reducible", "irreducible"}
+    assert quartic_verdicts == {"primitive", "imprimitive"}
