@@ -446,9 +446,32 @@ def _positive(kind=int, lo=1, hi=None):
     return convert
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Unbuilt:
+    """Stands in for the parser of a subcommand that the command line does
+    not name; argparse never parses with it."""
+
+    def add_argument(self, *args, **kwargs):
+        pass
+
+    set_defaults = add_argument
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for the command line argv.  Only the subcommands argv
+    names get a parser of their own: argparse hands the arguments to the
+    subcommand named there, and the top-level help and usage errors read
+    only each subcommand's name and help line, so every output is the same
+    as with all eight parsers built."""
+    names = set(argv)
+
+    def subparser(**kwargs):
+        # argparse names a subparser "primpoints NAME"
+        if kwargs["prog"].split()[-1] in names:
+            return _Parser(**kwargs)
+        return _Unbuilt()
+
     parser = _Parser(prog="primpoints", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     def common(p, curve=True):
         if curve:
@@ -512,7 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -27,10 +27,11 @@ from .exactalg import (
     POLY_ONE,
     POLY_ZERO,
     RatPolynomial,
-    interpolate,
+    conjugate_power_sums,
+    from_power_sums,
     poly_gcd,
+    poly_xgcd,
     rat_to_str,
-    resultant,
     squarefree_part,
 )
 from .hypcurve import (
@@ -107,12 +108,13 @@ def function_value_at_place(curve, f: CurveFunction, place: Place) -> tuple:
     deg a = deg den with den monic, so its value is lc(a).  At an affine
     place over u, u^j (j = ord_u den) is divided out of the numerator and
     den, y is replaced by its lift mod u^(j+1) at a split place and dropped
-    at a ramified one, and f(P) = num/d in Q[x]/(u).  At an inert place
-    f(P) = (a + b*ybar)/d with ybar^2 = h.  Up to a constant, the
-    characteristic polynomial of f(P) over Q is Res_x(u, T*d - num), or
-    Res_x(u, (T*d - a)^2 - b^2*h) at an inert place; it is interpolated in
-    T, and being a power of the minimal polynomial, its squarefree part is
-    the point.
+    at a ramified one, and f(P) = e = num/d in Q[x]/(u).  At an inert place
+    f(P) = e + c*ybar with c = b/d and ybar^2 = h, and c = 0 elsewhere.  The
+    polynomial whose roots are e(x_i) +- c(x_i) sqrt(h(x_i)) over the roots
+    x_i of u is read off its power sums (exactalg.conjugate_power_sums); it
+    is the characteristic polynomial of f(P) over Q, squared where c = 0,
+    and being a power of the minimal polynomial, its squarefree part is the
+    point.
     """
     v = function_valuation(curve, f, place)
     if v < 0:
@@ -133,16 +135,13 @@ def function_value_at_place(curve, f: CurveFunction, place: Place) -> tuple:
         a = (f.a // uj) % u
         if place.kind == KIND_INERT:
             b = (f.b // uj) % u
-    b2h = b * b * (curve.h % u)
-
-    def charpoly_at(t):
-        q = d * t - a
-        if b2h:
-            q = q * q - b2h
-        return resultant(u, q) if q else Fraction(0)
-
-    npoints = (2 if b2h else 1) * u.degree + 1
-    return point_closed(squarefree_part(interpolate(charpoly_at, npoints)))
+    dinv = poly_xgcd(d, u)[1]
+    e = a * dinv % u
+    w = b * b * dinv * dinv * curve.h % u
+    degree = 2 * u.degree
+    coeffs = [list(q.coeffs) for q in (u.monic(), e, w)]
+    sums = conjugate_power_sums(*coeffs, degree)
+    return point_closed(squarefree_part(from_power_sums(sums, degree)))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice
-from math import gcd as int_gcd, isqrt
+from math import comb, gcd as int_gcd, isqrt
 
 from .errors import InvalidInput, LiftObstruction
 
@@ -255,25 +255,6 @@ def _p_xgcd(a, b, p):
         s0 = [x * inv % p for x in s0]
         t0 = [x * inv % p for x in t0]
     return r0, s0, t0
-
-
-def _p_resultant(f, g, p):
-    """Sylvester resultant of reduced f, g over F_p (0 when either is zero),
-    by the same Euclidean recursion as ``resultant``."""
-    if not f or not g:
-        return 0
-    a, b = f, g
-    acc = 1
-    while len(b) > 1:
-        r = _p_mod(a, b, p)
-        if not r:
-            return 0
-        da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1
-        if da % 2 and db % 2:
-            acc = -acc
-        acc = acc * pow(b[-1], da - dr, p) % p
-        a, b = b, r
-    return acc * pow(b[-1], len(a) - 1, p) % p
 
 
 # ----------------------------------------------------------------------
@@ -598,61 +579,113 @@ def resultant(p: RatPolynomial, q: RatPolynomial) -> Fraction:
     return sign * acc * b.lc ** a.degree
 
 
-def interpolate(sample, npoints: int) -> RatPolynomial:
-    """The polynomial of degree < npoints through (c, sample(c)) at the
-    points c = 0, 1, -1, 2, -2, ..., by Lagrange's formula over Z.
-
-    With N = prod_j (x - c_j) and w_i = prod_{j != i} (c_i - c_j), the
-    interpolant is sum_i y_i * (N / (x - c_i)) / w_i.  The samples y_i
-    (ints or Fractions) are scaled to integers by their common denominator
-    D, the weights share the denominator W = lcm(w_i), and the quotients
-    N / (x - c_i) come from synthetic division; only the final coefficients
-    sum_i (y_i D) (W / w_i) (N / (x - c_i)) / (D W) become Fractions.
-    """
-    xs = []
-    c = 0
-    while len(xs) < npoints:
-        xs.append(c)
-        c = -c if c > 0 else -c + 1
-    ys = [sample(Fraction(c)) for c in xs]
-    den = 1
-    for y in ys:
-        den = den * y.denominator // int_gcd(den, y.denominator)
-    node_poly = [1]
-    for c in xs:
-        node_poly = [0] + node_poly
-        for k in range(len(node_poly) - 1):
-            node_poly[k] -= c * node_poly[k + 1]
-    weights = []
-    for c in xs:
-        w = 1
-        for cj in xs:
-            if cj != c:
-                w *= c - cj
-        weights.append(w)
-    common = 1
-    for w in weights:
-        common = common * abs(w) // int_gcd(common, w)
-    acc = [0] * npoints
-    for c, w, y in zip(xs, weights, ys):
-        scale = y.numerator * (den // y.denominator) * (common // w)
-        if not scale:
-            continue
-        # N / (x - c), highest coefficient first
-        q = node_poly[npoints]
-        for k in range(npoints - 1, -1, -1):
-            acc[k] += scale * q
-            q = node_poly[k] + c * q
-    total = den * common
-    return RatPolynomial([Fraction(a, total) for a in acc])
-
-
 def rational_roots(p: RatPolynomial) -> list:
     """All rational roots, found through the factorization pipeline."""
     return sorted(
         -f[0] / f[1]
         for f, _ in factor_over_rationals(p).factors
         if f.degree == 1
+    )
+
+
+# ----------------------------------------------------------------------
+# power sums (Newton's identities)
+#
+# Norms and characteristic polynomials are read off the power sums of their
+# roots (the composed sums of Bostan, Flajolet, Salvy and Schost, "Fast
+# computation of special resultants", JSC 2006).  Both kernels are generic in
+# their number type: integral inputs stay Python ints, which is about 25x
+# cheaper than Fraction arithmetic.
+
+def _denominator_lcm(polys) -> int:
+    """The lcm C of the coefficient denominators of the given monic
+    polynomials: C^n * p(x / C) is integral for each p of degree n."""
+    den = 1
+    for poly in polys:
+        for q in poly.coeffs:
+            den = den * q.denominator // int_gcd(den, q.denominator)
+    return den
+
+
+def _integral(coeffs) -> list:
+    """The Fraction coefficients as Python ints when they are all integral."""
+    if all(q.denominator == 1 for q in coeffs):
+        return [q.numerator for q in coeffs]
+    return list(coeffs)
+
+
+def _scaled_monic(poly: RatPolynomial, scale: int) -> list:
+    """The coefficients of scale^n * poly(x / scale) for a monic poly of
+    degree n, as ints; its roots are scale times those of poly.  scale must
+    be a multiple of _denominator_lcm([poly])."""
+    n = poly.degree
+    return [int(q * scale ** (n - i)) for i, q in enumerate(poly.coeffs)]
+
+
+def power_sums(coeffs, count: int) -> list:
+    """P_0 .. P_{count-1}, the power sums of the roots (with multiplicity)
+    of the monic polynomial with ascending coefficients coeffs.
+
+    With c_i the coefficient of x^(n-i), Newton's identities read
+    P_k = -(c_1 P_(k-1) + ... + c_(k-1) P_1 + k c_k) for k <= n and
+    P_k = -(c_1 P_(k-1) + ... + c_n P_(k-n)) beyond.
+    """
+    n = len(coeffs) - 1
+    c = coeffs[n - 1::-1] if n else []  # c[i - 1] = c_i
+    sums = [n]
+    for k in range(1, count):
+        acc = k * c[k - 1] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            acc += c[i - 1] * sums[k - i]
+        sums.append(-acc)
+    return sums[:count]
+
+
+def conjugate_power_sums(coeffs, e, w, count: int) -> list:
+    """S_0 .. S_count, the power sums of the 2n numbers e(x_i) + sqrt(w(x_i))
+    and e(x_i) - sqrt(w(x_i)) over the n roots x_i of the monic polynomial
+    with ascending coefficients coeffs; e and w are coefficient lists.  These
+    are the roots of Res_x(poly, (T - e)^2 - w), and
+
+        S_k = 2 sum_(j even) C(k, j) Tr(e^(k-j) w^(j/2)),
+
+    where Tr(c) = sum_l c_l P_l with P the power sums of the x_i.
+    """
+    e_pow, w_pow = [[1]], [[1]]
+    for _ in range(count):
+        e_pow.append(_z_mul(e_pow[-1], e))
+    for _ in range(count // 2):
+        w_pow.append(_z_mul(w_pow[-1], w))
+    P = power_sums(coeffs, len(e_pow[-1]) + len(w_pow[-1]))
+    sums = [2 * (len(coeffs) - 1)]
+    for k in range(1, count + 1):
+        acc = 0
+        for j in range(0, k + 1, 2):
+            c = _z_mul(e_pow[k - j], w_pow[j // 2])
+            acc += comb(k, j) * sum(q * P[l] for l, q in enumerate(c))
+        sums.append(2 * acc)
+    return sums
+
+
+def from_power_sums(sums, degree: int, scale: int = 1) -> RatPolynomial:
+    """The monic polynomial of the given degree whose roots, times scale,
+    have the power sums sums[1..degree].
+
+    Newton's identities k c_k = -(S_k + c_1 S_(k-1) + ... + c_(k-1) S_1)
+    give the coefficient c_k of x^(degree-k) of the scaled polynomial; the
+    division by k stays in ints when it is exact, as it is whenever the
+    scaled roots are algebraic integers.  c_k / scale^k is then the
+    coefficient of the polynomial itself.
+    """
+    c = [1]
+    for k in range(1, degree + 1):
+        acc = sums[k]
+        for i in range(1, k):
+            acc += c[i] * sums[k - i]
+        q, r = divmod(-acc, k)
+        c.append(Fraction(-acc, k) if r else q)
+    return RatPolynomial(
+        [Fraction(c[k], scale ** k) for k in range(degree, -1, -1)]
     )
 
 

@@ -14,30 +14,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import islice, product
+from math import gcd as int_gcd, isqrt
 
 from .errors import DivisionByZero, InvalidInput, NotAField
 from .exactalg import (
     POLY_ONE,
     POLY_X,
-    POLY_ZERO,
     ModpPolynomial,
     RatPolynomial,
     _QUARTIC_PRIMES,
     _cycle_types,
+    _denominator_lcm,
     _factor_list,
     _factor_squarefree_z,
+    _integral,
     _p_gcd,
     _p_mod,
     _p_mul,
-    _p_resultant,
     _p_trim,
+    _p_xgcd,
+    _scaled_monic,
     _z_add,
     _z_derivative,
+    _z_sub,
     factor_over_rationals,
-    interpolate,
+    from_power_sums,
     is_prime,
     is_squarefree,
+    power_sums,
     rat_to_str,
     rational_roots,
     resultant,
@@ -313,12 +319,13 @@ class NfPolynomial:
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError
-        inv = other.lc.inverse()
+        # a monic divisor needs no inverse
+        inv = None if other.lc == 1 else other.lc.inverse()
         rem = list(self.coeffs)
         d = other.degree
         q = [self.field.zero] * max(0, len(rem) - d)
         while len(rem) - 1 >= d and rem:
-            c = rem[-1] * inv
+            c = rem[-1] if inv is None else rem[-1] * inv
             k = len(rem) - 1 - d
             q[k] = c
             for j, y in enumerate(other.coeffs):
@@ -336,6 +343,8 @@ class NfPolynomial:
     def monic(self):
         if self.is_zero():
             raise InvalidInput("cannot normalize zero")
+        if self.lc == 1:
+            return self
         inv = self.lc.inverse()
         return NfPolynomial(self.field, [c * inv for c in self.coeffs])
 
@@ -361,86 +370,109 @@ def nf_norm(f: NfPolynomial, shift: int = 0) -> RatPolynomial:
     """Norm of f(x + shift*theta) from L[x] down to Q[x].
 
     With m the modulus of L = Q[y]/(m) and F(x, y) the lift of f's
-    coefficients to Q[y], the norm is Res_y(m(y), F(x + shift*y, y)).  It is
-    interpolated from its values at n*d + 1 rational points x = c
-    (n = deg f, d = [L:Q]), each the resultant of two RatPolynomials.
+    coefficients to Q[y], the norm is Res_y(m(y), F(x + shift*y, y)).  That
+    is N(lc f) times the monic polynomial whose roots are beta - shift*theta_i
+    over the conjugates theta_i of theta and the roots beta of the matching
+    conjugate of f, and it is read off the power sums of those roots.  With
+    pi_a in L the power sums of the roots of f (Newton's identities over L)
+    and P_j those of m,
+        S_k = sum_a C(k, a) (-shift)^(k-a) Tr(theta^(k-a) pi_a),
+        Tr(theta^j c) = sum_i c_i P_(i+j),
+    so no resultant and no interpolation is needed.
     """
     L = f.field
     n = f.degree
     if n < 0:
         raise InvalidInput("norm of the zero polynomial")
-    m = L.modulus
-    lifted = [c.to_poly() for c in reversed(f.coeffs)]
+    unit = f.lc
+    f = f.monic()
+    d = L.degree
+    P = power_sums(_integral(L.modulus.coeffs), n * d + d)
+    pi = [
+        _integral(c.coeffs) if isinstance(c, FieldElement) else [c]
+        for c in power_sums(f.coeffs, n * d + 1)
+    ]
 
-    def sample(c):
-        arg = RatPolynomial([c, shift])
-        val = POLY_ZERO
-        for a in lifted:
-            val = val * arg + a
-        val = val % m
-        return Fraction(0) if val.is_zero() else resultant(m, val)
+    def trace(j, a):
+        return sum(c * P[i + j] for i, c in enumerate(pi[a]) if c)
 
-    return interpolate(sample, n * L.degree + 1)
+    norm = _composed_norm(trace, n * d, shift)
+    return norm if unit == 1 else norm.scale(unit.norm())
 
 
-# The shift screen reduces norms mod this prime.  It interpolates a norm of
-# degree n*d from n*d + 1 integers, which must stay distinct mod p; no norm
-# this code can compute has a degree anywhere near p.
+def _cofactor_norm(m: RatPolynomial, g_q: RatPolynomial, shift: int) -> RatPolynomial:
+    """nf_norm(g_q / (x - theta), shift) for a monic rational g_q that the
+    modulus m divides, with no arithmetic in L.
+
+    The roots of g_q / (x - theta_i) are those of g_q but theta_i, so
+    pi_a = Q_a - theta^a with Q the power sums of g_q, and
+    Tr(theta^j pi_a) = Q_a P_j - P_(j+a): the sums are
+        S_k = sum_j C(k, j) (-shift)^j Q_(k-j) P_j - (1 - shift)^k P_k.
+    Both polynomials are scaled by the lcm C of their denominators, so that
+    every sum is a Python int, and the norm is scaled back at the end.
+    """
+    scale = _denominator_lcm((m, g_q))
+    degree = (g_q.degree - 1) * m.degree
+    P = power_sums(_scaled_monic(m, scale), degree + 1)
+    Q = power_sums(_scaled_monic(g_q, scale), degree + 1)
+    return _composed_norm(lambda j, a: Q[a] * P[j] - P[j + a], degree, shift, scale)
+
+
+def _composed_norm(trace, degree: int, shift: int, scale: int = 1) -> RatPolynomial:
+    """The monic polynomial of the given degree whose roots, times scale,
+    are beta - shift*theta_i, where trace(j, a) = Tr(theta^j pi_a) and the
+    pi_a are the power sums of the roots beta (the composed sum of Bostan,
+    Flajolet, Salvy and Schost): its k-th power sum is
+    sum_a C(k, a) (-shift)^(k-a) trace(k - a, a)."""
+    sums = [degree]
+    for k in range(1, degree + 1):
+        acc, binom, power = 0, 1, 1
+        for a in range(k, -1, -1):
+            acc += binom * power * trace(k - a, a)
+            binom = binom * a // (k - a + 1)
+            power *= -shift
+        sums.append(acc)
+    return from_power_sums(sums, degree, scale)
+
+
+# Each candidate shift's norm is screened mod this prime: a reduction of
+# full degree that is squarefree mod p proves the norm squarefree over Q.
 _SCREEN_PRIME = 2 ** 31 - 1
 # shifts screened mod p before each later shift gets the exact test
 _SCREENED_SHIFTS = 4
 
 
-def _squarefree_norm(g: NfPolynomial, skip) -> tuple:
-    """(s, nf_norm(g, s)) for the first shift s, in _shift_sequence order and
+def _squarefree_norm(norm_at, skip) -> tuple:
+    """(s, norm_at(s)) for the first shift s, in _shift_sequence order and
     not in skip, whose norm is squarefree.
 
-    The first _SCREENED_SHIFTS candidates are screened by the norm mod p: a
-    reduction of full degree that is squarefree mod p proves the norm over Q
-    squarefree, so only the accepted shift has its exact norm computed.  A
-    rejected shift is passed over even if its norm is squarefree over Q.
-    Later shifts, and every shift when p divides a denominator of the
-    modulus or of g, get the exact squarefree test.
+    Norms are cheap, so each shift has its exact norm computed; the first
+    _SCREENED_SHIFTS of them are tested mod p only, and a rejected shift is
+    passed over even if its norm is squarefree over Q.  Later shifts, and
+    every norm with p in a denominator, get the exact squarefree test.  The
+    shift does not change the factors, which are canonical.
     """
-    L = g.field
     p = _SCREEN_PRIME
-    lifted = [c.to_poly() for c in reversed(g.coeffs)]
     screened = 0
-    if all(q.denominator % p for h in [L.modulus, *lifted] for q in h.coeffs):
-        screened = _SCREENED_SHIFTS
-        m_p = list(ModpPolynomial.reduce(L.modulus, p).coeffs)
-        lifted_p = [list(ModpPolynomial.reduce(a, p).coeffs) for a in lifted]
     for s in _shift_sequence():
         if s in skip:
             continue
-        if screened:
-            screened -= 1
-            if _norm_squarefree_mod_p(m_p, lifted_p, s):
-                return s, nf_norm(g, s)
-            continue
-        norm = nf_norm(g, s)
-        if is_squarefree(norm):
+        norm = norm_at(s)
+        if screened < _SCREENED_SHIFTS and all(q.denominator % p for q in norm.coeffs):
+            screened += 1
+            if _squarefree_mod_p(norm):
+                return s, norm
+        elif is_squarefree(norm):
             return s, norm
 
 
-def _norm_squarefree_mod_p(m_p, lifted_p, s: int) -> bool:
-    """Whether nf_norm(g, s) mod p has full degree and is squarefree, given
-    the modulus and g's lifted coefficients (highest first) mod p."""
+def _squarefree_mod_p(norm: RatPolynomial) -> bool:
+    """Whether the p-integral norm reduces mod _SCREEN_PRIME to a
+    squarefree polynomial of full degree."""
     p = _SCREEN_PRIME
-    nd = (len(lifted_p) - 1) * (len(m_p) - 1)
-
-    def sample(c):
-        arg = _p_trim([int(c), s], p)
-        val = []
-        for a in lifted_p:
-            val = _p_trim(_z_add(_p_mul(val, arg, p), a), p)
-        return _p_resultant(m_p, _p_mod(val, m_p, p), p)
-
-    # the rational interpolant of the residues is p-integral (p > nd + 1)
-    # and reduces to the norm mod p
-    norm = list(ModpPolynomial.reduce(interpolate(sample, nd + 1), p).coeffs)
-    slope = _p_trim(_z_derivative(norm), p)
-    return len(norm) == nd + 1 and len(_p_gcd(norm, slope, p)) == 1
+    red = list(ModpPolynomial.reduce(norm, p).coeffs)
+    slope = _p_trim(_z_derivative(red), p)
+    return len(red) == norm.degree + 1 and len(_p_gcd(red, slope, p)) == 1
 
 
 @dataclass(frozen=True)
@@ -467,14 +499,17 @@ def trager_factor(f: NfPolynomial) -> NfFactorization:
 
     Norm-shift method (Trager 1976): take g, the squarefree part of f, and
     an integer s for which Norm(g(x + s*theta)) = nf_norm(g, s) is
-    squarefree.  Each irreducible factor G of that norm over Q pulls back to
-    the irreducible factor gcd(g, G(x - s*theta)) of g over L, and the
-    multiplicities come from dividing f by these factors.
+    squarefree; norms come from power sums, so each shift tried costs one
+    cheap exact norm (_squarefree_norm).  Each irreducible factor G of that
+    norm over Q pulls back to the irreducible factor gcd(g, G(x - s*theta))
+    of g over L, computed mod primes by _pull_back, and the multiplicities
+    come from dividing f by these factors.
 
     When f has rational coefficients and the modulus m of L divides it, as
     for every principal_subfields call, x - theta is a known factor: it is
     divided out first, and only the cofactor has its norm computed and
-    factored.  For m of degree d that norm has degree d*(d - 1), not d^2.
+    factored, by _cofactor_norm with no arithmetic in L.  For m of degree d
+    that norm has degree d*(d - 1), not d^2.
     """
     if f.is_zero():
         raise InvalidInput("cannot factor zero")
@@ -499,10 +534,19 @@ def trager_factor(f: NfPolynomial) -> NfFactorization:
                 skip = (0, -1)
     else:
         sqf = monic // monic.gcd(monic.derivative())
-    shift_used, norm = _squarefree_norm(sqf, skip)
+    if known:
+        norm_at = partial(_cofactor_norm, L.modulus, g_q)
+    else:
+        norm_at = partial(nf_norm, sqf)
+    shift_used, norm = _squarefree_norm(norm_at, skip)
     fl = factor_over_rationals(norm)
     pieces = [sqf] if fl.is_irreducible() else _pull_back(sqf, fl, shift_used)
     pieces = known + pieces
+    if sum(h.degree for h in pieces) == monic.degree:
+        # f is squarefree, and the pieces are its factors
+        return NfFactorization(
+            unit=unit, factors=tuple((h, 1) for h in sorted(pieces, key=_nf_sort_key))
+        )
     # recover multiplicities by exact division
     factors = []
     rem = monic
@@ -526,26 +570,172 @@ def _pull_back(g: NfPolynomial, fl, s: int) -> list:
     """The irreducible factors of the squarefree monic g over L, one for each
     irreducible factor G of its squarefree norm fl = Norm(g(x + s*theta)).
 
-    Each is gcd(g, G(x - s*theta)) with G(x - s*theta) taken mod g by
-    Horner, except the one of the largest G: g divided by all the others.
+    Each is H = gcd(g, G(x - s*theta)), of degree deg G / d, except the one
+    of the largest G: what is left of g once the others are divided out.  H
+    is computed mod primes p (Langemyr-McCallum 1989, Encarnacion 1995):
+    _gcds_mod_p runs Horner and the Euclidean gcd in (F_p[y]/m_p)[x] at
+    primes where no denominator vanishes and the norm is squarefree of full
+    degree mod p, and the images are combined by CRT and lifted to Q by
+    rational reconstruction (Wang 1981).  A candidate h is accepted when it
+    is monic, has degree deg G / d and divides g exactly; division by a
+    monic h needs no inverse.
+
+    Why an accepted h is H: both are monic factors of g.  Since the norm is
+    squarefree mod p, so is m mod p, and so is g over each residue field of
+    L at p, whose roots are those of g reduced mod p.  There a common root
+    of g and G(x - s*theta) is the reduction of a root beta of g with
+    G(beta - s*theta) = 0, because the roots of the norm stay distinct mod p;
+    so the gcd mod p, computed with unit leading coefficients throughout,
+    is H mod p.  The reconstruction agrees with it at every prime used.  And
+    g mod p is squarefree, so two distinct monic factors of g cannot agree
+    mod p: h = H.
     """
     L = g.field
-    back = NfPolynomial(L, [L.element([-s]) * L.theta, L.one])
+    d = L.degree
     norm_factors = [G for G, _ in fl.factors]
     largest = max(norm_factors, key=lambda G: G.degree)
+    # CRT images of each pending factor's coordinates, by index in fl
+    images = {i: [] for i, G in enumerate(norm_factors) if G is not largest}
+    modulus = 1
     pieces = []
-    rest = NfPolynomial(L, [L.one])
-    for G in norm_factors:
-        if G is largest:
+    rest = g
+    for p in _pull_back_primes():
+        gcds = _gcds_mod_p(g, norm_factors, images, s, p)
+        if gcds is None:
             continue
-        acc = NfPolynomial(L)
-        for c in reversed(G.coeffs):
-            acc = (acc * back + NfPolynomial(L, [L.element([c])])) % g
-        h = g.gcd(acc)
-        if h.degree >= 1:
-            pieces.append(h)
-            rest = rest * h
-    return pieces + [g // rest]
+        for i, h_p in gcds.items():
+            flat = [c for coeff in h_p for c in coeff + [0] * (d - len(coeff))]
+            if modulus > 1:
+                flat = [_crt(r, modulus, c, p) for r, c in zip(images[i], flat)]
+            images[i] = flat
+            coords = [_rational_reconstruction(r, modulus * p) for r in flat]
+            if None in coords:
+                continue
+            lower = [L.element(coords[k:k + d]) for k in range(0, len(coords), d)]
+            h = NfPolynomial(L, lower + [L.one])
+            q, r = divmod(rest, h)
+            if r.is_zero():
+                pieces.append(h)
+                del images[i]
+                rest = q
+        modulus *= p
+        if not images:
+            return pieces + [rest]
+
+
+def _pull_back_primes():
+    """Primes below 2^31, largest first."""
+    p = 2 ** 31 - 1
+    while True:
+        if is_prime(p):
+            yield p
+        p -= 2
+
+
+def _gcds_mod_p(g: NfPolynomial, norm_factors, wanted, s: int, p: int):
+    """{i: gcd(g, G(x - s*theta)) mod p} for G = norm_factors[i], i in
+    wanted, computed in (F_p[y]/m_p)[x]: each monic gcd as its coefficients
+    below the leading 1, lists over F_p.  None when p divides a denominator,
+    the norm (the product of norm_factors) is not squarefree of full degree
+    mod p, a leading coefficient met is not a unit mod m_p, or a gcd does
+    not have degree deg G / d.
+    """
+    L = g.field
+    m_p = _residues(L.modulus.coeffs, p)
+    g_p = [_residues(c.coeffs, p) for c in g.coeffs]
+    Gs = [_residues(G.coeffs, p) for G in norm_factors]
+    if m_p is None or None in g_p or None in Gs:
+        return None
+    norm_p = [1]
+    for G_p in Gs:
+        norm_p = _p_mul(norm_p, G_p, p)
+    slope = _p_trim(_z_derivative(norm_p), p)
+    full_degree = len(norm_p) == 1 + sum(G.degree for G in norm_factors)
+    if not full_degree or len(_p_gcd(norm_p, slope, p)) != 1:
+        return None
+    g_p = [_p_trim(c, p) for c in g_p]
+    n = g.degree
+    shift = _p_trim([0, -s], p)  # -s*theta
+    out = {}
+    for i in wanted:
+        # Horner for G(x - s*theta) mod g_p, which is monic
+        acc = [[]] * n
+        for c in reversed(Gs[i]):
+            top = acc[-1]
+            acc = [
+                _p_trim(_z_add(
+                    _p_mod(_z_sub(_p_mul(shift, acc[k], p), _p_mul(top, g_p[k], p)), m_p, p),
+                    acc[k - 1] if k else [c],
+                ), p)
+                for k in range(n)
+            ]
+        h = _rp_gcd(g_p, acc, m_p, p)
+        if h is None or len(h) - 1 != norm_factors[i].degree // L.degree:
+            return None
+        out[i] = h[:-1]
+    return out
+
+
+def _rp_gcd(a, b, m_p, p):
+    """The monic gcd of the monic a and of b in (F_p[y]/m_p)[x], whose
+    coefficients are lists over F_p reduced mod m_p; None when a leading
+    coefficient met is not a unit."""
+
+    def mul(u, v):
+        return _p_mod(_p_mul(u, v, p), m_p, p)
+
+    inv = [1]
+    b = _rp_trim(b)
+    while b:
+        unit, inv, _ = _p_xgcd(b[-1], m_p, p)
+        if unit != [1]:
+            return None
+        rem = list(a)
+        while len(rem) >= len(b):
+            c = mul(rem.pop(), inv)  # the top coefficient cancels
+            k = len(rem) - len(b) + 1
+            for j in range(len(b) - 1):
+                rem[k + j] = _p_trim(_z_sub(rem[k + j], mul(c, b[j])), p)
+            rem = _rp_trim(rem)
+        a, b = b, rem
+    return [mul(c, inv) for c in a]
+
+
+def _rp_trim(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _residues(coeffs, p: int):
+    """The Fractions mod p as ints, or None when p divides a denominator."""
+    out = []
+    for q in coeffs:
+        if q.denominator % p == 0:
+            return None
+        out.append(q.numerator * pow(q.denominator, -1, p) % p)
+    return out
+
+
+def _crt(r: int, modulus: int, c: int, p: int) -> int:
+    """The residue mod modulus * p that is r mod modulus and c mod p."""
+    return r + modulus * ((c - r) * pow(modulus, -1, p) % p)
+
+
+def _rational_reconstruction(r: int, modulus: int):
+    """The fraction a/b with a = b*r mod modulus, |a| and b at most
+    sqrt(modulus / 2) and b prime to modulus, or None (Wang 1981)."""
+    bound = isqrt(modulus // 2)
+    r0, r1 = modulus, r % modulus
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or int_gcd(t1, modulus) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def _shift_sequence():

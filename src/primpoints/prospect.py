@@ -23,10 +23,11 @@ from .errors import (
 )
 from .exactalg import (
     RatPolynomial,
-    interpolate,
+    _integral,
+    conjugate_power_sums,
+    from_power_sums,
     is_squarefree,
     rat_to_str,
-    resultant,
 )
 from .hypcurve import (
     INFINITY,
@@ -102,12 +103,16 @@ def fiber_polynomial(curve, f: CurveFunction, t: Fraction):
 
 
 def _eliminated_presentation(curve, a: RatPolynomial, t: Fraction, lam: Fraction):
-    """Res_x(a(x) - t, (T - x)^2 - lam^2 h(x)) as a polynomial in T."""
-    p = a - RatPolynomial([t])
-    hlam = curve.h.scale(lam * lam)
-    return interpolate(
-        lambda c: resultant(p, RatPolynomial([c, -1]) ** 2 - hlam), 2 * a.degree + 1
-    )
+    """The monic form of Res_x(a(x) - t, (T - x)^2 - lam^2 h(x)), a
+    polynomial in T of degree 2 deg a.
+
+    Its roots are x_i + lam*y_i and x_i - lam*y_i over the roots x_i of
+    a - t, with y_i^2 = h(x_i): it is read off their power sums.
+    """
+    p = (a - RatPolynomial([t])).monic()
+    hl = _integral(curve.h.scale(lam * lam).coeffs)
+    sums = conjugate_power_sums(_integral(p.coeffs), [0, 1], hl, 2 * p.degree)
+    return from_power_sums(sums, 2 * p.degree)
 
 
 # ----------------------------------------------------------------------

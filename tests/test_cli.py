@@ -1,6 +1,10 @@
+import argparse
+import contextlib
+import io
 import json
 import random
 import string
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,7 @@ from primpoints import (
     parse_function_expr,
     parse_poly_expr,
 )
-from primpoints.cli import ParseError, main
+from primpoints.cli import ParseError, build_parser, main
 from primpoints.contract import MAX_CONTR_PLACES
 
 x = POLY_X
@@ -279,3 +283,36 @@ def test_report_json_idempotent(curve_file, capsys):
     assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == first + (
         "" if first.endswith("\n") else "\n"
     )
+
+
+# ----------------------------------------------------------------------
+# help, usage errors and exit codes
+
+CLI_PINNED = Path(__file__).with_name("cli_pinned.json")
+
+
+def test_help_and_usage_errors_pinned(tmp_path, monkeypatch):
+    # recorded with every subcommand's parser built; --help of the program
+    # and of each subcommand, usage errors and exit codes keep their bytes
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    for case in json.loads(CLI_PINNED.read_text()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(case["argv"]))
+            except SystemExit as exc:
+                code = exc.code
+        assert code == case["exit"], case["argv"]
+        assert (out.getvalue(), err.getvalue()) == (case["stdout"], case["stderr"])
+
+
+def test_only_the_named_subcommand_is_built():
+    def built(argv):
+        parser = build_parser(argv)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {n for n, p in sub.choices.items() if isinstance(p, argparse.ArgumentParser)}
+
+    assert built(["prospect", "c.json", "--function", "x"]) == {"prospect"}
+    assert built(["--help"]) == set()
+    assert built(["contr", "c.json", "--divisor", "certify"]) == {"contr", "certify"}

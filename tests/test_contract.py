@@ -40,6 +40,7 @@ from primpoints.contract import (
     point_sort_key,
 )
 from primpoints.hypcurve import infinity_series_xy
+from test_exactalg import interpolated_value_at_place
 
 x = POLY_X
 
@@ -276,6 +277,32 @@ def test_value_at_place_lies_in_its_fiber(g1, g2, genus):
     if genus == 1:
         expected |= {("split", 1, 1), ("ramified", 2, 2)}
     assert expected <= seen
+
+
+def test_value_at_place_matches_interpolated_charpoly(g1, g2):
+    rng = random.Random(61)
+    curves = [g1, g2, hypcurve.curve_new(RatPolynomial([2, 1, 0, 3]))]
+    us = [x - c for c in range(-3, 4)]
+    us += [x ** 2 - x + 2, x ** 2 - x + 1, x ** 2 - 3 * x - 1, x ** 2 + 1]
+
+    def poly(n):
+        return RatPolynomial(
+            [Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2])) for _ in range(n)]
+        )
+
+    kinds = set()
+    for curve in curves:
+        places = [p for u in us for p in places_over_x(curve, u)]
+        for _ in range(40):
+            place = rng.choice(places)
+            den = rng.choice([POLY_ONE, place.u, place.u ** 2, x ** 2 + 3])
+            f = curve.function(poly(rng.randint(1, 5)), poly(rng.randint(0, 3)), den)
+            if f.is_zero():
+                continue
+            value = function_value_at_place(curve, f, place)
+            assert value == interpolated_value_at_place(curve, f, place), (f, place)
+            kinds.add((place.kind, value[0]))
+    assert {("split", "poly"), ("inert", "poly"), ("ramified", "rat")} <= kinds
 
 
 # ----------------------------------------------------------------------

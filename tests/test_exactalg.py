@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,7 +21,17 @@ from primpoints import (
     squarefree_part,
 )
 from primpoints import exactalg
-from primpoints.exactalg import _p_resultant, interpolate
+from primpoints.contract import POINT_INF, point_closed, point_rat
+from primpoints.exactalg import from_power_sums, power_sums
+from primpoints.hypcurve import (
+    INFINITY,
+    KIND_INERT,
+    KIND_SPLIT,
+    _ord_u,
+    _sqrt_lift,
+    function_valuation,
+)
+from primpoints.numfield import NfPolynomial
 
 x = POLY_X
 
@@ -388,7 +399,67 @@ def test_xgcd_identity():
 
 
 # ----------------------------------------------------------------------
-# interpolation
+# oracles: the interpolation and Euclidean kernels that power sums and the
+# modular pullback replaced
+
+def _p_resultant(f, g, p):
+    """Sylvester resultant of reduced f, g over F_p (0 when either is zero),
+    by the same Euclidean recursion as ``resultant``."""
+    if not f or not g:
+        return 0
+    a, b = f, g
+    acc = 1
+    while len(b) > 1:
+        r = exactalg._p_mod(a, b, p)
+        if not r:
+            return 0
+        da, db, dr = len(a) - 1, len(b) - 1, len(r) - 1
+        if da % 2 and db % 2:
+            acc = -acc
+        acc = acc * pow(b[-1], da - dr, p) % p
+        a, b = b, r
+    return acc * pow(b[-1], len(a) - 1, p) % p
+
+
+def interpolate(sample, npoints):
+    """The polynomial of degree < npoints through (c, sample(c)) at the
+    points c = 0, 1, -1, 2, -2, ..., by Lagrange's formula over Z."""
+    xs = []
+    c = 0
+    while len(xs) < npoints:
+        xs.append(c)
+        c = -c if c > 0 else -c + 1
+    ys = [sample(Fraction(c)) for c in xs]
+    den = 1
+    for y in ys:
+        den = den * y.denominator // gcd(den, y.denominator)
+    node_poly = [1]
+    for c in xs:
+        node_poly = [0] + node_poly
+        for k in range(len(node_poly) - 1):
+            node_poly[k] -= c * node_poly[k + 1]
+    weights = []
+    for c in xs:
+        w = 1
+        for cj in xs:
+            if cj != c:
+                w *= c - cj
+        weights.append(w)
+    common = 1
+    for w in weights:
+        common = common * abs(w) // gcd(common, w)
+    acc = [0] * npoints
+    for c, w, y in zip(xs, weights, ys):
+        scale = y.numerator * (den // y.denominator) * (common // w)
+        if not scale:
+            continue
+        q = node_poly[npoints]
+        for k in range(npoints - 1, -1, -1):
+            acc[k] += scale * q
+            q = node_poly[k] + c * q
+    total = den * common
+    return RatPolynomial([Fraction(a, total) for a in acc])
+
 
 def newton_interpolate(sample, npoints):
     """The Fraction Newton divided-difference kernel that interpolate
@@ -406,6 +477,107 @@ def newton_interpolate(sample, npoints):
     for i in range(npoints - 2, -1, -1):
         poly = poly * RatPolynomial([-xs[i], 1]) + RatPolynomial([coef[i]])
     return poly
+
+
+def interpolated_norm(f, shift=0):
+    """nf_norm by Res_y(m(y), F(c + shift*y, y)) at n*d + 1 points c."""
+    L = f.field
+    m = L.modulus
+    lifted = [c.to_poly() for c in reversed(f.coeffs)]
+
+    def sample(c):
+        arg = RatPolynomial([c, shift])
+        val = RatPolynomial()
+        for a in lifted:
+            val = val * arg + a
+        val = val % m
+        return Fraction(0) if val.is_zero() else resultant(m, val)
+
+    return interpolate(sample, f.degree * L.degree + 1)
+
+
+def resultant_screen(m_p, lifted_p, s, p):
+    """Whether nf_norm(g, s) mod p has full degree and is squarefree, by
+    interpolated resultants mod p, given the modulus and g's lifted
+    coefficients (highest first) mod p."""
+    nd = (len(lifted_p) - 1) * (len(m_p) - 1)
+
+    def sample(c):
+        arg = exactalg._p_trim([int(c), s], p)
+        val = []
+        for a in lifted_p:
+            val = exactalg._p_trim(exactalg._z_add(exactalg._p_mul(val, arg, p), a), p)
+        return _p_resultant(m_p, exactalg._p_mod(val, m_p, p), p)
+
+    norm = list(ModpPolynomial.reduce(interpolate(sample, nd + 1), p).coeffs)
+    slope = exactalg._p_trim(exactalg._z_derivative(norm), p)
+    return len(norm) == nd + 1 and len(exactalg._p_gcd(norm, slope, p)) == 1
+
+
+def euclidean_pull_back(g, fl, s):
+    """The factors gcd(g, G(x - s*theta)) of g, by Horner and the
+    Euclidean gcd over L; the largest G's is g divided by the others."""
+    L = g.field
+    back = NfPolynomial(L, [L.element([-s]) * L.theta, L.one])
+    norm_factors = [G for G, _ in fl.factors]
+    largest = max(norm_factors, key=lambda G: G.degree)
+    pieces = []
+    rest = NfPolynomial(L, [L.one])
+    for G in norm_factors:
+        if G is largest:
+            continue
+        acc = NfPolynomial(L)
+        for c in reversed(G.coeffs):
+            acc = (acc * back + NfPolynomial(L, [L.element([c])])) % g
+        h = g.gcd(acc)
+        if h.degree >= 1:
+            pieces.append(h)
+            rest = rest * h
+    return pieces + [g // rest]
+
+
+def interpolated_presentation(curve, a, t, lam):
+    """Res_x(a(x) - t, (T - x)^2 - lam^2 h(x)) as a polynomial in T."""
+    p = a - RatPolynomial([t])
+    hlam = curve.h.scale(lam * lam)
+    return interpolate(
+        lambda c: resultant(p, RatPolynomial([c, -1]) ** 2 - hlam), 2 * a.degree + 1
+    )
+
+
+def interpolated_value_at_place(curve, f, place):
+    """function_value_at_place with the characteristic polynomial
+    interpolated from Res_x(u, T*d - num), or Res_x(u, (T*d - a)^2 - b^2*h)
+    at an inert place."""
+    v = function_valuation(curve, f, place)
+    if v < 0:
+        return POINT_INF
+    if v > 0:
+        return point_rat(0)
+    if place.kind == INFINITY.kind:
+        return point_rat(f.a.lc)
+    u = place.u
+    j = _ord_u(f.den, u)
+    uj = u ** j
+    d = (f.den // uj) % u
+    b = RatPolynomial()
+    if place.kind == KIND_SPLIT:
+        vk = _sqrt_lift(curve, u, place.v, j + 1)
+        a = ((f.a + f.b * vk) % (uj * u)) // uj
+    else:
+        a = (f.a // uj) % u
+        if place.kind == KIND_INERT:
+            b = (f.b // uj) % u
+    b2h = b * b * (curve.h % u)
+
+    def charpoly_at(t):
+        q = d * t - a
+        if b2h:
+            q = q * q - b2h
+        return resultant(u, q) if q else Fraction(0)
+
+    npoints = (2 if b2h else 1) * u.degree + 1
+    return point_closed(squarefree_part(interpolate(charpoly_at, npoints)))
 
 
 def test_interpolate_matches_newton_oracle():
@@ -435,6 +607,39 @@ def test_interpolate_recovers_a_polynomial():
     assert interpolate(f, 6) == f
     assert interpolate(f, 11) == f
     assert interpolate(lambda c: Fraction(0), 5).is_zero()
+
+
+# ----------------------------------------------------------------------
+# power sums
+
+def test_power_sums_of_known_roots():
+    roots = [Fraction(3), Fraction(-1, 2), Fraction(-1, 2), Fraction(5, 7)]
+    poly = RatPolynomial([1])
+    for r in roots:
+        poly = poly * RatPolynomial([-r, 1])
+    sums = power_sums(list(poly.coeffs), 12)
+    assert sums == [sum(r ** k for r in roots) for k in range(12)]
+    # an integral polynomial keeps Python ints
+    sums = power_sums([-2, 0, 0, 1], 9)  # x^3 - 2
+    assert sums == [3, 0, 0, 6, 0, 0, 12, 0, 0]
+    assert all(type(c) is int for c in sums)
+
+
+def test_from_power_sums_inverts_power_sums():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        coeffs = [
+            Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 10]))
+            for _ in range(n)
+        ] + [Fraction(1)]
+        poly = RatPolynomial(coeffs)
+        assert from_power_sums(power_sums(coeffs, n + 1), n) == poly
+        # roots scaled by C: C^n poly(x / C) is integral, and unscaled back
+        scale = exactalg._denominator_lcm([poly])
+        scaled = exactalg._scaled_monic(poly, scale)
+        assert all(type(c) is int for c in scaled)
+        assert from_power_sums(power_sums(scaled, n + 1), n, scale) == poly
 
 
 def reducing_p_mul(a, b, p):

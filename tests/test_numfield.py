@@ -9,6 +9,7 @@ import pytest
 from primpoints import (
     DivisionByZero,
     InvalidInput,
+    ModpPolynomial,
     NfPolynomial,
     NotAField,
     NumberField,
@@ -25,6 +26,7 @@ from primpoints import (
 )
 from primpoints import exactalg, numfield
 from primpoints.exactalg import rat_to_str
+from test_exactalg import euclidean_pull_back, interpolated_norm, resultant_screen
 
 x = POLY_X
 SWINNERTON = x ** 4 - 10 * x ** 2 + 1
@@ -129,47 +131,43 @@ def test_trager_factors_are_irreducible():
 
 
 def test_one_exact_norm_per_factorization(monkeypatch):
-    # shifts are screened by their norm mod p, so only the shift used has
-    # its exact norm computed; x - theta is divided out of m first, so that
-    # norm is the cofactor's, of degree d*(d - 1)
+    # each shift tried has its exact norm computed once, from power sums;
+    # x - theta is divided out of m first, so each norm is the cofactor's,
+    # of degree d*(d - 1), with no arithmetic in L
     calls = []
-    exact = numfield.nf_norm
+    exact = numfield._cofactor_norm
 
-    def counted(f, shift=0):
-        norm = exact(f, shift)
-        calls.append((shift, norm.degree))
+    def counted(m, g_q, shift):
+        norm = exact(m, g_q, shift)
+        calls.append((shift, norm))
         return norm
 
-    monkeypatch.setattr(numfield, "nf_norm", counted)
+    monkeypatch.setattr(numfield, "_cofactor_norm", counted)
     for m in (x ** 6 - x - 1, x ** 6 - 2, SWINNERTON):
         calls.clear()
         principal_subfields(NumberField(m))
-        assert len(calls) == 1
-        shift, degree = calls[0]
-        d = m.degree
-        assert degree == d * (d - 1)
+        shifts = [shift for shift, _ in calls]
+        assert len(set(shifts)) == len(shifts)
         # at 0 the norm is a power, and at -1 its roots alpha_i + alpha_j repeat
-        assert shift not in (0, -1)
+        assert shifts == [s for s in islice(numfield._shift_sequence(), 2 + len(shifts))
+                          if s not in (0, -1)]
+        d = m.degree
+        assert all(norm.degree == d * (d - 1) for _, norm in calls)
+        assert numfield.is_squarefree(calls[-1][1])
+        assert not any(numfield.is_squarefree(norm) for _, norm in calls[:-1])
+    assert len(calls) >= 2  # x^6 - 2 passes over shifts with repeated roots
 
 
 def test_known_factor_needs_no_gcd(monkeypatch):
-    gcds = []
-    real_gcd = NfPolynomial.gcd
-
-    def recorded(self, other):
-        h = real_gcd(self, other)
-        gcds.append(h)
-        return h
-
-    monkeypatch.setattr(NfPolynomial, "gcd", recorded)
+    gcds = _count_calls(monkeypatch, NfPolynomial, "gcd")
     for m, pulled_back in ((x ** 6 - x - 1, 0), (x ** 6 - 2, 2)):
         L = NumberField(m)
         gcds.clear()
         entries = principal_subfields(L)
         # x^6 - x - 1 has cofactor an irreducible quintic over L, and x^6 - 2
-        # the factors x + theta and x^2 +- theta*x + theta^2
-        assert len(gcds) == pulled_back
-        assert NfPolynomial(L, [-L.theta, L.one]) not in gcds
+        # the factors x + theta and x^2 +- theta*x + theta^2, pulled back mod p
+        assert gcds == []
+        assert len(entries) == 2 + pulled_back
         assert [e.degree for e in entries][-1] == 6
 
 
@@ -177,7 +175,7 @@ def test_screen_skipped_when_prime_divides_a_denominator(monkeypatch):
     def no_screen(*args):
         raise AssertionError("screened a norm that has no reduction mod p")
 
-    monkeypatch.setattr(numfield, "_norm_squarefree_mod_p", no_screen)
+    monkeypatch.setattr(numfield, "_squarefree_mod_p", no_screen)
     m = x ** 2 - Fraction(2, numfield._SCREEN_PRIME)
     L = NumberField(m)
     f = NfPolynomial.from_rat(L, m)
@@ -198,11 +196,157 @@ def test_exact_test_after_inconclusive_screens(monkeypatch):
     L = NumberField(x ** 2 + 1)
     inputs.append(NfPolynomial(L, [L.element([0, -1]), L.zero, L.one]))  # x^2 - i
     expected = [trager_factor(f).factors for f in inputs]
-    monkeypatch.setattr(numfield, "_norm_squarefree_mod_p", lambda *args: False)
+    monkeypatch.setattr(numfield, "_squarefree_mod_p", lambda *args: False)
     for f, factors in zip(inputs, expected):
         fact = trager_factor(f)
         assert fact.factors == factors
         assert fact.expand() == f
+
+
+def _random_field(rng, d, denominators=True):
+    while True:
+        coeffs = [
+            Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3]) if denominators else 1)
+            for _ in range(d)
+        ]
+        m = RatPolynomial(coeffs + [1])
+        if m.degree == d and factor_over_rationals(m).is_irreducible():
+            return NumberField(m)
+
+
+def _random_element(rng, L, height=3):
+    return L.element([
+        Fraction(rng.randint(-height, height), rng.choice([1, 1, 2, 5]))
+        for _ in range(L.degree)
+    ])
+
+
+def test_nf_norm_matches_interpolated_resultants():
+    rng = random.Random(101)
+    for case in range(42):
+        L = _random_field(rng, rng.randint(2, 8), denominators=case % 3 == 0)
+        n = rng.randint(1, 4)
+        coeffs = [_random_element(rng, L) for _ in range(n)]
+        # every third polynomial is not monic
+        lead = _random_element(rng, L) if case % 3 == 1 else L.one
+        f = NfPolynomial(L, coeffs + [lead if not lead.is_zero() else L.one])
+        shift = case % 7 - 3
+        assert numfield.nf_norm(f, shift) == interpolated_norm(f, shift), (L, f, shift)
+
+
+def test_cofactor_norm_matches_interpolated_resultants():
+    rng = random.Random(103)
+    for case in range(20):
+        L = _random_field(rng, rng.randint(2, 6), denominators=case % 2 == 0)
+        m = L.modulus
+        extra = RatPolynomial(
+            [Fraction(rng.randint(-5, 5), rng.choice([1, 3])) for _ in range(case % 3)] + [1]
+        )
+        g_q = numfield.squarefree_part(m * extra)
+        cofactor = NfPolynomial.from_rat(L, g_q) // NfPolynomial(L, [-L.theta, L.one])
+        for shift in (case % 7 - 3, 1):
+            expected = interpolated_norm(cofactor, shift)
+            assert numfield._cofactor_norm(m, g_q, shift) == expected, (m, g_q, shift)
+            assert numfield.nf_norm(cofactor, shift) == expected
+
+
+def test_norm_screen_matches_resultant_screen():
+    p = numfield._SCREEN_PRIME
+    rng = random.Random(107)
+    verdicts = set()
+    for case in range(30):
+        L = _random_field(rng, rng.randint(2, 5))
+        if case % 2:
+            # a rational input, whose norm at shift 0 is a power
+            g_q = RatPolynomial([rng.randint(-4, 4), rng.randint(-4, 4), 1])
+            g = NfPolynomial.from_rat(L, g_q)
+        else:
+            coeffs = [_random_element(rng, L) for _ in range(rng.randint(1, 3))]
+            g = NfPolynomial(L, coeffs + [L.one])
+        m_p = list(ModpPolynomial.reduce(L.modulus, p).coeffs)
+        lifted_p = [
+            list(ModpPolynomial.reduce(c.to_poly(), p).coeffs) for c in reversed(g.coeffs)
+        ]
+        for shift in (0, 1, -2):
+            verdict = numfield._squarefree_mod_p(numfield.nf_norm(g, shift))
+            assert verdict == resultant_screen(m_p, lifted_p, shift, p)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+# a Swinnerton-Dyer quartic scaled by 1000: its factors over L carry
+# denominators near 2 * 10^6, past what one prime below 2^31 reconstructs
+SCALED_SWINNERTON = x ** 4 - 10 ** 7 * x ** 2 + 10 ** 12
+
+
+def _pull_back_inputs():
+    """(g, fl, s) as trager_factor hands them to _pull_back."""
+    rational = [*_imprimitive_moduli(), SWINNERTON, x ** 6 - 2, SCALED_SWINNERTON]
+    for m in rational:
+        L = NumberField(m)
+        g = NfPolynomial.from_rat(L, m) // NfPolynomial(L, [-L.theta, L.one])
+        s, norm = numfield._squarefree_norm(
+            lambda s: numfield._cofactor_norm(m, m, s), (0, -1)
+        )
+        yield g, factor_over_rationals(norm), s
+    # inputs over L: with 2^31 - 1 in a denominator, and over Q(i)
+    L = NumberField(x ** 2 - Fraction(2, numfield._SCREEN_PRIME))
+    L_i = NumberField(x ** 2 + 1)
+    for g in (
+        NfPolynomial(L, [L.element([0, 3]), L.one]) * NfPolynomial.from_rat(L, L.modulus),
+        NfPolynomial(L_i, [L_i.element([1, 1]), L_i.one])
+        * NfPolynomial(L_i, [L_i.element([0, -1]), L_i.zero, L_i.one])
+        * NfPolynomial.from_rat(L_i, x ** 2 - 2),
+    ):
+        s, norm = numfield._squarefree_norm(lambda s: numfield.nf_norm(g, s), ())
+        yield g, factor_over_rationals(norm), s
+
+
+def test_modular_pull_back_matches_euclidean_gcd(monkeypatch):
+    primes = []
+    exact = numfield._gcds_mod_p
+
+    def counted(*args):
+        images = exact(*args)
+        primes.append(images is not None)
+        return images
+
+    monkeypatch.setattr(numfield, "_gcds_mod_p", counted)
+    used = []
+    for g, fl, s in _pull_back_inputs():
+        assert len(fl.factors) > 1
+        primes.clear()
+        ours = numfield._pull_back(g, fl, s)
+        used.append((g.field.modulus, sum(primes), len(primes)))
+        key = numfield._nf_sort_key
+        assert sorted(ours, key=key) == sorted(euclidean_pull_back(g, fl, s), key=key)
+    counts = {str(m): (good, tried) for m, good, tried in used}
+    assert counts[str(SCALED_SWINNERTON)][0] >= 2
+    # 2^31 - 1 divides a denominator there, so the first prime is passed over
+    assert counts[str(x ** 2 - Fraction(2, numfield._SCREEN_PRIME))] == (1, 2)
+
+
+# the imprimitive tail of stream-sextic: terms (1, 1, +-1) of
+# x^3 + y + a x^2 + b x + c on y^2 = x^5 - 1 meet this field
+STREAM_SEXTIC_TAIL = x ** 6 + x ** 5 + 3 * x ** 4 + 2 * x ** 3 + x ** 2 + 1
+
+
+def test_stream_sextic_tail_field_pinned(monkeypatch):
+    witness = numfield._principal_witness(STREAM_SEXTIC_TAIL)
+    assert witness.to_json() == {
+        "degree": 2,
+        "generator_coeffs": ["1", "2", "6", "2", "2", "0"],
+        "minpoly": ["11", "0", "1"],
+    }
+    calls = [
+        _count_calls(monkeypatch, exactalg, "resultant"),
+        _count_calls(monkeypatch, numfield, "resultant"),
+        _count_calls(monkeypatch, NfPolynomial, "gcd"),
+    ]
+    entries = principal_subfields(NumberField(STREAM_SEXTIC_TAIL))
+    assert calls == [[], [], []]
+    assert [e.degree for e in entries][-1] == 6
+    assert any(e.generator_minpoly == x ** 2 + 11 for e in entries)
 
 
 # ----------------------------------------------------------------------

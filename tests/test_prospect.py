@@ -31,7 +31,9 @@ from primpoints import (
     rational_roots,
     resolvent_cubic,
 )
-from primpoints import numfield
+from primpoints import curve_new, numfield
+from primpoints.prospect import _eliminated_presentation
+from test_exactalg import interpolated_presentation
 
 x = POLY_X
 
@@ -96,6 +98,23 @@ def test_fiber_polynomial_degree_always_d(g1, g2):
         for t in islice(height_ordered_rationals(), 12):
             ft, _ = fiber_polynomial(curve, f, t)
             assert ft.degree == d and ft.is_monic()
+
+
+def test_presentation_matches_interpolated_resultant(g1, g2, g3):
+    rng = random.Random(59)
+    curves = [g1, g2, g3, curve_new(RatPolynomial([2, 1, 0, 3]))]
+    curves.append(curve_new(x ** 5 - x * Fraction(1, 2) + 1))
+    for case in range(60):
+        curve = curves[case % len(curves)]
+        lower = [
+            Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+            for _ in range(rng.randint(1, 4))
+        ]
+        a = RatPolynomial(lower + [rng.choice([1, 1, -2, Fraction(1, 3)])])
+        t = Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 5]))
+        lam = Fraction(rng.randint(1, 4))
+        ours = _eliminated_presentation(curve, a, t, lam)
+        assert ours == interpolated_presentation(curve, a, t, lam).monic(), (a, t, lam)
 
 
 # ----------------------------------------------------------------------
