@@ -27,10 +27,10 @@ from .exactalg import (
     POLY_ONE,
     POLY_ZERO,
     RatPolynomial,
+    _gcd_cofactor,
     conjugate_power_sums,
     from_power_sums,
     poly_gcd,
-    poly_xgcd,
     rat_to_str,
     squarefree_part,
 )
@@ -135,7 +135,7 @@ def function_value_at_place(curve, f: CurveFunction, place: Place) -> tuple:
         a = (f.a // uj) % u
         if place.kind == KIND_INERT:
             b = (f.b // uj) % u
-    dinv = poly_xgcd(d, u)[1]
+    dinv = _gcd_cofactor(u, d)[1]
     e = a * dinv % u
     w = b * b * dinv * dinv * curve.h % u
     degree = 2 * u.degree

@@ -215,10 +215,7 @@ def _p_mod(f, g, p):
 def _p_gcd(a, b, p):
     while b:
         a, b = b, _p_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [x * inv % p for x in a]
-    return a
+    return _p_monic(a, p)
 
 
 def _p_monic(a, p):
@@ -226,6 +223,26 @@ def _p_monic(a, p):
         return list(a)
     inv = pow(a[-1], p - 2, p)
     return [x * inv % p for x in a]
+
+
+def _p_derivative(c, p):
+    return _p_trim([i * c[i] for i in range(1, len(c))], p)
+
+
+def _p_squarefree_of_degree(red, degree: int, p: int) -> bool:
+    """Whether the reduced red is squarefree of the given degree mod p: the
+    test for a good prime p of a polynomial of that degree."""
+    return len(red) == degree + 1 and len(_p_gcd(red, _p_derivative(red, p), p)) == 1
+
+
+def _p_residues(coeffs, p: int):
+    """The Fractions mod p as ints, or None when p divides a denominator."""
+    out = []
+    for q in coeffs:
+        if q.denominator % p == 0:
+            return None
+        out.append(q.numerator * pow(q.denominator, -1, p) % p)
+    return out
 
 
 def _p_powmod(base, e, mod, p):
@@ -300,11 +317,7 @@ class RatPolynomial:
     __slots__ = ("_c", "_hash")
 
     def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
-        n = len(c)
-        while n and c[n - 1] == 0:
-            n -= 1
-        self._c = tuple(c[:n])
+        self._c = tuple(_z_trim([Fraction(x) for x in coeffs]))
         self._hash = None
 
     # -- constructors ---------------------------------------------------
@@ -395,15 +408,7 @@ class RatPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise InvalidInput("negative polynomial power")
-        result = RatPolynomial([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, POLY_ONE)
 
     def __divmod__(self, other):
         other = _coerce(other)
@@ -456,9 +461,7 @@ class RatPolynomial:
         """Return (k: Fraction, c: list[int]) with self == k * c, c primitive, lc(c) > 0."""
         if self.is_zero():
             return Fraction(0), []
-        den = 1
-        for x in self._c:
-            den = den * x.denominator // int_gcd(den, x.denominator)
+        den = _denominator_lcm([self])
         ints = [int(x * den) for x in self._c]
         cont = _z_content(ints)
         sign = 1 if ints[-1] > 0 else -1
@@ -496,6 +499,19 @@ class RatPolynomial:
         return f"RatPolynomial({self})"
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by binary powering, with one the unit of base's
+    ring; the last square is not computed."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _coerce(v) -> RatPolynomial:
     if isinstance(v, RatPolynomial):
         return v
@@ -529,16 +545,21 @@ def poly_xgcd(p: RatPolynomial, q: RatPolynomial):
     """Extended gcd over Q: (g, s, t) with s*p + t*q = g, g monic."""
     if p.is_zero() and q.is_zero():
         raise InvalidInput("xgcd(0, 0) is undefined")
-    r0, r1 = p, q
-    s0, s1 = POLY_ONE, POLY_ZERO
+    g, t = _gcd_cofactor(p, q)
+    return g, ((g - t * q) // p if p else POLY_ZERO), t
+
+
+def _gcd_cofactor(a: RatPolynomial, b: RatPolynomial):
+    """(g, t) with g the monic gcd of a and b and t*b = g mod a, by the
+    Euclidean loop over Q that tracks b's cofactor only: when g = 1, t is
+    the inverse of b mod a.  a and b are not both zero."""
     t0, t1 = POLY_ZERO, POLY_ONE
-    while not r1.is_zero():
-        qq, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - qq * s1
-        t0, t1 = t1, t0 - qq * t1
-    inv = 1 / r0.lc
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        t0, t1 = t1, t0 - q * t1
+    inv = 1 / a.lc
+    return a.scale(inv), t0.scale(inv)
 
 
 def squarefree_part(p: RatPolynomial) -> RatPolynomial:
@@ -701,19 +722,13 @@ class ModpPolynomial:
         if not is_prime(modulus):
             raise InvalidInput(f"modulus {modulus} is not prime")
         self.p = modulus
-        c = [int(x) % modulus for x in coeffs]
-        n = len(c)
-        while n and c[n - 1] == 0:
-            n -= 1
-        self._c = tuple(c[:n])
+        self._c = tuple(_p_trim([int(x) for x in coeffs], modulus))
 
     @classmethod
     def reduce(cls, poly: RatPolynomial, p: int) -> "ModpPolynomial":
-        out = []
-        for q in poly.coeffs:
-            if q.denominator % p == 0:
-                raise InvalidInput(f"denominator not invertible mod {p}")
-            out.append(q.numerator * pow(q.denominator, -1, p) % p)
+        out = _p_residues(poly.coeffs, p)
+        if out is None:
+            raise InvalidInput(f"denominator not invertible mod {p}")
         return cls(p, out)
 
     @property
@@ -740,11 +755,7 @@ class ModpPolynomial:
     def _wrap(self, c):
         out = ModpPolynomial.__new__(ModpPolynomial)
         out.p = self.p
-        lst = [x % self.p for x in c]
-        n = len(lst)
-        while n and lst[n - 1] == 0:
-            n -= 1
-        out._c = tuple(lst[:n])
+        out._c = tuple(_p_trim(c, self.p))
         return out
 
     def __mul__(self, other):
@@ -809,7 +820,7 @@ def _p_squarefree_decomposition(c, p):
     def rec(f, mult):
         if len(f) <= 1:
             return
-        fp = _p_trim([i * f[i] % p for i in range(1, len(f))], p)
+        fp = _p_derivative(f, p)
         if not fp:
             # f = g(x^p); take p-th root and recurse with multiplicity * p
             root = [f[i] for i in range(0, len(f), p)]
@@ -1011,15 +1022,14 @@ def _cycle_types(zc, read=None):
     if read is None:
         read = []
     yield from read
-    lc = zc[-1]
+    n = len(zc) - 1
     p = read[-1][0] if read else 1
     while True:
         p += 1
-        if not is_prime(p) or lc % p == 0:
+        if not is_prime(p):
             continue
-        fmod = _p_trim([x % p for x in zc], p)
-        d = _p_trim([i * fmod[i] % p for i in range(1, len(fmod))], p)
-        if not d or len(_p_gcd(fmod, d, p)) != 1:
+        fmod = _p_trim(zc, p)
+        if not _p_squarefree_of_degree(fmod, n, p):
             continue
         degrees = []
         for block, k in _p_distinct_degree(_p_monic(fmod, p), p):

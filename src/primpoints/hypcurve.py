@@ -29,10 +29,11 @@ from .exactalg import (
     POLY_X,
     POLY_ZERO,
     RatPolynomial,
+    _gcd_cofactor,
+    _power,
     factor_over_rationals,
     is_squarefree,
     poly_gcd,
-    poly_xgcd,
     rational_sqrt,
 )
 from .linalg import nullspace
@@ -388,14 +389,7 @@ class CurveFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = CurveFunction(self.curve, POLY_ONE)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, CurveFunction(self.curve, POLY_ONE))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, RatPolynomial)):
@@ -458,10 +452,9 @@ def _sqrt_lift(curve, u: RatPolynomial, v: RatPolynomial, k: int) -> RatPolynomi
         prec = min(2 * prec, k)
         mod = u ** prec
         # vk <- (vk^2 + h) / (2 vk) mod u^prec
-        g, s, _ = poly_xgcd((vk * 2) % mod, mod)
+        g, inv2v = _gcd_cofactor(mod, (vk * 2) % mod)
         if g.degree != 0:
             raise InvalidInput("ramified place cannot be split-lifted")
-        inv2v = s % mod
         vk = ((vk * vk + h) % mod) * inv2v % mod
     return vk
 
@@ -512,11 +505,16 @@ def function_valuation(curve, f: CurveFunction, place: Place) -> int:
     if f.den.degree > 0:
         if place.kind == KIND_INFINITY:
             val += 2 * f.den.degree
-        elif place.kind == KIND_RAMIFIED:
-            val -= 2 * _ord_u(f.den, place.u)
         else:
-            val -= _ord_u(f.den, place.u)
+            val -= _den_order(place, _ord_u(f.den, place.u))
     return val
+
+
+def _den_order(place: Place, k: int) -> int:
+    """v_P(den) at an affine place P over u of a polynomial den with
+    ord_u(den) = k: e_P * k, with ramification index e_P = 2 at a ramified
+    place and 1 elsewhere."""
+    return (2 if place.kind == KIND_RAMIFIED else 1) * k
 
 
 def divisor_of(curve, f: CurveFunction) -> Divisor:
@@ -681,8 +679,7 @@ def riemann_roch_basis(curve, D: Divisor) -> RRSpace:
     rows = []
     for u, c in by_u:
         for place in sorted(over_u[u], key=Place.sort_key):
-            vden = (2 if place.kind == KIND_RAMIFIED else 1) * c
-            r = vden - D.mult(place)
+            r = _den_order(place, c) - D.mult(place)
             if r > 0:
                 rows.extend(_vanishing_rows(curve, place, r, monomials))
     vectors = tuple(tuple(v) for v in nullspace(rows, ncols=len(monomials)))
@@ -752,7 +749,7 @@ def _principal_function(curve, d0: Divisor, space: RRSpace):
                     row[col] = Fraction(1)
                     rows.append(row)
             continue
-        vden = function_valuation(curve, CurveFunction(curve, space.den), place)
+        vden = _den_order(place, _ord_u(space.den, place.u))
         rows.extend(_vanishing_rows(curve, place, m + vden, monomials))
     reduced = [[sum(c * v for c, v in zip(row, vec)) for vec in space.vectors] for row in rows]
     kernel = nullspace(reduced, ncols=len(space.vectors))

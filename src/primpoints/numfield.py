@@ -20,7 +20,6 @@ from math import gcd as int_gcd, isqrt
 
 from .errors import DivisionByZero, InvalidInput, NotAField
 from .exactalg import (
-    POLY_ONE,
     POLY_X,
     ModpPolynomial,
     RatPolynomial,
@@ -29,15 +28,17 @@ from .exactalg import (
     _denominator_lcm,
     _factor_list,
     _factor_squarefree_z,
+    _gcd_cofactor,
     _integral,
-    _p_gcd,
     _p_mod,
     _p_mul,
+    _p_residues,
+    _p_squarefree_of_degree,
     _p_trim,
     _p_xgcd,
+    _power,
     _scaled_monic,
     _z_add,
-    _z_derivative,
     _z_sub,
     factor_over_rationals,
     from_power_sums,
@@ -182,17 +183,10 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("cannot invert zero")
-        # extended euclid with the modulus
-        a, b = self.field.modulus, self.to_poly()
-        t0, t1 = RatPolynomial(), POLY_ONE
-        while not b.is_zero():
-            q, r = divmod(a, b)
-            a, b = b, r
-            t0, t1 = t1, t0 - q * t1
-        # a = gcd = s*m + t0*self (constant, since m irreducible)
-        if a.degree != 0:
+        g, t = _gcd_cofactor(self.field.modulus, self.to_poly())
+        if g.degree != 0:
             raise InvalidInput("modulus is not irreducible")
-        return self.field.from_poly(t0.scale(1 / a.lc))
+        return self.field.from_poly(t)
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
@@ -203,14 +197,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, self.field.one)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -471,8 +458,7 @@ def _squarefree_mod_p(norm: RatPolynomial) -> bool:
     squarefree polynomial of full degree."""
     p = _SCREEN_PRIME
     red = list(ModpPolynomial.reduce(norm, p).coeffs)
-    slope = _p_trim(_z_derivative(red), p)
-    return len(red) == norm.degree + 1 and len(_p_gcd(red, slope, p)) == 1
+    return _p_squarefree_of_degree(red, norm.degree, p)
 
 
 @dataclass(frozen=True)
@@ -641,17 +627,15 @@ def _gcds_mod_p(g: NfPolynomial, norm_factors, wanted, s: int, p: int):
     not have degree deg G / d.
     """
     L = g.field
-    m_p = _residues(L.modulus.coeffs, p)
-    g_p = [_residues(c.coeffs, p) for c in g.coeffs]
-    Gs = [_residues(G.coeffs, p) for G in norm_factors]
+    m_p = _p_residues(L.modulus.coeffs, p)
+    g_p = [_p_residues(c.coeffs, p) for c in g.coeffs]
+    Gs = [_p_residues(G.coeffs, p) for G in norm_factors]
     if m_p is None or None in g_p or None in Gs:
         return None
     norm_p = [1]
     for G_p in Gs:
         norm_p = _p_mul(norm_p, G_p, p)
-    slope = _p_trim(_z_derivative(norm_p), p)
-    full_degree = len(norm_p) == 1 + sum(G.degree for G in norm_factors)
-    if not full_degree or len(_p_gcd(norm_p, slope, p)) != 1:
+    if not _p_squarefree_of_degree(norm_p, sum(G.degree for G in norm_factors), p):
         return None
     g_p = [_p_trim(c, p) for c in g_p]
     n = g.degree
@@ -706,16 +690,6 @@ def _rp_trim(c):
     while c and not c[-1]:
         c.pop()
     return c
-
-
-def _residues(coeffs, p: int):
-    """The Fractions mod p as ints, or None when p divides a denominator."""
-    out = []
-    for q in coeffs:
-        if q.denominator % p == 0:
-            return None
-        out.append(q.numerator * pow(q.denominator, -1, p) % p)
-    return out
 
 
 def _crt(r: int, modulus: int, c: int, p: int) -> int:
@@ -780,6 +754,15 @@ def principal_subfields(L: NumberField) -> list:
     Every subfield of L is an intersection of the returned ones; the list
     always contains L itself (from the factor x - theta).
     """
+    out = [_subfield_entry(L, kernel) for kernel in _principal_kernels(L)]
+    out.sort(key=_entry_sort_key)
+    return out
+
+
+def _principal_kernels(L: NumberField) -> list:
+    """For each irreducible factor g of the modulus over L, in factor order,
+    the rref-canonical basis (nullspace) of its principal subfield: the
+    elements p(theta) of L with p(x) = p(theta) mod g."""
     m_over_L = NfPolynomial.from_rat(L, L.modulus)
     fact = trager_factor(m_over_L)
     d = L.degree
@@ -803,8 +786,7 @@ def principal_subfields(L: NumberField) -> list:
                 vec.extend(coef.coeffs)
             cols.append(vec)
         rows = [[cols[j][i] for j in range(d)] for i in range(k * d)]
-        out.append(_subfield_entry(L, nullspace(rows, ncols=d)))
-    out.sort(key=_entry_sort_key)
+        out.append(nullspace(rows, ncols=d))
     return out
 
 
@@ -1047,16 +1029,18 @@ def is_primitive_field(m: RatPolynomial, policy: str = "auto") -> PrimitivityCer
         raise InvalidInput("modulus must be monic")
     if policy not in ("auto", "general"):
         raise InvalidInput(f"unknown policy {policy!r}")
-    result = _factor_or_certify(m, policy) if is_squarefree(m) else None
+    result = _factor_or_certify(m) if is_squarefree(m) else None
     if not isinstance(result, PrimitivityCertificate):
         raise NotAField(f"{m} is reducible over Q")
+    if policy == "general" and result.method != METHOD_PRINCIPAL_SUBFIELDS:
+        return _principal_certificate(m)
     return result
 
 
-def _factor_or_certify(m: RatPolynomial, policy: str = "auto"):
+def _factor_or_certify(m: RatPolynomial):
     """The FactorList of a monic squarefree m over Q when m is reducible,
-    and otherwise the PrimitivityCertificate of Q[x]/(m) under a valid
-    policy.
+    and otherwise the PrimitivityCertificate of Q[x]/(m) that
+    is_primitive_field gives under policy 'auto'.
 
     The cycle types of m at its good primes are read once, by
     distinct-degree factorization, into one list: the Musser degree test
@@ -1075,16 +1059,16 @@ def _factor_or_certify(m: RatPolynomial, policy: str = "auto"):
     elif d != 1:
         # a constant, or divisible by x
         return factor_over_rationals(m)
-    return _decide_primitivity(m, policy, read)
+    return _decide_primitivity(m, read)
 
 
-def _decide_primitivity(m: RatPolynomial, policy: str, read=None) -> PrimitivityCertificate:
-    """is_primitive_field for a modulus already known to be monic and
-    irreducible over Q, and a valid policy.
+def _decide_primitivity(m: RatPolynomial, read=None) -> PrimitivityCertificate:
+    """is_primitive_field under policy 'auto' for a modulus already known
+    to be monic and irreducible over Q.
 
     ``read`` is the list of cycle types of m already read
     (exactalg._cycle_types), which the rules below continue rather than
-    read again; with None each rule reads afresh.  At degree 4 under 'auto', a
+    read again; with None each rule reads afresh.  At degree 4, a
     cycle type [1, 3] among the first _QUARTIC_PRIMES good primes gives a
     primitive resolvent_cubic certificate with no rational_roots call: a
     Frobenius element of that type has order 3, while a rational root of
@@ -1095,28 +1079,33 @@ def _decide_primitivity(m: RatPolynomial, policy: str, read=None) -> Primitivity
     every imprimitive quartic, the resolvent's rational roots decide.
     """
     d = m.degree
-    if policy == "auto":
-        if d == 1 or is_prime(d):
+    if d == 1 or is_prime(d):
+        return PrimitivityCertificate(
+            verdict=PRIMITIVE, method=METHOD_PRIME_DEGREE, modulus=m
+        )
+    if d == 4:
+        _, zc = m.to_zpoly()
+        types = islice(_cycle_types(zc, read), _QUARTIC_PRIMES)
+        if any(degrees == [1, 3] for _, degrees in types):
+            roots = []
+        else:
+            roots = rational_roots(resolvent_cubic(m))
+        if not roots:
             return PrimitivityCertificate(
-                verdict=PRIMITIVE, method=METHOD_PRIME_DEGREE, modulus=m
+                verdict=PRIMITIVE, method=METHOD_RESOLVENT_CUBIC, modulus=m
             )
-        if d == 4:
-            _, zc = m.to_zpoly()
-            types = islice(_cycle_types(zc, read), _QUARTIC_PRIMES)
-            if any(degrees == [1, 3] for _, degrees in types):
-                roots = []
-            else:
-                roots = rational_roots(resolvent_cubic(m))
-            if not roots:
-                return PrimitivityCertificate(
-                    verdict=PRIMITIVE, method=METHOD_RESOLVENT_CUBIC, modulus=m
-                )
-            return PrimitivityCertificate(
-                verdict=IMPRIMITIVE,
-                method=METHOD_RESOLVENT_CUBIC,
-                modulus=m,
-                witness=_resolvent_witness(m, roots) or _principal_witness(m, read),
-            )
+        return PrimitivityCertificate(
+            verdict=IMPRIMITIVE,
+            method=METHOD_RESOLVENT_CUBIC,
+            modulus=m,
+            witness=_resolvent_witness(m, roots) or _principal_witness(m, read),
+        )
+    return _principal_certificate(m, read)
+
+
+def _principal_certificate(m: RatPolynomial, read=None) -> PrimitivityCertificate:
+    """The principal_subfields certificate of an irreducible monic m, whose
+    verdict and witness are _principal_witness(m, read)'s."""
     witness = _principal_witness(m, read)
     return PrimitivityCertificate(
         verdict=PRIMITIVE if witness is None else IMPRIMITIVE,
@@ -1131,20 +1120,25 @@ def _principal_witness(m: RatPolynomial, read=None):
 
     A Frobenius cycle type that proves Gal(m) primitive answers None at
     once: a field with a primitive Galois group has no proper subfield.
-    Principal subfields run only when no cycle type settles it.  ``read``
-    is passed on to _frobenius_primitive.
+    Principal subfields run only when no cycle type settles it, and only
+    the proper ones get an entry; the least by _entry_sort_key is the first
+    proper entry of principal_subfields.  ``read`` is passed on to
+    _frobenius_primitive.
     """
     if _frobenius_primitive(m, read):
         return None
     L = NumberField(m, check=False)
-    for e in principal_subfields(L):
-        if 1 < e.degree < L.degree:
-            return SubfieldWitness(
-                degree=e.degree,
-                generator=e.generator,
-                generator_minpoly=e.generator_minpoly,
-            )
-    return None
+    entries = [
+        _subfield_entry(L, kernel)
+        for kernel in _principal_kernels(L)
+        if 1 < len(kernel) < L.degree
+    ]
+    if not entries:
+        return None
+    e = min(entries, key=_entry_sort_key)
+    return SubfieldWitness(
+        degree=e.degree, generator=e.generator, generator_minpoly=e.generator_minpoly
+    )
 
 
 # good primes whose Frobenius cycle types _frobenius_primitive reads

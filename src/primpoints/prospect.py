@@ -10,9 +10,10 @@ or the primitive remainder measures the density of primitive functions.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .errors import (
     DegeneratePresentation,
@@ -39,11 +40,12 @@ from .hypcurve import (
 )
 from .contract import imprimitive_locus_test
 from .numfield import (
+    IMPRIMITIVE,
     METHOD_FROM_SPECIALIZATION,
     PRIMITIVE,
     PrimitivityCertificate,
-    _decide_primitivity,
     _factor_or_certify,
+    _principal_witness,
     coefficient_vectors,
 )
 
@@ -174,12 +176,13 @@ def classify_specialization(
             lam=lam,
         )
     if paranoid:
-        check = _decide_primitivity(poly, "general")
-        if check.verdict != cert.verdict:
+        witness = _principal_witness(poly)
+        verdict = PRIMITIVE if witness is None else IMPRIMITIVE
+        if verdict != cert.verdict:
             raise VerificationFailure(
-                f"method disagreement at t={t}: {cert.verdict} vs {check.verdict}"
+                f"method disagreement at t={t}: {cert.verdict} vs {verdict}"
             )
-        if check.witness != cert.witness:
+        if witness != cert.witness:
             raise VerificationFailure(f"witness disagreement at t={t}")
     return Specialization(
         t=t, fiber_poly=poly, status=STATUS_IRREDUCIBLE, certificate=cert, lam=lam
@@ -344,36 +347,22 @@ def density_experiment(
                 f"exhaustive box of {box} vectors exceeds "
                 f"{MAX_EXHAUSTIVE_VECTORS}; draw samples instead"
             )
-        total = 0
-        for vec in product(range(-H, H + 1), repeat=dim):
-            if all(v == 0 for v in vec):
-                continue
-            counts[classify(vec)] += 1
-            total += 1
-        return DensityReport(
-            divisor=D,
-            coeff_height=H,
-            mode="exhaustive",
-            sample_count=total,
-            seed=None,
-            counts=counts,
-        )
-    import random
-
-    rng = random.Random(seed)
-    drawn = 0
-    while drawn < samples:
-        vec = tuple(rng.randint(-H, H) for _ in range(dim))
-        if all(v == 0 for v in vec):
-            continue
+        vectors = product(range(-H, H + 1), repeat=dim)
+    else:
+        rng = random.Random(seed)
+        # endless draws: no tuple equals the sentinel None
+        vectors = iter(lambda: tuple(rng.randint(-H, H) for _ in range(dim)), None)
+    total = 0
+    # the zero vector is skipped, and a draw of it does not count
+    for vec in islice(filter(any, vectors), samples):
         counts[classify(vec)] += 1
-        drawn += 1
+        total += 1
     return DensityReport(
         divisor=D,
         coeff_height=H,
-        mode="seeded",
-        sample_count=samples,
-        seed=seed,
+        mode="exhaustive" if samples is None else "seeded",
+        sample_count=total,
+        seed=None if samples is None else seed,
         counts=counts,
     )
 

@@ -154,6 +154,17 @@ def test_certify_cli(curve_file, capsys):
     assert out["verdict"] == "primitive" and out["reverified"]
 
 
+CERTIFY_PARANOID_PINNED = Path(__file__).with_name("certify_paranoid_pinned.json")
+
+
+def test_certify_paranoid_pinned(capsys):
+    # a primitive quintic, an imprimitive V4 quartic, an A4 quartic and the
+    # imprimitive stream-sextic tail field keep their reports' bytes
+    for case in json.loads(CERTIFY_PARANOID_PINNED.read_text()):
+        assert main(list(case["argv"])) == case["exit"], case["argv"]
+        assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
 def test_certify_reducible_exit_1(capsys):
     assert main(["certify", "--poly", "x^4-1"]) == 1
 

@@ -20,18 +20,19 @@ from primpoints import (
     resultant,
     squarefree_part,
 )
-from primpoints import exactalg
+from primpoints import exactalg, numfield
 from primpoints.contract import POINT_INF, point_closed, point_rat
-from primpoints.exactalg import from_power_sums, power_sums
+from primpoints.exactalg import POLY_ONE, POLY_ZERO, from_power_sums, power_sums
 from primpoints.hypcurve import (
     INFINITY,
     KIND_INERT,
     KIND_SPLIT,
+    CurveFunction,
     _ord_u,
     _sqrt_lift,
     function_valuation,
 )
-from primpoints.numfield import NfPolynomial
+from primpoints.numfield import NfPolynomial, NumberField
 
 x = POLY_X
 
@@ -81,20 +82,34 @@ def test_squarefree_coprime_with_derivative(p):
 # ----------------------------------------------------------------------
 # powers
 
-def test_power_matches_repeated_multiplication(monkeypatch):
-    p = RatPolynomial([Fraction(-3, 2), 0, 2, 1])
-    expected = RatPolynomial([1])
-    for n in range(9):
-        assert p ** n == expected
-        expected = expected * p
-    square = p * p
-    calls = []
-    exact = RatPolynomial.__mul__
-    monkeypatch.setattr(RatPolynomial, "__mul__", lambda a, b: calls.append(b) or exact(a, b))
-    assert p ** 2 == square
-    # one squaring and one product into the result: the square is not
-    # squared again after the last bit
-    assert len(calls) == 2
+def test_power_matches_repeated_multiplication(g1, monkeypatch):
+    L = NumberField(x ** 3 - 2)
+    cases = [
+        (RatPolynomial([Fraction(-3, 2), 0, 2, 1]), RatPolynomial([1])),
+        (L.element([1, Fraction(-1, 2), 3]), L.one),
+        (CurveFunction(g1, x + 2, RatPolynomial([Fraction(1, 3)]), x - 1), g1.function(POLY_ONE)),
+    ]
+    for base, one in cases:
+        expected = one
+        for n in range(9):
+            assert base ** n == expected
+            expected = expected * base
+        if not isinstance(base, RatPolynomial):
+            expected = one
+            for n in range(5):
+                assert base ** -n == expected
+                expected = expected * base.inverse()
+        square = base * base
+        calls = []
+        exact = type(base).__mul__
+        monkeypatch.setattr(type(base), "__mul__", lambda a, b: calls.append(b) or exact(a, b))
+        assert base ** 2 == square
+        # one squaring and one product into the result: the square is not
+        # squared again after the last bit
+        assert len(calls) == 2
+        monkeypatch.undo()
+    with pytest.raises(InvalidInput):
+        cases[0][0] ** -1
 
 
 # ----------------------------------------------------------------------
@@ -396,6 +411,150 @@ def test_xgcd_identity():
     g, s, t = poly_xgcd(x ** 4 - 1, x ** 3 + 1)
     assert s * (x ** 4 - 1) + t * (x ** 3 + 1) == g
     assert g.is_monic()
+
+
+# ----------------------------------------------------------------------
+# oracles: the Euclidean loops that the one-cofactor loop
+# exactalg._gcd_cofactor replaced
+
+def two_cofactor_xgcd(p, q):
+    """(g, s, t) with s*p + t*q = g, g monic, by the Euclidean loop that
+    tracks both cofactors."""
+    r0, r1 = p, q
+    s0, s1 = POLY_ONE, POLY_ZERO
+    t0, t1 = POLY_ZERO, POLY_ONE
+    while not r1.is_zero():
+        qq, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - qq * s1
+        t0, t1 = t1, t0 - qq * t1
+    inv = 1 / r0.lc
+    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
+
+
+def euclidean_inverse(alpha):
+    """The inverse of a nonzero field element by the extended Euclidean
+    loop with the modulus."""
+    a, b = alpha.field.modulus, alpha.to_poly()
+    t0, t1 = RatPolynomial(), POLY_ONE
+    while not b.is_zero():
+        q, r = divmod(a, b)
+        a, b = b, r
+        t0, t1 = t1, t0 - q * t1
+    return alpha.field.from_poly(t0.scale(1 / a.lc))
+
+
+def _random_rat_poly(rng, degree):
+    lower = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(degree)]
+    return RatPolynomial(lower + [rng.choice([1, -2, Fraction(1, 3)])])
+
+
+def test_xgcd_matches_two_cofactor_oracle():
+    rng = random.Random(211)
+    pairs = [(RatPolynomial(), x ** 2 + 1), (x ** 3 - 2, RatPolynomial()), (x, x + 1)]
+    for case in range(300):
+        dp = rng.randint(0, 6)
+        # every third pair has equal degrees, and every fourth a common factor
+        dq = dp if case % 3 == 0 else rng.randint(0, 6)
+        p, q = _random_rat_poly(rng, dp), _random_rat_poly(rng, dq)
+        if case % 4 == 1:
+            common = _random_rat_poly(rng, rng.randint(1, 3))
+            p, q = p * common, q * common
+        pairs.append((p, q))
+    common_factors = 0
+    for p, q in pairs:
+        g, s, t = poly_xgcd(p, q)
+        assert (g, s, t) == two_cofactor_xgcd(p, q), (p, q)
+        assert s * p + t * q == g
+        common_factors += g.degree > 0
+    assert common_factors >= 75
+    with pytest.raises(InvalidInput):
+        poly_xgcd(RatPolynomial(), RatPolynomial())
+
+
+def test_field_inverse_matches_euclidean_oracle():
+    rng = random.Random(223)
+    fields = 0
+    while fields < 30:
+        d = rng.randint(1, 6)
+        m = RatPolynomial([Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2])) for _ in range(d)] + [1])
+        if not factor_over_rationals(m).is_irreducible():
+            continue
+        fields += 1
+        L = NumberField(m, check=False)
+        for k in range(6):
+            # every third element is rational
+            size = 1 if k % 3 == 0 else d
+            alpha = L.element([Fraction(rng.randint(-4, 4), rng.choice([1, 3])) for _ in range(size)])
+            if alpha.is_zero():
+                continue
+            inverse = alpha.inverse()
+            assert inverse == euclidean_inverse(alpha), (m, alpha)
+            assert alpha * inverse == L.one
+
+
+# ----------------------------------------------------------------------
+# the good-prime test: squarefree of full degree mod p
+
+def cycle_types_good(zc, p):
+    """The good-prime test _cycle_types ran inline on an integer list."""
+    if zc[-1] % p == 0:
+        return False
+    fmod = exactalg._p_trim([v % p for v in zc], p)
+    d = exactalg._p_trim([i * fmod[i] % p for i in range(1, len(fmod))], p)
+    return bool(d) and len(exactalg._p_gcd(fmod, d, p)) == 1
+
+
+def screen_good(poly, p):
+    """The test numfield._squarefree_mod_p ran inline, at any prime p."""
+    red = list(ModpPolynomial.reduce(poly, p).coeffs)
+    slope = exactalg._p_trim(exactalg._z_derivative(red), p)
+    return len(red) == poly.degree + 1 and len(exactalg._p_gcd(red, slope, p)) == 1
+
+
+def norm_factors_good(factors, p):
+    """The test numfield._gcds_mod_p ran inline on the norm's factors."""
+    norm_p = [1]
+    for G in factors:
+        norm_p = exactalg._p_mul(norm_p, list(ModpPolynomial.reduce(G, p).coeffs), p)
+    slope = exactalg._p_trim(exactalg._z_derivative(norm_p), p)
+    full_degree = len(norm_p) == 1 + sum(G.degree for G in factors)
+    return full_degree and len(exactalg._p_gcd(norm_p, slope, p)) == 1
+
+
+def test_good_prime_predicate_matches_the_inline_tests():
+    rng = random.Random(227)
+    primes = [p for p in range(2, 40) if exactalg.is_prime(p)]
+    seen = set()
+    for case in range(120):
+        factors = [
+            RatPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+                          + [rng.choice([1, 2, 3, 5, 6, 10])])
+            for _ in range(2)
+        ]
+        if case % 10 == 0:
+            factors[1] = factors[0]  # a square over Q
+        f = factors[0] * factors[1]
+        zc = [int(c) for c in f.coeffs]
+        # p divides lc(f) * disc(f) exactly when it divides lc(f) * Res(f, f')
+        res = resultant(f, f.derivative())
+        for p in primes:
+            ours = exactalg._p_squarefree_of_degree(exactalg._p_trim(zc, p), f.degree, p)
+            assert ours == cycle_types_good(zc, p), (f, p)
+            assert ours == screen_good(f, p), (f, p)
+            assert ours == norm_factors_good(factors, p), (f, p)
+            assert ours == (zc[-1] % p != 0 and res % p != 0), (f, p)
+            seen.add("lc" if zc[-1] % p == 0 else "disc" if not ours else "good")
+    assert seen == {"lc", "disc", "good"}
+    # the shift screen's seam at its own prime
+    P = numfield._SCREEN_PRIME
+    for f, good in (
+        (x ** 2 + 3 * x + 1, True),
+        ((x - 1) * (x - 1 - P), False),
+        (P * x ** 2 + x + 1, False),
+        (x ** 3 - Fraction(1, 3), True),
+    ):
+        assert numfield._squarefree_mod_p(f) == screen_good(f, P) == good
 
 
 # ----------------------------------------------------------------------

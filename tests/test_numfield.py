@@ -390,6 +390,28 @@ def test_principal_subfields_cyclotomic8():
     assert any(e.degree == 4 for e in entries)
 
 
+def test_witness_builds_only_proper_entries(monkeypatch):
+    moduli = [SWINNERTON, x ** 4 + 1, x ** 6 - 2, STREAM_SEXTIC_TAIL, x ** 6 - x - 1]
+    expected = []
+    for m in moduli:
+        proper = [e for e in principal_subfields(NumberField(m)) if 1 < e.degree < m.degree]
+        expected.append((len(proper), proper[0] if proper else None))
+    # no cycle type settles any field, so principal subfields run on each
+    monkeypatch.setattr(numfield, "_FROBENIUS_PRIMES", 0)
+    built = _count_calls(monkeypatch, numfield, "_subfield_entry")
+    for m, (count, first) in zip(moduli, expected):
+        built.clear()
+        witness = numfield._principal_witness(m)
+        assert len(built) == count
+        if first is None:
+            assert witness is None
+        else:
+            assert (witness.degree, witness.generator, witness.generator_minpoly) == (
+                first.degree, first.generator, first.generator_minpoly
+            )
+    assert [count for count, _ in expected] == [3, 3, 2, 1, 0]
+
+
 PINNED = Path(__file__).with_name("principal_subfields_pinned.json")
 
 
