@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, islice
 from math import comb, gcd as int_gcd, isqrt
 
@@ -1007,35 +1008,43 @@ def _mignotte_bound(zc):
     return (1 << n) * norm2 * abs(zc[-1])
 
 
-def _cycle_types(zc, read=None):
+# bounded at 1024 distinct (p, residue) pairs; a sweep of 120 fibers of
+# one quartic function reads about 100
+@lru_cache(maxsize=1024)
+def _p_cycle_type(p: int, monic: tuple):
+    """Ascending degrees of the irreducible factors of the monic residue
+    ``monic`` mod p, as a tuple, by distinct-degree factorization; None
+    when it is not squarefree mod p.  A pure function of (p, monic), so
+    the memo serves every polynomial with that residue."""
+    red = list(monic)
+    if not _p_squarefree_of_degree(red, len(red) - 1, p):
+        return None
+    degrees = []
+    for block, k in _p_distinct_degree(red, p):
+        degrees += [k] * ((len(block) - 1) // k)
+    return tuple(degrees)
+
+
+def _cycle_types(zc):
     """Yield (p, ascending degrees of the irreducible factors of zc mod p)
     at the good primes p in increasing order, by distinct-degree
     factorization alone: p does not divide lc(zc), and zc mod p is
     squarefree of full degree, so the degrees are the cycle type of a
     Frobenius element of the Galois group of zc.
 
-    The pairs already in the list ``read`` come first; then each good
-    prime after the last one read is factored and its pair appended to
-    ``read``, so the callers that share the list factor no prime twice
-    (None reads from the first good prime into a list of its own).
+    Each (p, monic residue of zc mod p) is factored once while it stays
+    in the bounded memo _p_cycle_type: the rules that walk one fiber's
+    primes again, and the fibers of a sweep whose residues agree mod p,
+    find it there.  The memo keeps tuples, and each yield is a fresh list.
     """
-    if read is None:
-        read = []
-    yield from read
-    n = len(zc) - 1
-    p = read[-1][0] if read else 1
+    p = 1
     while True:
         p += 1
-        if not is_prime(p):
+        if not is_prime(p) or zc[-1] % p == 0:
             continue
-        fmod = _p_trim(zc, p)
-        if not _p_squarefree_of_degree(fmod, n, p):
-            continue
-        degrees = []
-        for block, k in _p_distinct_degree(_p_monic(fmod, p), p):
-            degrees += [k] * ((len(block) - 1) // k)
-        read.append((p, degrees))
-        yield p, degrees
+        degrees = _p_cycle_type(p, tuple(_p_monic(_p_trim(zc, p), p)))
+        if degrees is not None:
+            yield p, list(degrees)
 
 
 # good primes whose degree sets _factor_squarefree_z intersects; a quartic
@@ -1045,7 +1054,7 @@ _MUSSER_PRIMES = 3
 _QUARTIC_PRIMES = 5
 
 
-def _factor_squarefree_z(zc, read=None):
+def _factor_squarefree_z(zc):
     """Irreducible factors (primitive, positive lc) of a squarefree primitive zc.
 
     Every factor over Z has a degree that is a sum of factor degrees mod
@@ -1054,8 +1063,7 @@ def _factor_squarefree_z(zc, read=None):
     (_QUARTIC_PRIMES for a quartic): when only 0 and n are left, zc is
     irreducible with no Hensel lift, and otherwise the prime with the fewest
     factors is split completely and lifted, and recombination tries only
-    subsets whose degree sum is left.  ``read`` is the shared list of
-    _cycle_types, which this call extends.
+    subsets whose degree sum is left.
     """
     n = len(zc) - 1
     if n <= 1:
@@ -1064,7 +1072,7 @@ def _factor_squarefree_z(zc, read=None):
     degree_sums = (1 << (n + 1)) - 1
     best = None
     count = _QUARTIC_PRIMES if n == 4 else _MUSSER_PRIMES
-    for p, degrees in islice(_cycle_types(zc, read), count):
+    for p, degrees in islice(_cycle_types(zc), count):
         if best is None or len(degrees) < len(best[1]):
             best = (p, degrees)
         sums = 1

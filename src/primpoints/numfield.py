@@ -1022,8 +1022,8 @@ def is_primitive_field(m: RatPolynomial, policy: str = "auto") -> PrimitivityCer
     'general', is decided by _principal_witness: Frobenius cycle types when
     they prove the Galois group primitive, and otherwise principal
     subfields.  The method is principal_subfields either way, since its
-    verdict is theirs.  Irreducibility and these rules share one reading of
-    the cycle types (_factor_or_certify).
+    verdict is theirs.  Irreducibility and these rules read the same
+    memoized cycle types (_factor_or_certify).
     """
     if m.is_zero() or not m.is_monic():
         raise InvalidInput("modulus must be monic")
@@ -1042,41 +1042,39 @@ def _factor_or_certify(m: RatPolynomial):
     and otherwise the PrimitivityCertificate of Q[x]/(m) that
     is_primitive_field gives under policy 'auto'.
 
-    The cycle types of m at its good primes are read once, by
-    distinct-degree factorization, into one list: the Musser degree test
-    of _factor_squarefree_z, the [1, 3] rule of _decide_primitivity and
-    _frobenius_primitive each continue it where the last one stopped.  A
-    complete split mod p runs only when m must be Hensel-lifted.
+    The cycle types of m at its good primes are read by distinct-degree
+    factorization (exactalg._cycle_types, whose memo reads each prime
+    once): the Musser degree test of _factor_squarefree_z, the [1, 3] rule
+    of _decide_primitivity and _frobenius_primitive each walk them from the
+    first good prime.  A complete split mod p runs only when m must be
+    Hensel-lifted.
     """
     d = m.degree
     _, zc = m.to_zpoly()
-    read = []
     if d > 1 and zc[0]:
-        factors = _factor_squarefree_z(zc, read)
+        factors = _factor_squarefree_z(zc)
         if len(factors) > 1:
             # m is monic, so the unit is 1
             return _factor_list(Fraction(1), {RatPolynomial(f).monic(): 1 for f in factors})
     elif d != 1:
         # a constant, or divisible by x
         return factor_over_rationals(m)
-    return _decide_primitivity(m, read)
+    return _decide_primitivity(m)
 
 
-def _decide_primitivity(m: RatPolynomial, read=None) -> PrimitivityCertificate:
+def _decide_primitivity(m: RatPolynomial) -> PrimitivityCertificate:
     """is_primitive_field under policy 'auto' for a modulus already known
     to be monic and irreducible over Q.
 
-    ``read`` is the list of cycle types of m already read
-    (exactalg._cycle_types), which the rules below continue rather than
-    read again; with None each rule reads afresh.  At degree 4, a
-    cycle type [1, 3] among the first _QUARTIC_PRIMES good primes gives a
-    primitive resolvent_cubic certificate with no rational_roots call: a
-    Frobenius element of that type has order 3, while a rational root of
-    the resolvent cubic would be a pairing of the roots of m fixed by
-    Gal(m), putting Gal(m) inside a D4 of order 8, which has no element of
-    order 3.  So Gal(m) is A4 or S4 and the resolvent has no rational root,
-    the certificate rational_roots would give.  With no [1, 3] read, as for
-    every imprimitive quartic, the resolvent's rational roots decide.
+    At degree 4, a cycle type [1, 3] among the first _QUARTIC_PRIMES good
+    primes gives a primitive resolvent_cubic certificate with no
+    rational_roots call: a Frobenius element of that type has order 3,
+    while a rational root of the resolvent cubic would be a pairing of the
+    roots of m fixed by Gal(m), putting Gal(m) inside a D4 of order 8,
+    which has no element of order 3.  So Gal(m) is A4 or S4 and the
+    resolvent has no rational root, the certificate rational_roots would
+    give.  With no [1, 3] read, as for every imprimitive quartic, the
+    resolvent's rational roots decide.
     """
     d = m.degree
     if d == 1 or is_prime(d):
@@ -1085,7 +1083,7 @@ def _decide_primitivity(m: RatPolynomial, read=None) -> PrimitivityCertificate:
         )
     if d == 4:
         _, zc = m.to_zpoly()
-        types = islice(_cycle_types(zc, read), _QUARTIC_PRIMES)
+        types = islice(_cycle_types(zc), _QUARTIC_PRIMES)
         if any(degrees == [1, 3] for _, degrees in types):
             roots = []
         else:
@@ -1098,15 +1096,15 @@ def _decide_primitivity(m: RatPolynomial, read=None) -> PrimitivityCertificate:
             verdict=IMPRIMITIVE,
             method=METHOD_RESOLVENT_CUBIC,
             modulus=m,
-            witness=_resolvent_witness(m, roots) or _principal_witness(m, read),
+            witness=_resolvent_witness(m, roots) or _principal_witness(m),
         )
-    return _principal_certificate(m, read)
+    return _principal_certificate(m)
 
 
-def _principal_certificate(m: RatPolynomial, read=None) -> PrimitivityCertificate:
+def _principal_certificate(m: RatPolynomial) -> PrimitivityCertificate:
     """The principal_subfields certificate of an irreducible monic m, whose
-    verdict and witness are _principal_witness(m, read)'s."""
-    witness = _principal_witness(m, read)
+    verdict and witness are _principal_witness(m)'s."""
+    witness = _principal_witness(m)
     return PrimitivityCertificate(
         verdict=PRIMITIVE if witness is None else IMPRIMITIVE,
         method=METHOD_PRINCIPAL_SUBFIELDS,
@@ -1115,17 +1113,16 @@ def _principal_certificate(m: RatPolynomial, read=None) -> PrimitivityCertificat
     )
 
 
-def _principal_witness(m: RatPolynomial, read=None):
+def _principal_witness(m: RatPolynomial):
     """First proper principal subfield as a witness, or None.
 
     A Frobenius cycle type that proves Gal(m) primitive answers None at
     once: a field with a primitive Galois group has no proper subfield.
     Principal subfields run only when no cycle type settles it, and only
     the proper ones get an entry; the least by _entry_sort_key is the first
-    proper entry of principal_subfields.  ``read`` is passed on to
-    _frobenius_primitive.
+    proper entry of principal_subfields.
     """
-    if _frobenius_primitive(m, read):
+    if _frobenius_primitive(m):
         return None
     L = NumberField(m, check=False)
     entries = [
@@ -1145,11 +1142,10 @@ def _principal_witness(m: RatPolynomial, read=None):
 _FROBENIUS_PRIMES = 20
 
 
-def _frobenius_primitive(m: RatPolynomial, read=None) -> bool:
+def _frobenius_primitive(m: RatPolynomial) -> bool:
     """Whether the cycle types of Frobenius at the first _FROBENIUS_PRIMES
     good primes of the irreducible m prove Gal(m) primitive; False proves
-    nothing.  ``read`` holds the cycle types of m already read
-    (exactalg._cycle_types); the primes after them are read on demand.
+    nothing.
 
     At a prime p not dividing the leading coefficient, with m mod p
     squarefree of full degree, the degrees of the irreducible factors of
@@ -1169,7 +1165,7 @@ def _frobenius_primitive(m: RatPolynomial, read=None) -> bool:
     _, zc = m.to_zpoly()
     two_transitive = 1 | (1 << (d - 1))
     orbit_sums = (1 << d) - 1
-    for _, degrees in islice(_cycle_types(zc, read), _FROBENIUS_PRIMES):
+    for _, degrees in islice(_cycle_types(zc), _FROBENIUS_PRIMES):
         if any(2 * k > d and is_prime(k) for k in degrees):
             return True
         if 1 in degrees:

@@ -320,12 +320,17 @@ def density_experiment(
 
     Exhaustive mode enumerates every nonzero vector with entries in
     [-H, H], at most MAX_EXHAUSTIVE_VECTORS of them; seeded mode draws
-    ``samples`` nonzero vectors uniformly.
+    ``samples`` nonzero vectors uniformly.  H below 1 (whose only vector
+    is zero) and a negative ``samples`` raise InvalidInput.
     Divisors whose full-degree functions can have pole shapes outside the
     locus test's scope (affine support mixed with repeated infinity)
     propagate Unsupported rather than guessing."""
     if D.degree <= 2 * curve.genus:
         raise OutOfTheoremRange("density experiment requires deg D > 2g")
+    if coeff_height < 1:
+        raise InvalidInput(f"coeff_height must be >= 1, not {coeff_height}")
+    if samples is not None and samples < 0:
+        raise InvalidInput(f"samples must be >= 0, not {samples}")
     H = coeff_height
     space = riemann_roch_basis(curve, D)
     dim = space.dimension

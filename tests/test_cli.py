@@ -20,6 +20,7 @@ from primpoints import (
     parse_function_expr,
     parse_poly_expr,
 )
+from primpoints import exactalg
 from primpoints.cli import ParseError, build_parser, main
 from primpoints.contract import MAX_CONTR_PLACES
 
@@ -179,6 +180,24 @@ def test_prospect_cli_and_seed_determinism(curve_file, capsys):
     assert first == second
     data = json.loads(first)
     assert data["counts"]["primitive_points"] >= 1
+
+
+def test_prospect_bytes_do_not_depend_on_the_cycle_type_memo(curve_file, capsys, monkeypatch):
+    # a stream-quartic call, cold, warm, and with the memo bypassed
+    args = ["prospect", curve_file, "--function", "x^2 + y + x - 2", "--t-height", "120"]
+    memo = exactalg._p_cycle_type
+    memo.cache_clear()
+    reports, misses = [], []
+    for bypass in (False, False, True):
+        if bypass:
+            monkeypatch.setattr(exactalg, "_p_cycle_type", memo.__wrapped__)
+        assert main(args) == 0
+        reports.append(capsys.readouterr().out)
+        misses.append(memo.cache_info().misses)
+    assert reports[0] == reports[1] == reports[2]
+    # the second call found every residue in the memo; the third bypassed it
+    assert 0 < misses[0] == misses[1] == misses[2]
+    assert json.loads(reports[0])["counts"]["primitive_points"] >= 1
 
 
 def test_prospect_paranoid_cross_check(curve_file, capsys):

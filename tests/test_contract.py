@@ -592,5 +592,5 @@ def test_imprimitive_functions_specialize_imprimitively(g1):
 
 
 def test_module_caches_bounded():
-    for cached in (infinity_series_xy, enumerate_contr0):
+    for cached in (infinity_series_xy, enumerate_contr0, exactalg._p_cycle_type):
         assert cached.cache_info().maxsize is not None

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from math import gcd
 
 import pytest
@@ -15,6 +15,7 @@ from primpoints import (
     factor_mod_p,
     factor_over_rationals,
     hensel_lift,
+    is_squarefree,
     poly_gcd,
     poly_xgcd,
     resultant,
@@ -343,10 +344,8 @@ def test_degree_sets_prove_irreducible_without_lifting(monkeypatch):
     # reducible at each good prime, but degrees 1 + 3 mod 5 and 2 + 2 mod 7
     # leave no proper factor degree over Q
     f = [-2, 2, -1, -5, 1]
-    read = []
-    types = list(islice(exactalg._cycle_types(f, read), 3))
+    types = list(islice(exactalg._cycle_types(f), 3))
     assert types == [(5, [1, 3]), (7, [2, 2]), (11, [1, 3])]
-    assert read == types
     patterns = [
         sorted(g.degree for g, _ in factor_mod_p(ModpPolynomial(p, f)).factors)
         for p in (5, 7, 11)
@@ -555,6 +554,91 @@ def test_good_prime_predicate_matches_the_inline_tests():
         (x ** 3 - Fraction(1, 3), True),
     ):
         assert numfield._squarefree_mod_p(f) == screen_good(f, P) == good
+
+
+# ----------------------------------------------------------------------
+# the memoized cycle types
+
+def inline_cycle_types(zc):
+    """The loop _cycle_types ran before its memo: every good prime of zc
+    factored afresh, with no cache."""
+    n = len(zc) - 1
+    p = 1
+    while True:
+        p += 1
+        if not exactalg.is_prime(p):
+            continue
+        fmod = exactalg._p_trim(zc, p)
+        if not exactalg._p_squarefree_of_degree(fmod, n, p):
+            continue
+        degrees = []
+        for block, k in exactalg._p_distinct_degree(exactalg._p_monic(fmod, p), p):
+            degrees += [k] * ((len(block) - 1) // k)
+        yield p, degrees
+
+
+def reads_below(types, bound):
+    return list(takewhile(lambda pair: pair[0] < bound, types))
+
+
+def test_memoized_cycle_types_match_the_inline_loop():
+    exactalg._p_cycle_type.cache_clear()
+    rng = random.Random(233)
+    seen = set()
+    cases = 0
+    while cases < 60:
+        n = rng.randint(2, 8)
+        # leading coefficients with small prime factors, so that some
+        # primes below 60 divide lc
+        zc = [rng.randint(-12, 12) for _ in range(n)] + [rng.choice([1, -1, 6, 10, 15, 21, 22])]
+        f = RatPolynomial(zc)
+        if not is_squarefree(f):
+            continue
+        cases += 1
+        ours = reads_below(exactalg._cycle_types(zc), 60)
+        assert ours == reads_below(inline_cycle_types(zc), 60), zc
+        assert all(type(degrees) is list for _, degrees in ours)
+        read = {p for p, _ in ours}
+        for p in range(2, 60):
+            if exactalg.is_prime(p) and p not in read:
+                seen.add("lc" if zc[-1] % p == 0 else "disc")
+        # a warm memo reads the same pairs
+        assert reads_below(exactalg._cycle_types(zc), 60) == ours
+    assert seen == {"lc", "disc"}
+    assert exactalg._p_cycle_type.cache_info().hits > 0
+
+
+def test_one_monic_residue_gives_one_read():
+    rng = random.Random(239)
+    for p in (3, 7, 13, 29):
+        for _ in range(5):
+            n = rng.randint(2, 8)
+            f = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([1, 2, 5, 11])]
+            if f[-1] % p == 0:
+                continue
+            # g = c*f + p*r with deg r < n: the same monic residue mod p,
+            # another integer polynomial
+            c = rng.randint(1, p - 1)
+            g = [c * a + p * rng.randint(-3, 3) for a in f[:-1]] + [c * f[-1]]
+            exactalg._p_cycle_type.cache_clear()
+            at_f = dict(reads_below(exactalg._cycle_types(f), p + 1))
+            before = exactalg._p_cycle_type.cache_info().hits
+            at_g = dict(reads_below(exactalg._cycle_types(g), p + 1))
+            assert at_f.get(p) == at_g.get(p), (f, g, p)
+            assert at_g.get(p) == dict(reads_below(inline_cycle_types(g), p + 1)).get(p)
+            # the read of g at p was a hit on f's entry
+            assert exactalg._p_cycle_type.cache_info().hits > before
+
+
+def test_a_yielded_list_is_fresh():
+    f = [-2, 2, -1, -5, 1]
+    p, degrees = next(exactalg._cycle_types(f))
+    assert (p, degrees) == (5, [1, 3])
+    degrees.append(99)
+    degrees[0] = 7
+    assert next(exactalg._cycle_types(f)) == (5, [1, 3])
+    first, second = (next(exactalg._cycle_types(f))[1] for _ in range(2))
+    assert first == second and first is not second
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -21,6 +22,7 @@ from primpoints import (
     factor_over_rationals,
     is_primitive_field,
     principal_subfields,
+    prospect,
     resolvent_cubic,
     trager_factor,
 )
@@ -671,6 +673,7 @@ COMPOSITIONS = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (5, 2),
 
 
 def test_frobenius_rule_never_proves_a_composition(monkeypatch):
+    exactalg._p_cycle_type.cache_clear()
     rng = random.Random(59)
     calls = []
     exact = exactalg._p_distinct_degree
@@ -704,7 +707,7 @@ def test_three_cycle_quartic_fiber_needs_no_split_root_or_lift(g1, monkeypatch):
     assert (cert.verdict, cert.method) == ("primitive", "resolvent_cubic")
     assert counted == [[], [], []]
     _, zc = spec.fiber_poly.to_zpoly()
-    types = [d for _, d in islice(exactalg._cycle_types(zc, []), exactalg._QUARTIC_PRIMES)]
+    types = [d for _, d in islice(exactalg._cycle_types(zc), exactalg._QUARTIC_PRIMES)]
     assert [1, 3] in types
     assert cert.verify()
 
@@ -713,6 +716,7 @@ def test_sextic_fiber_reads_each_prime_once(g2, monkeypatch):
     # a stream-sextic fiber: x^3 + y - x^2 + 1 on y^2 = x^5 - 1 at t = 2,
     # which the Frobenius rule proves primitive only at its 19th good prime
     f = g2.function(x ** 3 - x ** 2 + 1, POLY_ONE)
+    exactalg._p_cycle_type.cache_clear()
     calls = _count_calls(monkeypatch, exactalg, "_p_distinct_degree")
     spec = classify_specialization(g2, f, 2)
     cert = spec.certificate
@@ -720,6 +724,30 @@ def test_sextic_fiber_reads_each_prime_once(g2, monkeypatch):
     primes = [p for _, p in calls]
     assert len(primes) > exactalg._MUSSER_PRIMES
     assert primes == sorted(set(primes))
+
+
+def test_a_sweep_reads_each_residue_once(g1, monkeypatch):
+    # the stream-quartic shape: the fiber at t reduces mod p to a polynomial
+    # that depends only on t mod p, so each (p, residue) is factored once
+    # however many fibers and rules read it
+    exactalg._p_cycle_type.cache_clear()
+    reads = []
+    ddf = exactalg._p_distinct_degree
+    memo_code = exactalg._p_cycle_type.__wrapped__.__code__
+
+    def counted(red, p):
+        # factor_mod_p's split at a Hensel prime is not a cycle-type read
+        if sys._getframe(1).f_code is memo_code:
+            reads.append((p, tuple(red)))
+        return ddf(red, p)
+
+    monkeypatch.setattr(exactalg, "_p_distinct_degree", counted)
+    f = g1.function(x ** 2 + x - 2, POLY_ONE)
+    rep = prospect(g1, f, count=40)
+    assert sum(s.status == "irreducible" for s in rep.specializations) >= 20
+    assert len(reads) == len(set(reads)) > 0
+    info = exactalg._p_cycle_type.cache_info()
+    assert info.hits > info.misses
 
 
 def test_frobenius_rule_on_the_imprimitive_quartics():

@@ -1,6 +1,8 @@
 import json
 import random
+import signal
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 
@@ -217,6 +219,46 @@ def test_density_seeded_mode(g1):
 def test_density_requires_theorem_range(g1):
     with pytest.raises(OutOfTheoremRange):
         density_experiment(g1, Divisor([(INFINITY, 2)]), 1)
+
+
+class Hung(Exception):
+    pass
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise Hung in the block after ``seconds``, so a call that never
+    returns fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise Hung(f"no return or raise within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "H, samples",
+    [(0, 5), (0, None), (-1, 5), (-1, None), (3, -1)],
+    ids=["height-0-seeded", "height-0-exhaustive", "height-negative-seeded",
+         "height-negative-exhaustive", "samples-negative"],
+)
+def test_density_rejects_out_of_range_arguments(g1, H, samples):
+    # with H = 0 the only vector is zero, which is skipped, so seeded draws
+    # would never end
+    with deadline(10), pytest.raises(InvalidInput):
+        density_experiment(g1, Divisor([(INFINITY, 4)]), H, samples=samples)
+
+
+def test_density_zero_samples(g1):
+    with deadline(10):
+        rep = density_experiment(g1, Divisor([(INFINITY, 4)]), 1, samples=0)
+    assert rep.total == 0 and sum(rep.counts.values()) == 0
 
 
 def test_density_json(g1):
