@@ -313,18 +313,34 @@ class RatPolynomial:
     """Immutable univariate polynomial over Q, ascending coefficients.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
+
+    The integer form (to_zpoly) is kept once computed, in the slot ``_z``
+    beside the hash: the polynomial is immutable, so the form lives as long
+    as the polynomial and no longer.
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c", "_hash", "_z")
 
     def __init__(self, coeffs=()):
         self._c = tuple(_z_trim([Fraction(x) for x in coeffs]))
         self._hash = None
+        self._z = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_json(cls, items):
         return cls([rat_from_str(s) for s in items])
+
+    @classmethod
+    def _monic_from_z(cls, zc):
+        """zc / lc(zc) for a primitive int list zc with lc(zc) > 0, built
+        with its integer form (1 / lc(zc), zc) already attached."""
+        lc = zc[-1]
+        out = cls.__new__(cls)
+        out._c = tuple(Fraction(x, lc) for x in zc)
+        out._hash = None
+        out._z = (Fraction(1, lc), tuple(zc))
+        return out
 
     # -- structure -------------------------------------------------------
     @property
@@ -459,15 +475,18 @@ class RatPolynomial:
 
     # -- integer form ------------------------------------------------------
     def to_zpoly(self):
-        """Return (k: Fraction, c: list[int]) with self == k * c, c primitive, lc(c) > 0."""
-        if self.is_zero():
-            return Fraction(0), []
-        den = _denominator_lcm([self])
-        ints = [int(x * den) for x in self._c]
-        cont = _z_content(ints)
-        sign = 1 if ints[-1] > 0 else -1
-        ints = [x // (cont * sign) for x in ints]
-        return Fraction(cont * sign, den), ints
+        """Return (k: Fraction, c: list[int]) with self == k * c, c primitive,
+        lc(c) > 0; c is a fresh list on every call."""
+        if self._z is None:
+            if self.is_zero():
+                return Fraction(0), []
+            den = _denominator_lcm([self])
+            ints = _scaled_ints(self, den)
+            cont = _z_content(ints)
+            sign = 1 if ints[-1] > 0 else -1
+            self._z = Fraction(cont * sign, den), tuple(x // (cont * sign) for x in ints)
+        k, c = self._z
+        return k, list(c)
 
     @classmethod
     def from_zpoly(cls, ints, scale=1):
@@ -627,6 +646,11 @@ def _denominator_lcm(polys) -> int:
         for q in poly.coeffs:
             den = den * q.denominator // int_gcd(den, q.denominator)
     return den
+
+
+def _scaled_ints(poly: RatPolynomial, den: int) -> list:
+    """den * poly as ints, for den a multiple of every denominator of poly."""
+    return [q.numerator * (den // q.denominator) for q in poly.coeffs]
 
 
 def _integral(coeffs) -> list:
@@ -1025,6 +1049,16 @@ def _p_cycle_type(p: int, monic: tuple):
     return tuple(degrees)
 
 
+def _p_readings(zc):
+    """Yield (p, _p_cycle_type of zc mod p) at the primes p not dividing
+    lc(zc), in increasing order."""
+    p = 1
+    while True:
+        p += 1
+        if is_prime(p) and zc[-1] % p:
+            yield p, _p_cycle_type(p, tuple(_p_monic(_p_trim(zc, p), p)))
+
+
 def _cycle_types(zc):
     """Yield (p, ascending degrees of the irreducible factors of zc mod p)
     at the good primes p in increasing order, by distinct-degree
@@ -1037,14 +1071,24 @@ def _cycle_types(zc):
     primes again, and the fibers of a sweep whose residues agree mod p,
     find it there.  The memo keeps tuples, and each yield is a fresh list.
     """
-    p = 1
-    while True:
-        p += 1
-        if not is_prime(p) or zc[-1] % p == 0:
-            continue
-        degrees = _p_cycle_type(p, tuple(_p_monic(_p_trim(zc, p), p)))
+    for p, degrees in _p_readings(zc):
         if degrees is not None:
             yield p, list(degrees)
+
+
+# primes not dividing lc among which _has_good_prime looks for a good one
+_SQUAREFREE_PRIMES = 5
+
+
+def _has_good_prime(zc) -> bool:
+    """Whether zc is squarefree of full degree mod one of the first
+    _SQUAREFREE_PRIMES primes not dividing lc(zc).  True proves zc
+    squarefree over Q: a square factor g^2 of zc over Z has lc(g) prime to
+    such a p, so g^2 would divide zc mod p with deg g > 0.  False proves
+    nothing.  The test reads through the memo _p_cycle_type, so the first
+    good prime is the one _cycle_types then reads without a second DDF."""
+    readings = islice(_p_readings(zc), _SQUAREFREE_PRIMES)
+    return any(degrees is not None for _, degrees in readings)
 
 
 # good primes whose degree sets _factor_squarefree_z intersects; a quartic
@@ -1120,6 +1164,8 @@ def _factor_squarefree_z(zc):
                 continue
             if cand[-1] < 0:
                 cand = [-x for x in cand]
+            if cand[0] and current[0] % cand[0]:
+                continue  # a factor's constant term divides current[0]
             quot = _z_div_exact(current, cand)
             if quot is not None:
                 result.append(cand)

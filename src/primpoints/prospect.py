@@ -24,7 +24,13 @@ from .errors import (
 )
 from .exactalg import (
     RatPolynomial,
+    _denominator_lcm,
+    _has_good_prime,
     _integral,
+    _scaled_ints,
+    _z_mul,
+    _z_primitive,
+    _z_sub,
     conjugate_power_sums,
     from_power_sums,
     is_squarefree,
@@ -76,13 +82,18 @@ def height_ordered_rationals():
 # fiber polynomials
 
 def fiber_polynomial(curve, f: CurveFunction, t: Fraction):
-    """Monic degree-d polynomial presenting the fiber field above t.
+    """Monic degree-d polynomial presenting the fiber field above t, built
+    with its integer form (RatPolynomial.to_zpoly) attached.
 
     For f = a + b*y with b != 0 this is the monic form of (t - a)^2 - b^2 h,
     whose roots are the x-coordinates of the fiber (y is recovered as
-    (t - a)/b).  For b = 0 the fiber needs a primitive element x + lam*y;
+    (t - a)/b).  It is computed in Python ints: with t = r/s, D the common
+    denominator of a and b and Dh that of h, it is the monic form of
+    F = Dh (r D - s A)^2 - s^2 B^2 H for the integral A = D a, B = D b and
+    H = Dh h.  For b = 0 the fiber needs a primitive element x + lam*y;
     the smallest lam in 1, 2, ... giving a squarefree degree-d presentation
-    wins.  Returns (poly, lam or None).
+    wins, so that presentation is proven squarefree.
+    Returns (poly, lam or None).
     """
     if f.is_zero() or f.is_constant():
         raise InvalidInput("fiber of a constant function")
@@ -92,16 +103,35 @@ def fiber_polynomial(curve, f: CurveFunction, t: Fraction):
     d = function_degree(curve, f)
     a, b, h = f.a, f.b, curve.h
     if not b.is_zero():
-        ft = (RatPolynomial([t]) - a) ** 2 - b * b * h
-        return ft.monic(), None
+        r, s = t.numerator, t.denominator
+        den = _denominator_lcm((a, b))
+        den_h = _denominator_lcm((h,))
+        A, B, H = _scaled_ints(a, den), _scaled_ints(b, den), _scaled_ints(h, den_h)
+        u = _z_sub([r * den], [s * c for c in A])
+        F = _z_sub(
+            [den_h * c for c in _z_mul(u, u)],
+            [s * s * c for c in _z_mul(_z_mul(B, B), H)],
+        )
+        # deg b^2 h is odd and deg (t - a)^2 even, so F is not zero
+        F = _z_primitive(F)
+        if F[-1] < 0:
+            F = [-c for c in F]
+        return RatPolynomial._monic_from_z(F), None
     # primitive element x + lam*y, eliminating x by a resultant
     for lam in range(1, 2 * d + 1):
         ft = _eliminated_presentation(curve, a, t, Fraction(lam))
-        if ft.degree == d and is_squarefree(ft):
-            return ft.monic(), lam
+        if ft.degree == d and _is_squarefree(ft):
+            return RatPolynomial._monic_from_z(ft.to_zpoly()[1]), lam
     raise DegeneratePresentation(
         f"no primitive-element presentation for t={t} within lam <= {2 * d}"
     )
+
+
+def _is_squarefree(poly: RatPolynomial) -> bool:
+    """is_squarefree(poly) for a nonconstant poly, proven from a good prime
+    among its first few (exactalg._has_good_prime) when there is one; only
+    a poly with none runs the rational gcd with its derivative."""
+    return _has_good_prime(poly.to_zpoly()[1]) or is_squarefree(poly)
 
 
 def _eliminated_presentation(curve, a: RatPolynomial, t: Fraction, lam: Fraction):
@@ -156,14 +186,21 @@ class Specialization:
 def classify_specialization(
     curve, f: CurveFunction, t, paranoid: bool = False
 ) -> Specialization:
-    """Fiber polynomial, irreducibility, and primitivity at one t."""
+    """Fiber polynomial, irreducibility, and primitivity at one t.
+
+    A fiber with a repeated root is branch_like.  A good prime among the
+    first few of the fiber proves it squarefree, and its cycle type is the
+    first that the factoring pass reads from the shared memo; only a fiber
+    with no good prime there runs the rational gcd.  A b = 0 presentation
+    (lam not None) is squarefree by construction and is not tested again.
+    """
     t = Fraction(t)
     try:
         poly, lam = fiber_polynomial(curve, f, t)
     except DegeneratePresentation:
         return Specialization(t=t, fiber_poly=None, status=STATUS_DEGENERATE)
-    if not is_squarefree(poly):
-        return Specialization(t=t, fiber_poly=poly, status=STATUS_BRANCH_LIKE, lam=lam)
+    if lam is None and not _is_squarefree(poly):
+        return Specialization(t=t, fiber_poly=poly, status=STATUS_BRANCH_LIKE)
     # poly is monic: one reading of its cycle types decides both
     # irreducibility and primitivity
     cert = _factor_or_certify(poly)
@@ -248,7 +285,10 @@ def prospect(
     paranoid: bool = False,
     seed: int = 0,
 ) -> ProspectReport:
-    """Sweep the first ``count`` height-ordered t values and classify each."""
+    """Sweep the first ``count`` height-ordered t values and classify each.
+    A negative ``count`` raises InvalidInput."""
+    if count < 0:
+        raise InvalidInput(f"count must be >= 0, not {count}")
     d = function_degree(curve, f)
     if d < 2:
         raise InvalidInput("prospect needs a function of degree >= 2")

@@ -19,11 +19,17 @@ from itertools import islice
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from functools import partial
+
 from primpoints import (
+    POLY_ONE,
+    POLY_X,
     NfPolynomial,
     NumberField,
     RatPolynomial,
+    curve_new,
     factor_over_rationals,
+    fiber_polynomial,
     nf_norm,
     rational_roots,
     resolvent_cubic,
@@ -31,7 +37,7 @@ from primpoints import (
     trager_factor,
 )
 from primpoints.exactalg import _QUARTIC_PRIMES, _cycle_types
-from primpoints.numfield import _frobenius_primitive
+from primpoints.numfield import _cofactor_norm, _frobenius_primitive, _squarefree_norm
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -94,6 +100,25 @@ def test_factorization_matches_sympy(p):
     fl = factor_over_rationals(p)
     ours = sorted((f.coeffs, m) for f, m in fl.factors)
     assert (fl.unit, ours) == sympy_factorization(p)
+
+
+def test_composite_fiber_norm_factorization_matches_sympy():
+    # g^3 + g with g = x^2 + y on y^2 = x^3 + 1: the fiber at t = 3 is a
+    # degree-12 field, whose principal subfields factor the degree-132 norm
+    # of its cofactor over Q.  Recombining the Hensel factors of that norm
+    # took about a minute before candidates were screened by constant term.
+    x = POLY_X
+    curve = curve_new(x ** 3 + 1)
+    g = curve.function(x ** 2, POLY_ONE)
+    m, _ = fiber_polynomial(curve, g * g * g + g, Fraction(3))
+    assert m == RatPolynomial(
+        [5, 0, -24, -8, 4, -18, -11, 6, -1, -1, 3, -3, 1]
+    )
+    _, norm = _squarefree_norm(partial(_cofactor_norm, m, m), (0, -1))
+    assert norm.degree == 132
+    fl = factor_over_rationals(norm)
+    assert [(f.degree, e) for f, e in fl.factors] == [(36, 1), (96, 1)]
+    assert (fl.unit, sorted((f.coeffs, e) for f, e in fl.factors)) == sympy_factorization(norm)
 
 
 @DIFFERENTIAL

@@ -79,6 +79,38 @@ def test_fiber_polynomial_y(g1):
     assert ft == x ** 3 - 3 and lam is None
 
 
+def fraction_fiber(curve, f, t):
+    """The b != 0 fiber by the formula over Q, with Fraction arithmetic:
+    the monic form of (t - a)^2 - b^2 h."""
+    return ((RatPolynomial([t]) - f.a) ** 2 - f.b * f.b * curve.h).monic()
+
+
+def test_integer_fiber_matches_fraction_oracle(g1, g2):
+    rng = random.Random(67)
+    curves = [g1, g2, curve_new(x ** 5 - x * Fraction(1, 2) + 1)]
+    curves.append(curve_new(RatPolynomial([Fraction(1, 3), 0, Fraction(-5, 4), 2])))
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+
+    for case in range(80):
+        curve = curves[case % len(curves)]
+        a = RatPolynomial([rational() for _ in range(rng.randint(0, 4))])
+        b = RatPolynomial([rational() for _ in range(rng.randint(0, 2))] + [rational() or 1])
+        f = curve.function(a, b)
+        t = Fraction(rng.randint(-12, 12), rng.choice([1, 1, 1, 4, 9]))
+        ours, lam = fiber_polynomial(curve, f, t)
+        assert lam is None
+        assert ours == fraction_fiber(curve, f, t), (a, b, t)
+        # the attached integer form is the one to_zpoly derives afresh
+        fresh = RatPolynomial(ours.coeffs).to_zpoly()
+        assert ours.to_zpoly() == fresh
+        _, zc = ours.to_zpoly()
+        zc.append(5)
+        zc[0] += 1
+        assert ours.to_zpoly() == fresh and ours.coeffs == fraction_fiber(curve, f, t).coeffs
+
+
 def test_fiber_polynomial_primitive_element(g1):
     # b = 0 routes through the x + lam*y presentation
     f = g1.function(x ** 2)
@@ -179,6 +211,13 @@ def test_prospect_requires_degree_2(g1):
 
     with pytest.raises((InvalidInput, DegreeUndefined)):
         prospect(g1, g1.function(RatPolynomial([7])), count=2)
+
+
+def test_prospect_rejects_negative_count(g1):
+    f = g1.function(x ** 2, POLY_ONE)
+    with pytest.raises(InvalidInput):
+        prospect(g1, f, count=-1)
+    assert prospect(g1, f, count=0).specializations == ()
 
 
 def test_prospect_deterministic(g1):
@@ -398,3 +437,56 @@ def test_one_pass_matches_two_pass_oracle(monkeypatch):
     assert len(fibers) >= 40
     assert statuses == {"reducible", "irreducible"}
     assert quartic_verdicts == {"primitive", "imprimitive"}
+
+
+# ----------------------------------------------------------------------
+# squarefreeness from a good prime
+
+def _counting(monkeypatch, name):
+    """Replace primpoints.prospect.<name> by a wrapper counting its calls."""
+    module = sys.modules["primpoints.prospect"]
+    inner = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_branch_point_fiber_stays_branch_like(g1, monkeypatch):
+    # at t = 1 the fiber of x^2 - 2x + 4 + y is (x - 2)^2 (x^2 - x + 2): a
+    # repeated root has no good prime, so only the rational gcd decides it
+    f = g1.function(x ** 2 - 2 * x + 4, POLY_ONE)
+    rational = _counting(monkeypatch, "is_squarefree")
+    # factoring a fiber wrongly taken as squarefree need not end
+    with deadline(10):
+        spec = classify_specialization(g1, f, 1)
+    assert spec.status == "branch_like"
+    assert spec.fiber_poly == (x - 2) ** 2 * (x ** 2 - x + 2)
+    assert spec.certificate is None and len(rational) == 1
+
+
+def test_quartic_sweep_runs_no_rational_squarefree_test(g1, monkeypatch):
+    f = g1.function(x ** 2 + x - 2, POLY_ONE)
+    rational = _counting(monkeypatch, "is_squarefree")
+    rep = prospect(g1, f, count=120)
+    assert rational == []
+    monkeypatch.undo()
+    statuses = {s.status for s in rep.specializations}
+    assert "branch_like" not in statuses and "irreducible" in statuses
+    assert all(is_squarefree(s.fiber_poly) for s in rep.specializations)
+
+
+def test_b0_fiber_is_tested_squarefree_once(g1, monkeypatch):
+    f = g1.function(x ** 2 + x)
+    tests = _counting(monkeypatch, "_is_squarefree")
+    for t in islice(height_ordered_rationals(), 12):
+        fiber_polynomial(g1, f, t)
+        alone = len(tests)
+        spec = classify_specialization(g1, f, t)
+        assert spec.lam is not None
+        assert len(tests) == 2 * alone, t
+        del tests[:]
