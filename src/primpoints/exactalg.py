@@ -106,6 +106,13 @@ def _z_derivative(a):
     return _z_trim([i * a[i] for i in range(1, len(a))])
 
 
+def _z_eval(a, x: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
 def _z_div_exact(f, g):
     """Quotient of f by g in Z[x] when it is exact, else None."""
     if not g:
@@ -621,12 +628,49 @@ def resultant(p: RatPolynomial, q: RatPolynomial) -> Fraction:
 
 
 def rational_roots(p: RatPolynomial) -> list:
-    """All rational roots, found through the factorization pipeline."""
-    return sorted(
-        -f[0] / f[1]
-        for f, _ in factor_over_rationals(p).factors
-        if f.degree == 1
-    )
+    """The distinct rational roots of p in ascending order, read off the
+    roots of its squarefree part mod one good prime.
+
+    With f the squarefree part of p in Z[x] and c = lc(f), the monic
+    M(y) = c^(n-1) f(y / c) is in Z[y], and y = c x maps the rational roots
+    of f onto the integer roots of M, each at most B = 1 + max |M_i| in size
+    (Cauchy).  At the first prime where M is squarefree, every root of M is
+    a simple root mod that prime, and Newton's iteration lifts it uniquely;
+    a lift modulo more than 2 B, read in the symmetric range, is the integer
+    root when there is one, and M(y) == 0 decides.
+    """
+    if p.is_zero():
+        raise InvalidInput("rational roots of zero are undefined")
+    if p.degree < 1:
+        return []
+    _, f = p.to_zpoly()
+    g = _z_gcd(f, _z_derivative(f))
+    if len(g) > 1:
+        f = _z_div_exact(f, g)
+    n, c = len(f) - 1, f[-1]
+    monic = [x * c ** (n - 1 - i) for i, x in enumerate(f[:-1])] + [1]
+    slope = _z_derivative(monic)
+    bound = 2 * (1 + max(abs(x) for x in monic))
+    prime = 2
+    while not (is_prime(prime) and _p_squarefree_of_degree(_p_trim(monic, prime), n, prime)):
+        prime += 1
+    red = _p_trim(monic, prime)
+    # gcd(x^prime - x, M): the product of the linear factors of M mod prime
+    frobenius = _p_powmod([0, 1], prime, red, prime)
+    linear = _p_gcd(_p_trim(_z_sub(frobenius, [0, 1]), prime), red, prime)
+    if len(linear) < 2:
+        return []
+    roots = []
+    for factor in _p_equal_degree(linear, 1, prime, random.Random(0)):
+        y, q = -factor[0] % prime, prime
+        while q <= bound:
+            q *= q
+            y = (y - _z_eval(monic, y) * pow(_z_eval(slope, y), -1, q)) % q
+        if 2 * y > q:
+            y -= q
+        if _z_eval(monic, y) == 0:
+            roots.append(Fraction(y, c))
+    return sorted(roots)
 
 
 # ----------------------------------------------------------------------

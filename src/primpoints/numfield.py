@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd, isqrt, lcm
 
 from .errors import DivisionByZero, InvalidInput, NotAField
 from .exactalg import (
@@ -28,7 +28,6 @@ from .exactalg import (
     _denominator_lcm,
     _factor_list,
     _factor_squarefree_z,
-    _gcd_cofactor,
     _integral,
     _p_mod,
     _p_mul,
@@ -181,12 +180,49 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """The inverse, from the multiplication matrix of self solved in
+        Python ints by fraction-free (Bareiss) Gauss-Jordan elimination.
+
+        With C the denominator lcm of the modulus m, phi = C theta is a root
+        of the monic integral C^d m(x / C), and D self is an integral
+        polynomial A in phi.  The columns A phi^j of the matrix of A are
+        integral, and elimination with Bareiss's exact division leaves
+        det times the identity beside det times the coordinates of 1 / A.
+        A pivot column with no nonzero entry means the matrix is singular:
+        self is a zero divisor, which only a reducible modulus has.
+        """
         if self.is_zero():
             raise DivisionByZero("cannot invert zero")
-        g, t = _gcd_cofactor(self.field.modulus, self.to_poly())
-        if g.degree != 0:
-            raise InvalidInput("modulus is not irreducible")
-        return self.field.from_poly(t)
+        d = self.field.degree
+        C = _denominator_lcm([self.field.modulus])
+        m = _scaled_monic(self.field.modulus, C)
+        dens = [q.denominator * C ** i for i, q in enumerate(self.coeffs)]
+        D = lcm(*dens)
+        col = [q.numerator * (D // e) for q, e in zip(self.coeffs, dens)]
+        cols = [col]
+        for _ in range(d - 1):
+            # phi times the column: shift up, and x^d = -(m_0 + ... + m_(d-1) x^(d-1))
+            top = col[-1]
+            col = [a - top * b for a, b in zip([0] + col[:-1], m)]
+            cols.append(col)
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            pivot = next((i for i in range(k, d) if rows[i][k]), None)
+            if pivot is None:
+                raise InvalidInput("modulus is not irreducible")
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            pk = rows[k]
+            a = pk[k]
+            for i in range(d):
+                if i != k:
+                    f = rows[i][k]
+                    rows[i] = [(a * x - f * y) // prev for x, y in zip(rows[i], pk)]
+            prev = a
+        return FieldElement(
+            self.field,
+            tuple(Fraction(rows[i][d] * D * C ** i, prev) for i in range(d)),
+        )
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
@@ -1027,6 +1063,8 @@ def is_primitive_field(m: RatPolynomial, policy: str = "auto") -> PrimitivityCer
     """
     if m.is_zero() or not m.is_monic():
         raise InvalidInput("modulus must be monic")
+    if m.degree < 1:
+        raise InvalidInput("modulus must have positive degree")
     if policy not in ("auto", "general"):
         raise InvalidInput(f"unknown policy {policy!r}")
     result = _factor_or_certify(m) if is_squarefree(m) else None
@@ -1190,7 +1228,9 @@ def _resolvent_witness(m: RatPolynomial, roots):
     theta^2 from P (p3 + 2s) = t s + r1, solved for s in L:
         s = -(p3 theta^2 + 2 (q2 - t) theta + r1) / (2 theta^2 + p3 theta + t),
     whose denominator has degree 2 < 4 and so is never 0.  The subfield is
-    Q(s), or Q(P) when s is rational; each root gives one quadratic
+    Q(s), with s^2 + p3 s + q2 - t = 0, or Q(P), with P^2 - t P + s0 = 0,
+    when s is rational; the checked quadratic gives its entry with no
+    linear algebra (_quadratic_entry).  Each root gives one quadratic
     subfield, and the least entry by _entry_sort_key is the witness, as in
     principal_subfields.
     """
@@ -1201,17 +1241,31 @@ def _resolvent_witness(m: RatPolynomial, roots):
     for t in roots:
         s = -L.element([r1, 2 * (q2 - t), p3]) / L.element([t, p3, 2])
         if s.is_rational():
-            g = s * theta - theta * theta
-            quadratic = g * g - t * g + s0
+            g, b, c = s * theta - theta * theta, -t, s0
         else:
-            g = s
-            quadratic = g * g + p3 * g + (q2 - t)
-        if g.is_rational() or not quadratic.is_zero():
+            g, b, c = s, p3, q2 - t
+        if g.is_rational() or not (g * g + b * g + c).is_zero():
             return None
-        # span{1, g} is the kernel of its orthogonal complement
-        complement = nullspace([list(L.one.coeffs), list(g.coeffs)])
-        entries.append(_subfield_entry(L, nullspace(complement)))
+        entries.append(_quadratic_entry(L, g, b, c))
     best = min(entries, key=_entry_sort_key)
     return SubfieldWitness(
         degree=2, generator=best.generator, generator_minpoly=best.generator_minpoly
+    )
+
+
+def _quadratic_entry(L: NumberField, g: FieldElement, b, c) -> PrincipalSubfield:
+    """_subfield_entry of Q(g) for an irrational g with g^2 + b g + c = 0.
+
+    The rref-canonical basis of span{1, g} is {1, h}, h = (g - g_0) / g_k
+    with g_k the last nonzero coordinate of g, and h is the generator that
+    _subfield_generator picks from it.  Substituting g = g_k h + g_0 gives
+    the minimal polynomial of h, and _canonical_quadratic normalizes both.
+    """
+    k = max(i for i, a in enumerate(g.coeffs) if a)
+    g0, gk = g.coeffs[0], g.coeffs[k]
+    h = FieldElement(L, (Fraction(0),) + tuple(a / gk for a in g.coeffs[1:]))
+    minpoly = RatPolynomial([(g0 * g0 + b * g0 + c) / (gk * gk), (2 * g0 + b) / gk, 1])
+    gen, minpoly = _canonical_quadratic(L, h, minpoly)
+    return PrincipalSubfield(
+        degree=2, basis=(L.one, h), generator=gen, generator_minpoly=minpoly
     )

@@ -170,6 +170,11 @@ def test_certify_reducible_exit_1(capsys):
     assert main(["certify", "--poly", "x^4-1"]) == 1
 
 
+def test_certify_constant_exit_1(capsys):
+    assert main(["certify", "--poly", "5"]) == 1
+    assert capsys.readouterr().err.strip() == "error: modulus must have positive degree"
+
+
 def test_prospect_cli_and_seed_determinism(curve_file, capsys):
     args = ["prospect", curve_file, "--function", "x^2+y", "--t-height", "6",
             "--seed", "3"]

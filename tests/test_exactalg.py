@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from primpoints import (
+    DivisionByZero,
     InvalidInput,
     LiftObstruction,
     ModpPolynomial,
@@ -414,7 +415,7 @@ def test_xgcd_identity():
 
 # ----------------------------------------------------------------------
 # oracles: the Euclidean loops that the one-cofactor loop
-# exactalg._gcd_cofactor replaced
+# exactalg._gcd_cofactor replaced, and that loop as the field inverse
 
 def two_cofactor_xgcd(p, q):
     """(g, s, t) with s*p + t*q = g, g monic, by the Euclidean loop that
@@ -431,16 +432,14 @@ def two_cofactor_xgcd(p, q):
     return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
-def euclidean_inverse(alpha):
-    """The inverse of a nonzero field element by the extended Euclidean
-    loop with the modulus."""
-    a, b = alpha.field.modulus, alpha.to_poly()
-    t0, t1 = RatPolynomial(), POLY_ONE
-    while not b.is_zero():
-        q, r = divmod(a, b)
-        a, b = b, r
-        t0, t1 = t1, t0 - q * t1
-    return alpha.field.from_poly(t0.scale(1 / a.lc))
+def cofactor_inverse(alpha):
+    """The inverse of a nonzero field element by the Euclidean loop
+    exactalg._gcd_cofactor with the modulus, as FieldElement.inverse took
+    it before it solved the multiplication matrix in ints."""
+    g, t = exactalg._gcd_cofactor(alpha.field.modulus, alpha.to_poly())
+    if g.degree != 0:
+        raise InvalidInput("modulus is not irreducible")
+    return alpha.field.from_poly(t)
 
 
 def _random_rat_poly(rng, degree):
@@ -474,9 +473,9 @@ def test_xgcd_matches_two_cofactor_oracle():
 def test_field_inverse_matches_euclidean_oracle():
     rng = random.Random(223)
     fields = 0
-    while fields < 30:
-        d = rng.randint(1, 6)
-        m = RatPolynomial([Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2])) for _ in range(d)] + [1])
+    while fields < 40:
+        d = rng.randint(1, 8)
+        m = RatPolynomial([Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3])) for _ in range(d)] + [1])
         if not factor_over_rationals(m).is_irreducible():
             continue
         fields += 1
@@ -488,8 +487,72 @@ def test_field_inverse_matches_euclidean_oracle():
             if alpha.is_zero():
                 continue
             inverse = alpha.inverse()
-            assert inverse == euclidean_inverse(alpha), (m, alpha)
+            assert inverse == cofactor_inverse(alpha), (m, alpha)
             assert alpha * inverse == L.one
+
+
+def test_field_inverse_of_zero_and_of_zero_divisors():
+    L = NumberField(x ** 3 - Fraction(1, 2), check=False)
+    with pytest.raises(DivisionByZero):
+        L.zero.inverse()
+    # Q[x]/((x^2 - 2)(x^2 + 1/3)) is no field: x^2 - 2 divides zero, and
+    # x + 1, prime to the modulus, is still a unit
+    R = NumberField((x ** 2 - 2) * (x ** 2 + Fraction(1, 3)), check=False)
+    for divisor in (R.element([-2, 0, 1]), R.element([Fraction(1, 3), 0, 1]) * R.theta):
+        with pytest.raises(InvalidInput):
+            divisor.inverse()
+        with pytest.raises(InvalidInput):
+            cofactor_inverse(divisor)
+    unit = R.element([1, 1])
+    assert unit.inverse() == cofactor_inverse(unit)
+    assert unit * unit.inverse() == R.one
+
+
+# ----------------------------------------------------------------------
+# oracle: the rational roots of the factorization pipeline, which the roots
+# mod one good prime replaced
+
+def zassenhaus_rational_roots(p):
+    """The rational roots of p, read off the linear factors that
+    factor_over_rationals finds."""
+    return sorted(-f[0] / f[1] for f, _ in factor_over_rationals(p).factors if f.degree == 1)
+
+
+def test_rational_roots_match_zassenhaus_oracle():
+    rng = random.Random(229)
+    extra = 0
+    for case in range(2000):
+        # every tenth case has roots and a leading coefficient above 2^70
+        top = 2 ** 75 if case % 10 == 0 else 40
+        roots = {
+            Fraction(rng.randint(-top, top), rng.randint(1, min(top, 2 ** 72)))
+            for _ in range(rng.randint(1, 3))
+        }
+        p = _random_rat_poly(rng, rng.randint(0, 3)).scale(rng.randint(1, top))
+        for r in roots:
+            p = p * (x - r) ** rng.randint(1, 2)
+        ours = exactalg.rational_roots(p)
+        assert ours == zassenhaus_rational_roots(p), p
+        assert roots <= set(ours)
+        extra += len(ours) > len(roots)
+    assert extra >= 100
+
+
+def test_rational_roots_examples():
+    assert exactalg.rational_roots(RatPolynomial([Fraction(-5, 3)])) == []
+    with pytest.raises(InvalidInput):
+        exactalg.rational_roots(RatPolynomial())
+    big = 2 ** 71 + 1
+    cases = [
+        # a triple root at 0 and a double root at 1/2
+        (x ** 3 * (2 * x - 1) ** 2 * (x ** 2 + 3), [0, Fraction(1, 2)]),
+        (x ** 2 - 2, []),
+        # non-monic, with coefficients above 2^70
+        ((big * x - 3) * (x + big) ** 2 * (3 * x ** 2 - big), [-big, Fraction(3, big)]),
+        ((7 * x - big) ** 3, [Fraction(big, 7)]),
+    ]
+    for p, roots in cases:
+        assert exactalg.rational_roots(p) == roots == zassenhaus_rational_roots(p), p
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,13 @@ from primpoints import (
 )
 from primpoints import exactalg, numfield
 from primpoints.exactalg import rat_to_str
-from test_exactalg import euclidean_pull_back, interpolated_norm, resultant_screen
+from primpoints.linalg import nullspace
+from test_exactalg import (
+    euclidean_pull_back,
+    interpolated_norm,
+    resultant_screen,
+    zassenhaus_rational_roots,
+)
 
 x = POLY_X
 SWINNERTON = x ** 4 - 10 * x ** 2 + 1
@@ -460,6 +466,11 @@ def test_resolvent_requires_monic_quartic():
         resolvent_cubic(x ** 3 + 1)
 
 
+def test_constant_modulus_rejected():
+    with pytest.raises(InvalidInput, match="positive degree"):
+        is_primitive_field(RatPolynomial([1]))
+
+
 # ----------------------------------------------------------------------
 # primitivity certificates
 
@@ -594,6 +605,7 @@ def test_resolvent_witness_matches_principal_subfields():
     pairings = set()
     for m in _imprimitive_moduli():
         roots = numfield.rational_roots(resolvent_cubic(m))
+        assert roots == zassenhaus_rational_roots(resolvent_cubic(m))
         assert len(roots) in (1, 3)
         # alpha_1 + alpha_2 is rational exactly when p3^2 == 4 (q2 - t)
         pairings.update(m[3] ** 2 == 4 * (m[2] - t) for t in roots)
@@ -601,6 +613,69 @@ def test_resolvent_witness_matches_principal_subfields():
         assert ours is not None
         assert ours.to_json() == numfield._principal_witness(m).to_json(), m
     assert pairings == {True, False}
+
+
+def _composed_quartics(rng, count):
+    """count irreducible quartics g(h(x)) for random monic quadratics g and
+    h with rational coefficients, each followed by the minimal polynomial
+    of a random element of its field."""
+    def quadratic():
+        return RatPolynomial([Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(2)] + [1])
+
+    found = 0
+    while found < count:
+        m = quadratic()(quadratic())
+        if not factor_over_rationals(m).is_irreducible():
+            continue
+        found += 1
+        yield m
+        a = NumberField(m, check=False).element(
+            [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4)]
+        )
+        minpoly = a.minimal_polynomial()
+        if minpoly.degree == 4:
+            yield minpoly
+
+
+def kernel_quadratic_entries(m, roots):
+    """For each resolvent root, in the way _resolvent_witness reads it:
+    whether s is rational, the quadratic (g, b, c) with g^2 + b g + c = 0,
+    and the entry of Q(g) from the two kernels and the minimal polynomial
+    that _quadratic_entry replaced."""
+    L = NumberField(m, check=False)
+    p3, q2, r1, s0 = m[3], m[2], m[1], m[0]
+    theta = L.theta
+    out = []
+    for t in roots:
+        s = -L.element([r1, 2 * (q2 - t), p3]) / L.element([t, p3, 2])
+        if s.is_rational():
+            g, b, c = s * theta - theta * theta, -t, s0
+        else:
+            g, b, c = s, p3, q2 - t
+        complement = nullspace([list(L.one.coeffs), list(g.coeffs)])
+        out.append((s.is_rational(), (g, b, c), numfield._subfield_entry(L, nullspace(complement))))
+    return out
+
+
+def test_quadratic_entry_matches_the_kernel_oracle():
+    moduli = list(_imprimitive_moduli()) + list(_composed_quartics(random.Random(61), 100))
+    assert len(moduli) >= 200
+    branches, three_roots, fractional = set(), 0, 0
+    for m in moduli:
+        roots = numfield.rational_roots(resolvent_cubic(m))
+        three_roots += len(roots) == 3
+        fractional += any(q.denominator > 1 for q in m.coeffs)
+        L = NumberField(m, check=False)
+        oracle = []
+        for rational_s, quadratic, entry in kernel_quadratic_entries(m, roots):
+            branches.add(rational_s)
+            assert numfield._quadratic_entry(L, *quadratic) == entry, m
+            oracle.append(entry)
+        best = min(oracle, key=numfield._entry_sort_key)
+        expected = numfield.SubfieldWitness(2, best.generator, best.generator_minpoly)
+        assert numfield._resolvent_witness(m, roots).to_json() == expected.to_json(), m
+    assert branches == {True, False}
+    assert three_roots >= 6 and fractional >= 100
 
 
 def _count_calls(monkeypatch, module, name):
@@ -624,6 +699,35 @@ def test_imprimitive_quartic_fibers_make_no_trager_call(g1, monkeypatch):
     for cert in certs:
         assert cert.verdict == "imprimitive" and cert.method == "resolvent_cubic"
         assert cert.witness == numfield._principal_witness(cert.modulus)
+
+
+def _count_calls_anywhere(monkeypatch, name):
+    """The calls of name through every primpoints module that binds it."""
+    calls = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("primpoints.") and name in vars(module):
+            exact = vars(module)[name]
+            monkeypatch.setattr(
+                module, name, lambda *args, exact=exact, **kw: calls.append(args) or exact(*args, **kw)
+            )
+    return calls
+
+
+def test_imprimitive_quartic_fiber_needs_no_factoring_or_linear_algebra(g1, monkeypatch):
+    # a stream-imprimitive fiber: x^2 + 3x on y^2 = x^3 + 1 at t = 3
+    f = g1.function(x ** 2 + 3 * x)
+    names = ["factor_over_rationals", "factor_mod_p", "hensel_lift", "nullspace", "_gcd_cofactor"]
+    counted = [_count_calls_anywhere(monkeypatch, name) for name in names]
+    spec = classify_specialization(g1, f, 3)
+    assert spec.fiber_poly == x ** 4 + 6 * x ** 3 + 55 * x ** 2 - 114 * x - 59
+    cert = spec.certificate
+    assert (cert.verdict, cert.method) == ("imprimitive", "resolvent_cubic")
+    assert counted == [[], [], [], [], []]
+    # the counters see the principal-subfields route, which factors and
+    # takes kernels
+    assert cert.witness == numfield._principal_witness(cert.modulus)
+    assert counted[0] and counted[3]
+    assert cert.verify()
 
 
 def test_failed_resolvent_check_falls_back(monkeypatch):
