@@ -26,7 +26,6 @@ from .errors import (
 )
 from .exactalg import (
     FactorList,
-    ModpPolynomial,
     POLY_ONE,
     POLY_X,
     POLY_ZERO,

@@ -1,12 +1,12 @@
 """Exact rational arithmetic and univariate polynomial algebra.
 
 Everything downstream (number fields, curves, specialization sweeps) runs on
-the two value types defined here: ``RatPolynomial`` over ``Rational`` (which
-is ``fractions.Fraction``) and ``ModpPolynomial`` over a prime field.  All
-values are immutable; all operations are pure functions.  Factorization over
-``F_p`` uses distinct-degree plus seeded Cantor-Zassenhaus splitting, and
-factorization over the rationals is Zassenhaus: factor mod a good prime,
-Hensel-lift past the Mignotte bound, recombine subsets.
+the immutable ``RatPolynomial`` over ``Rational`` (``fractions.Fraction``);
+below it, polynomials over Z and F_p are plain little-endian int lists.
+Factorization over ``F_p`` (``factor_mod_p``) uses distinct-degree plus
+seeded Cantor-Zassenhaus splitting, and factorization over the rationals is
+Zassenhaus: factor mod a good prime, Hensel-lift past the Mignotte bound
+(``hensel_lift``), recombine subsets.
 """
 
 from __future__ import annotations
@@ -780,86 +780,17 @@ def from_power_sums(sums, degree: int, scale: int = 1) -> RatPolynomial:
 
 
 # ----------------------------------------------------------------------
-# ModpPolynomial
-
-class ModpPolynomial:
-    """Immutable polynomial over F_p (p prime), reduced coefficients."""
-
-    __slots__ = ("p", "_c")
-
-    def __init__(self, modulus: int, coeffs=()):
-        if not is_prime(modulus):
-            raise InvalidInput(f"modulus {modulus} is not prime")
-        self.p = modulus
-        self._c = tuple(_p_trim([int(x) for x in coeffs], modulus))
-
-    @classmethod
-    def reduce(cls, poly: RatPolynomial, p: int) -> "ModpPolynomial":
-        out = _p_residues(poly.coeffs, p)
-        if out is None:
-            raise InvalidInput(f"denominator not invertible mod {p}")
-        return cls(p, out)
-
-    @property
-    def coeffs(self):
-        return self._c
-
-    @property
-    def degree(self):
-        return len(self._c) - 1
-
-    def is_zero(self):
-        return not self._c
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModpPolynomial)
-            and self.p == other.p
-            and self._c == other._c
-        )
-
-    def __hash__(self):
-        return hash((self.p, self._c))
-
-    def _wrap(self, c):
-        out = ModpPolynomial.__new__(ModpPolynomial)
-        out.p = self.p
-        out._c = tuple(_p_trim(c, self.p))
-        return out
-
-    def __mul__(self, other):
-        return self._wrap(_p_mul(list(self._c), list(other._c), self.p))
-
-    def __mod__(self, other):
-        return self._wrap(_p_mod(list(self._c), list(other._c), self.p))
-
-    def monic(self):
-        return self._wrap(_p_monic(list(self._c), self.p))
-
-    def __str__(self):
-        return f"{RatPolynomial(self._c)} (mod {self.p})"
-
-    __repr__ = __str__
-
-
-# ----------------------------------------------------------------------
 # FactorList
 
 @dataclass(frozen=True)
 class FactorList:
-    """unit * prod(factor^mult) reconstructs the input exactly."""
+    """A factorization over Q: unit * prod(factor^mult) reconstructs the
+    input exactly."""
 
     unit: Fraction
-    factors: tuple  # of (RatPolynomial | ModpPolynomial, int), each factor monic irreducible
+    factors: tuple  # of (RatPolynomial, int), each factor monic irreducible
 
     def expand(self):
-        if self.factors and isinstance(self.factors[0][0], ModpPolynomial):
-            p = self.factors[0][0].p
-            acc = [int(self.unit) % p]
-            for f, m in self.factors:
-                for _ in range(m):
-                    acc = _p_mul(acc, list(f.coeffs), p)
-            return ModpPolynomial(p, acc)
         acc = RatPolynomial([self.unit])
         for f, m in self.factors:
             acc = acc * f ** m
@@ -867,16 +798,6 @@ class FactorList:
 
     def is_irreducible(self):
         return len(self.factors) == 1 and self.factors[0][1] == 1
-
-    def to_json(self):
-        return {
-            "unit": rat_to_str(Fraction(self.unit)),
-            "factors": [
-                {"poly": f.to_json() if isinstance(f, RatPolynomial) else list(f.coeffs),
-                 "mult": m}
-                for f, m in self.factors
-            ],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -961,21 +882,28 @@ def _p_equal_degree(f, d, p, rng):
             return left + right
 
 
-def factor_mod_p(poly: ModpPolynomial, seed: int = 0) -> FactorList:
-    """Complete irreducible factorization over F_p, reproducible for a seed."""
-    if poly.is_zero():
+def factor_mod_p(coeffs, p: int, seed: int = 0) -> list:
+    """Complete irreducible factorization of the int list ``coeffs`` over
+    F_p, reproducible for a seed.
+
+    Returns [(monic irreducible factor as a reduced int list, multiplicity),
+    ...] ordered by (degree, coefficients); their product is the monic form
+    of coeffs mod p.  Raises InvalidInput when p is not prime or coeffs is
+    zero mod p.
+    """
+    if not is_prime(p):
+        raise InvalidInput(f"modulus {p} is not prime")
+    monic = _p_monic(_p_trim(coeffs, p), p)
+    if not monic:
         raise InvalidInput("cannot factor the zero polynomial")
-    p = poly.p
-    unit = poly.coeffs[-1]
-    monic = list(poly.monic().coeffs)
     rng = random.Random(seed)
     pieces = []
     for sqf, mult in _p_squarefree_decomposition(monic, p):
         for block, d in _p_distinct_degree(sqf, p):
             for irr in _p_equal_degree(block, d, p, rng):
-                pieces.append((ModpPolynomial(p, irr), mult))
-    pieces.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return FactorList(unit=unit, factors=tuple(pieces))
+                pieces.append((irr, mult))
+    pieces.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return pieces
 
 
 # ----------------------------------------------------------------------
@@ -1027,44 +955,32 @@ def _hensel_tree(f, factors, p, k):
     return _hensel_tree(G, factors[:half], p, k) + _hensel_tree(H, factors[half:], p, k)
 
 
-def hensel_lift(target: RatPolynomial, factors, k: int) -> list:
-    """Lift a mod-p factorization of ``target`` to mod p^k.
+def hensel_lift(target, factors, p: int, k: int) -> list:
+    """Lift a mod-p factorization of the int list ``target`` to mod p^k.
 
-    ``factors`` are ModpPolynomial irreducibles (pairwise coprime, with
-    monic product congruent to the monic form of target mod p).  Returns
-    RatPolynomials with symmetric-range integer coefficients, each congruent
-    to its input mod p, whose product is congruent to the monic form of
-    target mod p^k.
+    ``factors`` are int lists whose monic forms multiply to the monic form
+    of target mod p.  Returns monic int lists with coefficients in the
+    symmetric range mod p^k, each congruent to the monic form of its input
+    mod p, whose product is congruent to the monic form of target mod p^k.
+    Factors not coprime mod p raise LiftObstruction where _hensel_tree
+    separates them.
     """
     if not factors or k < 1:
         raise InvalidInput("need at least one factor and k >= 1")
-    p = factors[0].p
-    if any(f.p != p for f in factors):
-        raise InvalidInput("mixed moduli")
-    factors = [f.monic() for f in factors]
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            g = _p_gcd(list(factors[i].coeffs), list(factors[j].coeffs), p)
-            if len(g) != 1:
-                raise LiftObstruction("factors are not coprime mod p")
-    _, tz = target.to_zpoly()
-    if not tz or tz[-1] % p == 0:
+    if not is_prime(p):
+        raise InvalidInput(f"modulus {p} is not prime")
+    if not target or target[-1] % p == 0:
         raise InvalidInput("leading coefficient vanishes mod p")
+    factors = [_p_monic(_p_trim(f, p), p) for f in factors]
     prod = [1]
     for f in factors:
-        prod = _p_mul(prod, list(f.coeffs), p)
-    tmod = _p_trim([x * pow(tz[-1], -1, p) % p for x in tz], p)
-    if prod != tmod:
+        prod = _p_mul(prod, f, p)
+    if prod != _p_trim([x * pow(target[-1], -1, p) for x in target], p):
         raise LiftObstruction("product of factors does not match target mod p")
     q = p ** k
-    lifted = _hensel_tree(
-        _p_trim([x * pow(tz[-1], -1, q) % q for x in tz], q),
-        [list(f.coeffs) for f in factors],
-        p,
-        k,
-    )
+    monic = _p_trim([x * pow(target[-1], -1, q) for x in target], q)
     half = q // 2
-    return [RatPolynomial([x - q if x > half else x for x in c]) for c in lifted]
+    return [[x - q if x > half else x for x in c] for c in _hensel_tree(monic, factors, p, k)]
 
 
 # ----------------------------------------------------------------------
@@ -1170,15 +1086,13 @@ def _factor_squarefree_z(zc):
         if degree_sums == irreducible:
             return [list(zc)]
     p = best[0]
-    fl = factor_mod_p(ModpPolynomial(p, zc))
     bound = _mignotte_bound(zc)
     k = 1
     pk = p
     while pk < 2 * bound + 1:
         pk *= p
         k += 1
-    lifted = hensel_lift(RatPolynomial(zc), [f for f, _ in fl.factors], k)
-    lifted = [[int(x) for x in f.coeffs] for f in lifted]
+    lifted = hensel_lift(zc, [f for f, _ in factor_mod_p(zc, p)], p, k)
     q = p ** k
     half = q // 2
 
@@ -1277,9 +1191,3 @@ def _factor_list(unit, factors) -> FactorList:
     ordered = tuple(sorted(factors.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs)))
     return FactorList(unit=unit, factors=ordered)
 
-
-def is_irreducible(p: RatPolynomial) -> bool:
-    if p.degree < 1:
-        return False
-    fl = factor_over_rationals(p)
-    return fl.is_irreducible()

@@ -21,7 +21,6 @@ from math import gcd as int_gcd, isqrt, lcm
 from .errors import DivisionByZero, InvalidInput, NotAField
 from .exactalg import (
     POLY_X,
-    ModpPolynomial,
     RatPolynomial,
     _QUARTIC_PRIMES,
     _cycle_types,
@@ -493,7 +492,7 @@ def _squarefree_mod_p(norm: RatPolynomial) -> bool:
     """Whether the p-integral norm reduces mod _SCREEN_PRIME to a
     squarefree polynomial of full degree."""
     p = _SCREEN_PRIME
-    red = list(ModpPolynomial.reduce(norm, p).coeffs)
+    red = _p_trim(_p_residues(norm.coeffs, p), p)
     return _p_squarefree_of_degree(red, norm.degree, p)
 
 
@@ -846,18 +845,30 @@ def _entry_sort_key(e: PrincipalSubfield):
     return (e.degree, height, e.generator_minpoly.coeffs)
 
 
-def _squarefree_int_part(n: int, bound: int = 1_000_000):
-    """(s, n0) with n == s^2 * n0 and n0 free of square factors below bound."""
+# trial divisors of _squarefree_int_part stop here
+_TRIAL_BOUND = 1_000_000
+
+
+def _squarefree_int_part(n: int):
+    """(s, n0) with n == s^2 * n0 and n0 free of square factors p^2 with
+    p <= _TRIAL_BOUND.  Each p is divided out of the untried cofactor fully,
+    and the search stops once that cofactor is prime or 1."""
     sign = -1 if n < 0 else 1
-    n = abs(n)
-    s = 1
+    rest = abs(n)
+    s = core = 1
+    settled = is_prime(rest)
     p = 2
-    while p * p <= n and p <= bound:
-        while n % (p * p) == 0:
-            n //= p * p
-            s *= p
+    while not settled and p * p <= rest and p <= _TRIAL_BOUND:
+        e = 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if e:
+            s *= p ** (e // 2)
+            core *= p ** (e % 2)
+            settled = is_prime(rest)
         p += 1 if p == 2 else 2
-    return s, sign * n
+    return s, sign * core * rest
 
 
 def _canonical_quadratic(L: NumberField, gen: FieldElement, minpoly: RatPolynomial):

@@ -120,7 +120,7 @@ def fiber_polynomial(curve, f: CurveFunction, t: Fraction):
     # primitive element x + lam*y, eliminating x by a resultant
     for lam in range(1, 2 * d + 1):
         ft = _eliminated_presentation(curve, a, t, Fraction(lam))
-        if ft.degree == d and _is_squarefree(ft):
+        if _is_squarefree(ft):
             return RatPolynomial._monic_from_z(ft.to_zpoly()[1]), lam
     raise DegeneratePresentation(
         f"no primitive-element presentation for t={t} within lam <= {2 * d}"

@@ -18,7 +18,6 @@ import pytest
 from primpoints import (
     Divisor,
     INFINITY,
-    ModpPolynomial,
     OutOfTheoremRange,
     POLY_ONE,
     POLY_X,
@@ -330,8 +329,8 @@ def test_criterion_8_factorization_backbone():
     irr_ok = factor_over_rationals(swinnerton).is_irreducible()
     split_failures = []
     for p in filter(is_prime, range(2, 51)):
-        fl = factor_mod_p(ModpPolynomial.reduce(swinnerton, p))
-        if sum(m for _, m in fl.factors) < 2:
+        fl = factor_mod_p(swinnerton.to_zpoly()[1], p)
+        if sum(m for _, m in fl) < 2:
             split_failures.append(p)
     elapsed = time.monotonic() - t0
     ok = not mismatches and irr_ok and not split_failures

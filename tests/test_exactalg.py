@@ -10,7 +10,6 @@ from primpoints import (
     DivisionByZero,
     InvalidInput,
     LiftObstruction,
-    ModpPolynomial,
     POLY_X,
     RatPolynomial,
     factor_mod_p,
@@ -40,6 +39,11 @@ x = POLY_X
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(RatPolynomial)
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+
+
+def reduce_mod(poly, p):
+    """The residues of a p-integral RatPolynomial mod p as a trimmed int list."""
+    return exactalg._p_trim(exactalg._p_residues(poly.coeffs, p), p)
 
 
 # ----------------------------------------------------------------------
@@ -118,16 +122,16 @@ def test_power_matches_repeated_multiplication(g1, monkeypatch):
 # factorization over F_p
 
 def test_factor_mod2_double_root():
-    fl = factor_mod_p(ModpPolynomial(2, [1, 0, 1]))
-    assert len(fl.factors) == 1
-    f, m = fl.factors[0]
-    assert m == 2 and list(f.coeffs) == [1, 1]
+    fl = factor_mod_p([1, 0, 1], 2)
+    assert len(fl) == 1
+    f, m = fl[0]
+    assert m == 2 and f == [1, 1]
 
 
 def test_factor_mod5_splits():
-    fl = factor_mod_p(ModpPolynomial(5, [1, 0, 1]))
+    fl = factor_mod_p([1, 0, 1], 5)
     # 2^2 = 4 = -1 mod 5, so the roots are 2 and 3
-    roots = sorted((5 - f.coeffs[0]) % 5 for f, _ in fl.factors)
+    roots = sorted((5 - f[0]) % 5 for f, _ in fl)
     assert roots == [2, 3]
 
 
@@ -136,42 +140,33 @@ def brute_force_factor_f7(poly):
     p = 7
     monic_irreducibles = []
     for c0 in range(p):
-        monic_irreducibles.append(ModpPolynomial(p, [c0, 1]))
+        monic_irreducibles.append([c0, 1])
     for c0 in range(p):
         for c1 in range(p):
-            cand = ModpPolynomial(p, [c0, c1, 1])
-            if all((cand % lin).coeffs for lin in monic_irreducibles[:p]):
+            cand = [c0, c1, 1]
+            if all(exactalg._p_mod(cand, lin, p) for lin in monic_irreducibles[:p]):
                 monic_irreducibles.append(cand)
     found = []
-    cur = poly.monic()
+    cur = exactalg._p_monic(exactalg._p_trim(poly, p), p)
     for cand in monic_irreducibles:
-        while cur.degree >= cand.degree:
-            q_r = _divide(cur, cand)
-            if q_r is None:
+        while len(cur) >= len(cand):
+            q, r = exactalg._p_divmod(cur, cand, p)
+            if r:
                 break
-            cur = q_r
+            cur = q
             found.append(cand)
     return found, cur
 
 
-def _divide(f, g):
-    from primpoints.exactalg import _p_divmod
-
-    q, r = _p_divmod(list(f.coeffs), list(g.coeffs), f.p)
-    if r:
-        return None
-    return ModpPolynomial(f.p, q)
-
-
 def test_factor_mod7_swinnerton_dyer():
     # x^4 - 10x^2 + 1 is irreducible over Q yet splits mod every prime
-    poly = ModpPolynomial(7, [1, 0, -10, 0, 1])
-    fl = factor_mod_p(poly)
-    assert all(f.degree <= 2 for f, _ in fl.factors)
+    poly = [1, 0, -10, 0, 1]
+    fl = factor_mod_p(poly, 7)
+    assert all(len(f) - 1 <= 2 for f, _ in fl)
     oracle, rest = brute_force_factor_f7(poly)
-    assert rest.degree == 0
-    assert sorted(tuple(f.coeffs) for f, m in fl.factors for _ in range(m)) == sorted(
-        tuple(f.coeffs) for f in oracle
+    assert len(rest) - 1 == 0
+    assert sorted(tuple(f) for f, m in fl for _ in range(m)) == sorted(
+        tuple(f) for f in oracle
     )
 
 
@@ -180,16 +175,28 @@ def test_factor_mod_p_expand_and_seed():
     for _ in range(20):
         p = rng.choice([2, 3, 5, 7, 11])
         coeffs = [rng.randrange(p) for _ in range(rng.randint(2, 7))] + [1]
-        poly = ModpPolynomial(p, coeffs)
-        fl = factor_mod_p(poly, seed=11)
-        assert fl.expand() == poly
-        again = factor_mod_p(poly, seed=11)
-        assert fl.factors == again.factors
+        fl = factor_mod_p(coeffs, p, seed=11)
+        prod = [1]
+        for f, m in fl:
+            for _ in range(m):
+                prod = exactalg._p_mul(prod, f, p)
+        assert prod == exactalg._p_monic(exactalg._p_trim(coeffs, p), p)
+        again = factor_mod_p(coeffs, p, seed=11)
+        assert fl == again
 
 
 def test_composite_modulus_rejected():
     with pytest.raises(InvalidInput):
-        ModpPolynomial(6, [1, 1])
+        factor_mod_p([1, 1], 6)
+    with pytest.raises(InvalidInput):
+        hensel_lift([1, 0, 1], [[1, 1], [5, 1]], 6, 2)
+
+
+def test_factor_mod_p_zero_residue_rejected():
+    # 0, and 5x^2 - 10 mod 5, are the zero polynomial
+    for coeffs in ([], [0, 0], [-10, 0, 5]):
+        with pytest.raises(InvalidInput):
+            factor_mod_p(coeffs, 5)
 
 
 def test_divmod_prime_power_modulus():
@@ -210,28 +217,39 @@ def test_divmod_prime_power_modulus():
 
 def test_hensel_example_mod25():
     # 7^2 = 49 = -1 + 2*25, so the lift of the roots +-2 of x^2+1 mod 5 is +-7
-    lifted = hensel_lift(
-        x ** 2 + 1,
-        [ModpPolynomial(5, [-2, 1]), ModpPolynomial(5, [2, 1])],
-        2,
-    )
-    assert lifted == [x - 7, x + 7]
+    lifted = hensel_lift([1, 0, 1], [[-2, 1], [2, 1]], 5, 2)
+    assert lifted == [[-7, 1], [7, 1]]
 
 
 def test_hensel_exact_factorization_is_fixed():
-    lifted = hensel_lift(
-        x ** 2 - 1,
-        [ModpPolynomial(3, [-1, 1]), ModpPolynomial(3, [1, 1])],
-        2,
-    )
-    assert lifted == [x - 1, x + 1]
+    lifted = hensel_lift([-1, 0, 1], [[-1, 1], [1, 1]], 3, 2)
+    assert lifted == [[-1, 1], [1, 1]]
 
 
 def test_hensel_repeated_factor_obstructs():
     with pytest.raises(LiftObstruction):
-        hensel_lift(
-            x ** 2 + 1, [ModpPolynomial(2, [1, 1]), ModpPolynomial(2, [1, 1])], 3
-        )
+        hensel_lift([1, 0, 1], [[1, 1], [1, 1]], 2, 3)
+
+
+def test_hensel_repeated_factor_inside_a_half_obstructs():
+    # (x-1)^2 (x-2)(x-3) mod 7 with the repeated pair in the left half of
+    # the tree: only the inner node's _hensel_pair can see it
+    target = [1]
+    for root in (1, 1, 2, 3):
+        target = exactalg._z_mul(target, [-root, 1])
+    with pytest.raises(LiftObstruction, match="not coprime"):
+        hensel_lift(target, [[-1, 1], [-1, 1], [-2, 1], [-3, 1]], 7, 3)
+
+
+def test_hensel_input_checks():
+    # the leading coefficient 5 vanishes mod 5
+    with pytest.raises(InvalidInput):
+        hensel_lift([1, 0, 5], [[-2, 1], [2, 1]], 5, 2)
+    with pytest.raises(InvalidInput):
+        hensel_lift([1, 0, 1], [], 5, 2)
+    # (x - 1)(x + 1) = x^2 - 1, not x^2 + 1, mod 5
+    with pytest.raises(LiftObstruction, match="does not match"):
+        hensel_lift([1, 0, 1], [[-1, 1], [1, 1]], 5, 2)
 
 
 def test_hensel_reduces_back():
@@ -239,16 +257,16 @@ def test_hensel_reduces_back():
     for _ in range(10):
         p = rng.choice([5, 7, 11])
         f = RatPolynomial([rng.randint(-20, 20) for _ in range(4)] + [1])
-        fl = factor_mod_p(ModpPolynomial.reduce(f, p))
-        if any(m > 1 for _, m in fl.factors):
+        fl = factor_mod_p(f.to_zpoly()[1], p)
+        if any(m > 1 for _, m in fl):
             continue
         k = 4
-        lifted = hensel_lift(f, [g for g, _ in fl.factors], k)
-        for before, after in zip(fl.factors, lifted):
-            assert ModpPolynomial.reduce(after, p) == before[0]
+        lifted = hensel_lift(f.to_zpoly()[1], [g for g, _ in fl], p, k)
+        for before, after in zip(fl, lifted):
+            assert exactalg._p_trim(after, p) == before[0]
         prod = RatPolynomial([1])
         for g in lifted:
-            prod = prod * g
+            prod = prod * RatPolynomial(g)
         diff = prod - f.monic()
         assert all(
             c.denominator == 1 and c.numerator % p ** k == 0 for c in diff.coeffs
@@ -284,8 +302,8 @@ def test_swinnerton_dyer_irreducible_by_hand():
 def test_factor_mod2_reduction_certifies():
     # x^4-x^3-4x^2+3 reduces to x^4+x^3+1 mod 2, which has no roots and is
     # not the square of the only irreducible quadratic
-    fl = factor_mod_p(ModpPolynomial(2, [1, 1, 0, 0, 1]))
-    assert fl.is_irreducible()
+    fl = factor_mod_p([1, 1, 0, 0, 1], 2)
+    assert fl == [([1, 1, 0, 0, 1], 1)]
 
 
 def test_factor_reconstruction_random():
@@ -335,9 +353,9 @@ def test_factor_count_mod_p_upper_bounds_rational_count():
             if found == 3:
                 break
             if ints[-1] % p:
-                mod_fl = factor_mod_p(ModpPolynomial(p, ints))
-                if all(m == 1 for _, m in mod_fl.factors):
-                    assert len(mod_fl.factors) >= len(fl.factors)
+                mod_fl = factor_mod_p(ints, p)
+                if all(m == 1 for _, m in mod_fl):
+                    assert len(mod_fl) >= len(fl.factors)
                     found += 1
 
 
@@ -348,7 +366,7 @@ def test_degree_sets_prove_irreducible_without_lifting(monkeypatch):
     types = list(islice(exactalg._cycle_types(f), 3))
     assert types == [(5, [1, 3]), (7, [2, 2]), (11, [1, 3])]
     patterns = [
-        sorted(g.degree for g, _ in factor_mod_p(ModpPolynomial(p, f)).factors)
+        sorted(len(g) - 1 for g, _ in factor_mod_p(f, p))
         for p in (5, 7, 11)
     ]
     assert patterns == [[1, 3], [2, 2], [1, 3]]
@@ -398,7 +416,7 @@ def test_resultant_swap_sign(p, q):
 def test_resultant_mod_p_reduces_resultant(p, q):
     # with lead coefficients prime to 13 the Sylvester matrix keeps its shape
     assume(p.lc % 13 and q.lc % 13)
-    reduced = [list(ModpPolynomial.reduce(f, 13).coeffs) for f in (p, q)]
+    reduced = [reduce_mod(f, 13) for f in (p, q)]
     assert _p_resultant(*reduced, 13) == resultant(p, q) % 13
 
 
@@ -569,7 +587,7 @@ def cycle_types_good(zc, p):
 
 def screen_good(poly, p):
     """The test numfield._squarefree_mod_p ran inline, at any prime p."""
-    red = list(ModpPolynomial.reduce(poly, p).coeffs)
+    red = reduce_mod(poly, p)
     slope = exactalg._p_trim(exactalg._z_derivative(red), p)
     return len(red) == poly.degree + 1 and len(exactalg._p_gcd(red, slope, p)) == 1
 
@@ -578,7 +596,7 @@ def norm_factors_good(factors, p):
     """The test numfield._gcds_mod_p ran inline on the norm's factors."""
     norm_p = [1]
     for G in factors:
-        norm_p = exactalg._p_mul(norm_p, list(ModpPolynomial.reduce(G, p).coeffs), p)
+        norm_p = exactalg._p_mul(norm_p, reduce_mod(G, p), p)
     slope = exactalg._p_trim(exactalg._z_derivative(norm_p), p)
     full_degree = len(norm_p) == 1 + sum(G.degree for G in factors)
     return full_degree and len(exactalg._p_gcd(norm_p, slope, p)) == 1
@@ -815,7 +833,7 @@ def resultant_screen(m_p, lifted_p, s, p):
             val = exactalg._p_trim(exactalg._z_add(exactalg._p_mul(val, arg, p), a), p)
         return _p_resultant(m_p, exactalg._p_mod(val, m_p, p), p)
 
-    norm = list(ModpPolynomial.reduce(interpolate(sample, nd + 1), p).coeffs)
+    norm = reduce_mod(interpolate(sample, nd + 1), p)
     slope = exactalg._p_trim(exactalg._z_derivative(norm), p)
     return len(norm) == nd + 1 and len(exactalg._p_gcd(norm, slope, p)) == 1
 

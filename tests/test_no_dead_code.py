@@ -1,7 +1,11 @@
 """The package holds no dead helpers: every module-level def or class is
 referenced elsewhere in the package, exported by primpoints, or named as a
 target in perfbench/spans.py (which times public names it looks up by
-string, so a name may live only there)."""
+string, so a name may live only there).
+
+An attribute counts as a reference only on a primpoints module name
+(``exactalg.x``): a method of the same name, such as
+``FactorList.is_irreducible``, does not keep a module-level helper alive."""
 
 import ast
 from pathlib import Path
@@ -10,13 +14,18 @@ import primpoints
 
 SRC = Path(primpoints.__file__).parent
 SPANS = SRC.parents[1] / "perfbench" / "spans.py"
+MODULES = {path.stem for path in SRC.glob("*.py")}
 
 
 def _used_names(node):
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
-        elif isinstance(sub, ast.Attribute):
+        elif (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id in MODULES
+        ):
             yield sub.attr
 
 

@@ -10,7 +10,6 @@ import pytest
 from primpoints import (
     DivisionByZero,
     InvalidInput,
-    ModpPolynomial,
     NfPolynomial,
     NotAField,
     NumberField,
@@ -32,6 +31,7 @@ from primpoints.linalg import nullspace
 from test_exactalg import (
     euclidean_pull_back,
     interpolated_norm,
+    reduce_mod,
     resultant_screen,
     zassenhaus_rational_roots,
 )
@@ -271,10 +271,8 @@ def test_norm_screen_matches_resultant_screen():
         else:
             coeffs = [_random_element(rng, L) for _ in range(rng.randint(1, 3))]
             g = NfPolynomial(L, coeffs + [L.one])
-        m_p = list(ModpPolynomial.reduce(L.modulus, p).coeffs)
-        lifted_p = [
-            list(ModpPolynomial.reduce(c.to_poly(), p).coeffs) for c in reversed(g.coeffs)
-        ]
+        m_p = reduce_mod(L.modulus, p)
+        lifted_p = [reduce_mod(c.to_poly(), p) for c in reversed(g.coeffs)]
         for shift in (0, 1, -2):
             verdict = numfield._squarefree_mod_p(numfield.nf_norm(g, shift))
             assert verdict == resultant_screen(m_p, lifted_p, shift, p)
@@ -676,6 +674,43 @@ def test_quadratic_entry_matches_the_kernel_oracle():
         assert numfield._resolvent_witness(m, roots).to_json() == expected.to_json(), m
     assert branches == {True, False}
     assert three_roots >= 6 and fractional >= 100
+
+
+def trial_squarefree_int_part(n: int, bound: int = 1_000_000):
+    """The loop that numfield._squarefree_int_part replaced: strip p^2 for
+    every p up to bound while p^2 stays below what is left."""
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    s = 1
+    p = 2
+    while p * p <= n and p <= bound:
+        while n % (p * p) == 0:
+            n //= p * p
+            s *= p
+        p += 1 if p == 2 else 2
+    return s, sign * n
+
+
+def test_squarefree_int_part_matches_the_trial_loop(monkeypatch):
+    rng = random.Random(43)
+    small = [2, 3, 5, 7, 11, 13, 97, 997, 7919]
+    # prime cofactors above the trial bound, a square of one and a product
+    # of two, which only the bound stops
+    cofactors = [1, 1000003, 2 ** 31 - 1, 2 ** 61 - 1, 1000003 ** 2, 1000003 * 1000033]
+    cases = [0, 1, -1]
+    for i in range(300):
+        n = 1
+        for p in rng.sample(small, rng.randint(0, 4)):
+            n *= p ** rng.randint(1, 5)
+        # every tenth case takes a cofactor above the bound
+        n *= cofactors[i // 10 % len(cofactors)] if i % 10 == 0 else 1
+        cases.append(n if rng.random() < 0.5 else -n)
+    for n in cases:
+        assert numfield._squarefree_int_part(n) == trial_squarefree_int_part(n), n
+    # is_prime runs once at the start and once per prime divided out
+    calls = _count_calls(monkeypatch, numfield, "is_prime")
+    assert numfield._squarefree_int_part(-(2 ** 5) * 3 ** 3 * (2 ** 61 - 1)) == (12, -6 * (2 ** 61 - 1))
+    assert len(calls) == 3
 
 
 def _count_calls(monkeypatch, module, name):
