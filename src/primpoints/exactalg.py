@@ -221,9 +221,25 @@ def _p_mod(f, g, p):
 
 
 def _p_gcd(a, b, p):
-    while b:
-        a, b = b, _p_mod(a, b, p)
-    return _p_monic(a, p)
+    """Monic gcd of a and b over F_p, for a reduced.  Each divisor is made
+    monic once per Euclid step, in the pass that reduces it, so the
+    remainder loop needs no inverse and reduces only the coefficient it
+    reads at the top."""
+    while True:
+        n = len(b)
+        while n and b[n - 1] % p == 0:
+            n -= 1
+        if not n:
+            return _p_monic(a, p)
+        inv = pow(b[n - 1], -1, p)
+        b = [x * inv % p for x in b[:n]]
+        rem = list(a)
+        for k in range(len(rem) - n, -1, -1):
+            c = rem.pop() % p
+            if c:
+                for j in range(n - 1):
+                    rem[k + j] -= c * b[j]
+        a, b = b, rem
 
 
 def _p_monic(a, p):
@@ -253,14 +269,92 @@ def _p_residues(coeffs, p: int):
     return out
 
 
+# ----------------------------------------------------------------------
+# arithmetic mod a fixed monic modulus f of degree n over F_p
+#
+# The reduction table of f holds the rows x^(n+j) mod f for j < n - 1, each
+# a full list of n residues.  A product of two polynomials reduced mod f has
+# degree at most 2n - 2, so it is reduced in one pass in ints: each
+# coefficient above x^(n-1) adds its multiple of one row, and every
+# coefficient is taken mod p once at the end.
+
+def _p_table(f, p):
+    """The reduction table of the reduced monic f of degree n >= 1."""
+    n = len(f) - 1
+    cur = [-c % p for c in f[:n]]
+    rows = []
+    for _ in range(n - 1):
+        rows.append(cur)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [(c + top * r) % p for c, r in zip(cur, rows[0])]
+    return rows
+
+
+def _p_reduce(c, rows, p):
+    """The int list c, of degree at most 2n - 2, mod the modulus whose
+    reduction table is rows."""
+    n = len(rows) + 1
+    out = c[:n]
+    for k in range(n, len(c)):
+        top = c[k] % p
+        if top:
+            for i, r in enumerate(rows[k - n]):
+                out[i] += top * r
+    return _p_trim(out, p)
+
+
+def _p_mulmod(a, b, rows, p):
+    """a * b mod the modulus whose reduction table is rows, for a and b
+    reduced mod it; a square takes each cross product once."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    if a is b:
+        for i, x in enumerate(a):
+            if x:
+                prod[2 * i] += x * x
+                x += x
+                for j in range(i + 1, len(a)):
+                    prod[i + j] += x * a[j]
+    else:
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+    return _p_reduce(prod, rows, p)
+
+
+def _p_shift(r, rows, p):
+    """x * r mod the modulus whose reduction table is rows, for r reduced
+    mod it."""
+    if len(r) <= len(rows):
+        return [0] + r if r else []
+    top = r[-1]
+    out = [0] + r[:-1]
+    for i, b in enumerate(rows[0]):
+        out[i] += top * b
+    return _p_trim(out, p)
+
+
 def _p_powmod(base, e, mod, p):
-    result = [1]
+    """base^e mod the reduced nonzero mod over F_p, by left-to-right binary
+    powering through the reduction table of mod made monic; when base is
+    x, each multiply is a shift."""
+    if not e:
+        return [1]
+    if len(mod) == 1:
+        return []
+    mod = _p_monic(mod, p)
+    rows = _p_table(mod, p)
     base = _p_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _p_mod(_p_mul(result, base, p), mod, p)
-        base = _p_mod(_p_mul(base, base, p), mod, p)
-        e >>= 1
+    result = base
+    by_x = base == [0, 1]
+    for bit in bin(e)[3:]:
+        result = _p_mulmod(result, result, rows, p)
+        if bit == "1":
+            result = _p_shift(result, rows, p) if by_x else _p_mulmod(result, base, rows, p)
     return result
 
 
@@ -836,22 +930,57 @@ def _p_squarefree_decomposition(c, p):
 
 
 def _p_distinct_degree(f, p):
-    """Split squarefree monic f into (product of irreducibles of degree d, d)."""
+    """Split squarefree monic f into (product of irreducibles of degree d, d).
+
+    h = x^(p^k) mod f for k = 1, 2, ...: x^p by square-and-shift
+    (_p_powmod), and each later power through the Frobenius matrix, whose
+    rows are x^(ip) mod f, since (sum h_i x^i)^p = sum h_i x^(ip) over F_p
+    (von zur Gathen and Shoup, "Computing Frobenius maps and factoring
+    polynomials", 1992).  The matrix is built only when a second degree is
+    needed, and is reduced with h when a block is split off.
+    """
     out = []
-    h = [0, 1]  # x
-    k = 0
     f = list(f)
+    h = frobenius = None
+    k = 0
     while len(f) - 1 > 2 * k:
         k += 1
-        h = _p_powmod(h, p, f, p)
+        if k == 1:
+            h = _p_powmod([0, 1], p, f, p)
+        else:
+            if frobenius is None:
+                frobenius = _p_frobenius_matrix(h, f, p)
+            h = _p_frobenius_apply(h, frobenius, p)
         g = _p_gcd(_p_trim(_z_sub(h, [0, 1]), p), f, p)
         if len(g) > 1:
             out.append((g, k))
             f = _p_divmod(f, g, p)[0]
             h = _p_mod(h, f, p)
+            if frobenius is not None:
+                frobenius = [_p_mod(row, f, p) for row in frobenius[: len(f) - 1]]
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
+
+
+def _p_frobenius_matrix(xp, f, p):
+    """The rows x^(ip) mod the reduced monic f for i < deg f, from
+    xp = x^p mod f."""
+    rows = _p_table(f, p)
+    out = [[1], xp]
+    while len(out) < len(f) - 1:
+        out.append(_p_mulmod(out[-1], xp, rows, p))
+    return out
+
+
+def _p_frobenius_apply(h, frobenius, p):
+    """h^p mod f, for h reduced mod f and frobenius its Frobenius matrix."""
+    out = [0] * len(frobenius)
+    for c, row in zip(h, frobenius):
+        if c:
+            for i, r in enumerate(row):
+                out[i] += c * r
+    return _p_trim(out, p)
 
 
 def _p_equal_degree(f, d, p, rng):
@@ -1058,22 +1187,23 @@ _MUSSER_PRIMES = 3
 _QUARTIC_PRIMES = 5
 
 
-def _factor_squarefree_z(zc):
+def _factor_squarefree_z(zc, step=1):
     """Irreducible factors (primitive, positive lc) of a squarefree primitive zc.
 
     Every factor over Z has a degree that is a sum of factor degrees mod
     each good prime (Musser 1978).  The sets of such sums, as bit masks, are
     intersected over the cycle types of the first _MUSSER_PRIMES good primes
-    (_QUARTIC_PRIMES for a quartic): when only 0 and n are left, zc is
-    irreducible with no Hensel lift, and otherwise the prime with the fewest
-    factors is split completely and lifted, and recombination tries only
-    subsets whose degree sum is left.
+    (_QUARTIC_PRIMES for a quartic), starting from the multiples of step,
+    which the caller knows to divide every factor's degree: when only 0
+    and n are left, zc is irreducible with no Hensel lift, and otherwise the
+    prime with the fewest factors is split completely and lifted, and
+    recombination tries only subsets whose degree sum is left.
     """
     n = len(zc) - 1
     if n <= 1:
         return [list(zc)]
     irreducible = 1 | (1 << n)
-    degree_sums = (1 << (n + 1)) - 1
+    degree_sums = sum(1 << k for k in range(0, n + 1, step))
     best = None
     count = _QUARTIC_PRIMES if n == 4 else _MUSSER_PRIMES
     for p, degrees in islice(_cycle_types(zc), count):
@@ -1141,11 +1271,14 @@ def _factor_squarefree_z(zc):
     return result
 
 
-def factor_over_rationals(p: RatPolynomial) -> FactorList:
+def factor_over_rationals(p: RatPolynomial, _degree_step: int = 1) -> FactorList:
     """Complete irreducible factorization over Q.
 
     Output factors are monic, ordered by (degree, coefficient tuple); the
     unit times the product of factor powers reproduces the input exactly.
+    _degree_step is private to callers that know it divides the degree of
+    every irreducible factor but x, such as numfield.trager_factor on a
+    squarefree norm; it only narrows the degrees that are tried.
     """
     if p.is_zero():
         raise InvalidInput("cannot factor the zero polynomial")
@@ -1173,7 +1306,7 @@ def factor_over_rationals(p: RatPolynomial) -> FactorList:
             d = _z_sub(c, _z_derivative(b))
             g = _z_gcd(b, d)
             if len(g) > 1:
-                for irr in _factor_squarefree_z(g):
+                for irr in _factor_squarefree_z(g, _degree_step):
                     rp = RatPolynomial(irr)
                     unit *= rp.lc ** i
                     rp = rp.monic()

@@ -30,13 +30,16 @@ from .exactalg import (
     _integral,
     _p_mod,
     _p_mul,
+    _p_reduce,
     _p_residues,
     _p_squarefree_of_degree,
+    _p_table,
     _p_trim,
     _p_xgcd,
     _power,
     _scaled_monic,
     _z_add,
+    _z_mul,
     _z_sub,
     factor_over_rationals,
     from_power_sums,
@@ -54,7 +57,7 @@ from .linalg import in_span, nullspace
 class NumberField:
     """Q[x]/(m) for a monic irreducible m; irreducibility certified on build."""
 
-    __slots__ = ("modulus", "degree", "_red_powers")
+    __slots__ = ("modulus", "degree", "_red_den", "_red_powers")
 
     def __init__(self, modulus: RatPolynomial, check: bool = True):
         if modulus.is_zero() or not modulus.is_monic():
@@ -66,10 +69,11 @@ class NumberField:
         self.modulus = modulus
         d = modulus.degree
         self.degree = d
-        # x^d .. x^(2d-2) reduced mod m, as coordinate tuples
+        # x^d .. x^(2d-2) reduced mod m, as integer coordinate tuples over
+        # the one denominator _red_den
         red = []
         cur = [-c for c in modulus.coeffs[:d]]
-        red.append(tuple(cur))
+        red.append(cur)
         for _ in range(d - 2):
             nxt = [Fraction(0)] + cur[: d - 1]
             top = cur[d - 1]
@@ -77,8 +81,10 @@ class NumberField:
                 for i in range(d):
                     nxt[i] -= top * modulus.coeffs[i]
             cur = nxt
-            red.append(tuple(cur))
-        self._red_powers = tuple(red)
+            red.append(cur)
+        den, flat = _numerators([q for row in red for q in row])
+        self._red_den = den
+        self._red_powers = tuple(tuple(flat[i:i + d]) for i in range(0, len(flat), d))
 
     def element(self, coeffs) -> "FieldElement":
         c = [Fraction(x) for x in coeffs]
@@ -112,6 +118,14 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField(x^{self.degree}: {self.modulus})"
+
+
+def _numerators(coeffs):
+    """(D, the rationals coeffs times D as ints), D the lcm of their
+    denominators."""
+    dens = [q.denominator for q in coeffs]
+    den = lcm(*dens)
+    return den, [q.numerator * (den // e) for q, e in zip(coeffs, dens)]
 
 
 class FieldElement:
@@ -159,22 +173,26 @@ class FieldElement:
         return self._check(other) + (-self)
 
     def __mul__(self, other):
+        """The product in Python ints: each operand as integer numerators
+        over one denominator, and the field's reduction table likewise, so
+        each coordinate is one Fraction over the product of the three."""
         other = self._check(other)
-        d = self.field.degree
-        a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (2 * d - 1)
+        L = self.field
+        d = L.degree
+        da, a = _numerators(self.coeffs)
+        db, b = _numerators(other.coeffs)
+        prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
-        out = list(prod[:d])
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
+        den = L._red_den
+        out = [c * den for c in prod[:d]]
+        for c, row in zip(prod[d:], L._red_powers):
             if c:
-                red = self.field._red_powers[k - d]
-                for i in range(d):
-                    out[i] += c * red[i]
-        return FieldElement(self.field, tuple(out))
+                out = [u + c * r for u, r in zip(out, row)]
+        den *= da * db
+        return FieldElement(L, tuple(Fraction(c, den) for c in out))
 
     __rmul__ = __mul__
 
@@ -560,7 +578,9 @@ def trager_factor(f: NfPolynomial) -> NfFactorization:
     else:
         norm_at = partial(nf_norm, sqf)
     shift_used, norm = _squarefree_norm(norm_at, skip)
-    fl = factor_over_rationals(norm)
+    # every factor of a squarefree norm is the norm of a factor over L, of
+    # degree a multiple of L.degree
+    fl = factor_over_rationals(norm, _degree_step=L.degree)
     pieces = [sqf] if fl.is_irreducible() else _pull_back(sqf, fl, shift_used)
     pieces = known + pieces
     if sum(h.degree for h in pieces) == monic.degree:
@@ -674,34 +694,37 @@ def _gcds_mod_p(g: NfPolynomial, norm_factors, wanted, s: int, p: int):
         return None
     g_p = [_p_trim(c, p) for c in g_p]
     n = g.degree
-    shift = _p_trim([0, -s], p)  # -s*theta
+    rows = _p_table(m_p, p)
+    shift = _p_mod([0, -s], m_p, p)  # -s*theta
     out = {}
     for i in wanted:
-        # Horner for G(x - s*theta) mod g_p, which is monic
+        # Horner for G(x - s*theta) mod g_p, which is monic; each coefficient
+        # is formed in ints and reduced mod m_p once
         acc = [[]] * n
         for c in reversed(Gs[i]):
             top = acc[-1]
             acc = [
-                _p_trim(_z_add(
-                    _p_mod(_z_sub(_p_mul(shift, acc[k], p), _p_mul(top, g_p[k], p)), m_p, p),
+                _p_reduce(_z_add(
+                    _z_sub(_z_mul(shift, acc[k]), _z_mul(top, g_p[k])),
                     acc[k - 1] if k else [c],
-                ), p)
+                ), rows, p)
                 for k in range(n)
             ]
-        h = _rp_gcd(g_p, acc, m_p, p)
+        h = _rp_gcd(g_p, acc, m_p, rows, p)
         if h is None or len(h) - 1 != norm_factors[i].degree // L.degree:
             return None
         out[i] = h[:-1]
     return out
 
 
-def _rp_gcd(a, b, m_p, p):
+def _rp_gcd(a, b, m_p, rows, p):
     """The monic gcd of the monic a and of b in (F_p[y]/m_p)[x], whose
-    coefficients are lists over F_p reduced mod m_p; None when a leading
-    coefficient met is not a unit."""
+    coefficients are lists over F_p reduced mod m_p, with rows the
+    reduction table of m_p; None when a leading coefficient met is not a
+    unit."""
 
     def mul(u, v):
-        return _p_mod(_p_mul(u, v, p), m_p, p)
+        return _p_reduce(_z_mul(u, v), rows, p)
 
     inv = [1]
     b = _rp_trim(b)
@@ -714,7 +737,7 @@ def _rp_gcd(a, b, m_p, p):
             c = mul(rem.pop(), inv)  # the top coefficient cancels
             k = len(rem) - len(b) + 1
             for j in range(len(b) - 1):
-                rem[k + j] = _p_trim(_z_sub(rem[k + j], mul(c, b[j])), p)
+                rem[k + j] = _p_reduce(_z_sub(rem[k + j], _z_mul(c, b[j])), rows, p)
             rem = _rp_trim(rem)
         a, b = b, rem
     return [mul(c, inv) for c in a]

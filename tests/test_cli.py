@@ -2,8 +2,11 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import random
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from primpoints import (
     parse_function_expr,
     parse_poly_expr,
 )
+import primpoints
 from primpoints import exactalg
 from primpoints.cli import ParseError, build_parser, main
 from primpoints.contract import MAX_CONTR_PLACES
@@ -351,3 +355,29 @@ def test_only_the_named_subcommand_is_built():
     assert built(["prospect", "c.json", "--function", "x"]) == {"prospect"}
     assert built(["--help"]) == set()
     assert built(["contr", "c.json", "--divisor", "certify"]) == {"contr", "certify"}
+
+
+# ----------------------------------------------------------------------
+# python -m primpoints
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--poly", "x^4-10*x^2+1"],
+    ["certify", "--poly", "x^4-1"],
+    ["--help"],
+    ["certify"],
+])
+def test_python_m_primpoints_is_main(argv, capsys, monkeypatch):
+    # the same exit code and output as cli.main, and no runpy warning
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(primpoints.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "primpoints", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
+    assert "Warning" not in run.stderr

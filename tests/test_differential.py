@@ -9,12 +9,13 @@ polynomial of multiplication by the element).  A quartic or sextic field
 that Frobenius cycle types prove primitive must have a primitive Galois
 group by sympy's galois_group, and a quartic with a cycle type [1, 3]
 among its first good primes must have group A4 or S4 and a resolvent cubic
-with no rational root.  sympy is only a test-time oracle; the module
-is skipped when it is not installed.
+with no rational root.  Over F_p, factor_mod_p and the cycle types that
+_cycle_types yields must match sympy's factorization modulo p.  sympy is
+only a test-time oracle; the module is skipped when it is not installed.
 """
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -30,13 +31,14 @@ from primpoints import (
     curve_new,
     factor_over_rationals,
     fiber_polynomial,
+    is_squarefree,
     nf_norm,
     rational_roots,
     resolvent_cubic,
     resultant,
     trager_factor,
 )
-from primpoints.exactalg import _QUARTIC_PRIMES, _cycle_types
+from primpoints.exactalg import _QUARTIC_PRIMES, _cycle_types, factor_mod_p, is_prime
 from primpoints.numfield import _cofactor_norm, _frobenius_primitive, _squarefree_norm
 
 sympy = pytest.importorskip("sympy")
@@ -222,3 +224,43 @@ def test_three_cycle_quartic_is_a4_or_s4(m):
         group, _ = galois_group(to_sympy(m))
         assert group.order() in (12, 24)
         assert rational_roots(resolvent_cubic(m)) == []
+
+
+SMALL_PRIMES = [p for p in range(2, 60) if is_prime(p)]
+
+
+def sympy_factors_mod_p(zc, p):
+    """[(monic factor as an ascending list of residues, multiplicity)]
+    of zc modulo p by sympy, sorted as factor_mod_p sorts them."""
+    _, factors = sympy.Poly(list(reversed(zc)), X, modulus=p).factor_list()
+    out = [([int(c) % p for c in reversed(f.all_coeffs())], m) for f, m in factors]
+    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
+
+
+@DIFFERENTIAL
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=12),
+    st.integers(1, 30),
+    st.sampled_from(SMALL_PRIMES),
+    st.integers(0, 999),
+)
+def test_factor_mod_p_matches_sympy(lower, lead, p, seed):
+    zc = lower + [lead]
+    assume(lead % p)
+    assert factor_mod_p(zc, p, seed=seed) == sympy_factors_mod_p(zc, p)
+
+
+@DIFFERENTIAL
+@given(int_polys)
+def test_cycle_types_match_sympy(poly):
+    assume(poly.degree >= 1 and is_squarefree(poly))
+    _, zc = poly.to_zpoly()
+    ours = list(takewhile(lambda pair: pair[0] < 60, _cycle_types(zc)))
+    theirs = []
+    for p in SMALL_PRIMES:
+        if zc[-1] % p == 0:
+            continue
+        factors = sympy_factors_mod_p(zc, p)
+        if all(m == 1 for _, m in factors):
+            theirs.append((p, sorted(len(f) - 1 for f, _ in factors)))
+    assert ours == theirs

@@ -1016,3 +1016,173 @@ def test_deferred_reduction_matches_reducing_kernels(p):
         while g[-1] % p == 0 or g[-1] % 13 == 0:
             g[-1] = rng.randint(1, p - 1)
         assert exactalg._p_divmod(a, g, p) == reducing_p_divmod(a, g, p)
+
+
+# ----------------------------------------------------------------------
+# oracles: the multiply-then-reduce loops that the reduction tables
+# replaced (x^(n+j) mod f as rows, products reduced in one pass in ints)
+
+PRIMES_TO_199 = [p for p in range(2, 200) if exactalg.is_prime(p)]
+
+
+def divmod_gcd(a, b, p):
+    """The Euclidean _p_gcd that divided by each divisor with _p_divmod."""
+    while b:
+        a, b = b, exactalg._p_mod(a, b, p)
+    return exactalg._p_monic(a, p)
+
+
+def reducing_powmod(base, e, mod, p):
+    """The _p_powmod that reduced each product with _p_mod(_p_mul(...))."""
+    result = [1]
+    base = exactalg._p_mod(base, mod, p)
+    while e:
+        if e & 1:
+            result = exactalg._p_mod(exactalg._p_mul(result, base, p), mod, p)
+        base = exactalg._p_mod(exactalg._p_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def powmod_distinct_degree(f, p):
+    """The _p_distinct_degree that raised h to the p-th power mod f afresh
+    for every degree."""
+    out = []
+    h = [0, 1]
+    k = 0
+    f = list(f)
+    while len(f) - 1 > 2 * k:
+        k += 1
+        h = reducing_powmod(h, p, f, p)
+        g = divmod_gcd(exactalg._p_trim(exactalg._z_sub(h, [0, 1]), p), f, p)
+        if len(g) > 1:
+            out.append((g, k))
+            f = exactalg._p_divmod(f, g, p)[0]
+            h = exactalg._p_mod(h, f, p)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def fraction_product(a, b):
+    """The FieldElement product in Fractions, reduced by the rows
+    x^d .. x^(2d-2) mod m, also in Fractions."""
+    m = a.field.modulus.coeffs
+    d = len(m) - 1
+    rows = [[-c for c in m[:d]]]
+    for _ in range(d - 2):
+        cur, top = rows[-1], rows[-1][-1]
+        rows.append([Fraction(0)] + cur[:-1])
+        for i in range(d):
+            rows[-1][i] -= top * m[i]
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, u in enumerate(a.coeffs):
+        for j, v in enumerate(b.coeffs):
+            prod[i + j] += u * v
+    out = prod[:d]
+    for k in range(d, 2 * d - 1):
+        for i in range(d):
+            out[i] += prod[k] * rows[k - d][i]
+    return tuple(out)
+
+
+def _random_residues(rng, n, p, monic=False):
+    """A reduced int list of degree n (top coefficient nonzero mod p)."""
+    top = 1 if monic else rng.randrange(1, p)
+    return [rng.randrange(p) for _ in range(n)] + [top]
+
+
+def test_gcd_matches_divmod_oracle():
+    rng = random.Random(241)
+    common = 0
+    for p in PRIMES_TO_199:
+        for n in range(0, 15):
+            a = _random_residues(rng, n, p)
+            b = _random_residues(rng, rng.randint(0, 14), p)
+            if n % 3 == 0:
+                # a shared factor mod p
+                c = _random_residues(rng, rng.randint(1, 4), p)
+                a, b = exactalg._p_mul(a, c, p), exactalg._p_mul(b, c, p)
+            g = exactalg._p_gcd(a, b, p)
+            assert g == divmod_gcd(a, b, p), (a, b, p)
+            common += len(g) > 1
+            assert exactalg._p_gcd(a, [], p) == divmod_gcd(a, [], p) == exactalg._p_monic(a, p)
+            assert exactalg._p_gcd([], b, p) == divmod_gcd([], b, p)
+    assert common > len(PRIMES_TO_199) * 5
+    assert exactalg._p_gcd([], [], 7) == divmod_gcd([], [], 7) == []
+
+
+def test_powmod_matches_reducing_oracle():
+    rng = random.Random(251)
+    for p in PRIMES_TO_199:
+        for n in range(1, 15):
+            # every third modulus is not monic
+            mod = _random_residues(rng, n, p, monic=n % 3 != 0)
+            base = [rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(0, 2 * n))]
+            for e in (0, 1, 2, p, rng.randrange(p ** 3)):
+                assert exactalg._p_powmod(base, e, mod, p) == reducing_powmod(base, e, mod, p)
+                # x^e takes the shift path
+                assert exactalg._p_powmod([0, 1], e, mod, p) == reducing_powmod([0, 1], e, mod, p)
+        # a constant modulus, monic or not
+        for c in (1, rng.randrange(1, p)):
+            for e in (0, 1, 5):
+                assert exactalg._p_powmod([2, 1], e, [c], p) == reducing_powmod([2, 1], e, [c], p)
+
+
+def test_distinct_degree_matches_powmod_oracle():
+    rng = random.Random(257)
+    blocks = set()
+    for p in PRIMES_TO_199:
+        for n in range(1, 15):
+            while True:
+                f = _random_residues(rng, n, p, monic=True)
+                if exactalg._p_squarefree_of_degree(f, n, p):
+                    break
+            ours = exactalg._p_distinct_degree(f, p)
+            assert ours == powmod_distinct_degree(f, p), (f, p)
+            blocks.update(k for _, k in ours)
+    assert blocks >= set(range(1, 15))
+
+
+def test_factor_mod_p_matches_the_oracle_kernels(monkeypatch):
+    rng = random.Random(263)
+    cases = []
+    for _ in range(60):
+        p = rng.choice(PRIMES_TO_199[:20])
+        coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 12))] + [rng.choice([1, 3, 7])]
+        if coeffs[-1] % p == 0:
+            continue
+        if len(cases) % 4 == 0:
+            coeffs = exactalg._z_mul(coeffs, coeffs[:3])  # a repeated factor mod p
+        cases.append((coeffs, p, rng.randrange(1000)))
+    ours = [exactalg.factor_mod_p(c, p, seed=s) for c, p, s in cases]
+    monkeypatch.setattr(exactalg, "_p_gcd", divmod_gcd)
+    monkeypatch.setattr(exactalg, "_p_powmod", reducing_powmod)
+    monkeypatch.setattr(exactalg, "_p_distinct_degree", powmod_distinct_degree)
+    theirs = [exactalg.factor_mod_p(c, p, seed=s) for c, p, s in cases]
+    assert ours == theirs
+    assert any(m > 1 for fl in ours for _, m in fl)
+    assert any(len(f) > 3 for fl in ours for f, _ in fl)
+
+
+def test_field_product_matches_fraction_oracle():
+    rng = random.Random(269)
+    fields = 0
+    while fields < 60:
+        d = 1 + fields % 6
+        # every other modulus has non-integral coefficients
+        dens = [1] if fields % 2 else [1, 2, 3, 7]
+        m = RatPolynomial([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(d)] + [1])
+        if not factor_over_rationals(m).is_irreducible():
+            continue
+        fields += 1
+        L = NumberField(m, check=False)
+
+        def element():
+            return L.element([Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 5])) for _ in range(d)])
+
+        for a, b in [(element(), element()) for _ in range(8)] + [(L.zero, element()), (L.one, L.theta)]:
+            product = a * b
+            assert product.coeffs == fraction_product(a, b), (m, a, b)
+            assert all(type(c) is Fraction for c in product.coeffs)
+        assert (L.theta * 3).coeffs == fraction_product(L.theta, L.element([3]))

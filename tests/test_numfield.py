@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -912,3 +913,25 @@ def test_frobenius_fallback_gives_the_same_certificate(monkeypatch):
     slow = [json.dumps(is_primitive_field(m).to_json()) for m in moduli]
     assert len(calls) == len(moduli)
     assert slow == fast
+
+
+def test_trager_norm_factors_are_multiples_of_the_field_degree(monkeypatch):
+    # the cofactor norm of this quartic over its own field is irreducible of
+    # degree 12; its first Musser primes leave degree 4 open, which only
+    # the multiples of L.degree rule out
+    m = x ** 4 - 2 * x ** 2 - 2 * x + 2
+    L = NumberField(m, check=False)
+    steps = []
+    exact = exactalg._factor_squarefree_z
+    monkeypatch.setattr(
+        exactalg, "_factor_squarefree_z", lambda zc, step=1: steps.append(step) or exact(zc, step)
+    )
+    lifts = _count_calls(monkeypatch, exactalg, "hensel_lift")
+    exactalg._p_cycle_type.cache_clear()
+    fact = trager_factor(NfPolynomial.from_rat(L, m))
+    assert [g.degree for g, _ in fact.factors] == [1, 3]
+    assert (steps, lifts) == ([4], [])
+    # told nothing, the factorization lifts to reach the same factors
+    _, norm = numfield._squarefree_norm(partial(numfield._cofactor_norm, m, m), (0, -1))
+    assert exactalg.factor_over_rationals(norm, _degree_step=4) == exactalg.factor_over_rationals(norm)
+    assert len(lifts) == 1
