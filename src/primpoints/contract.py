@@ -40,11 +40,11 @@ from .hypcurve import (
     KIND_SPLIT,
     CurveFunction,
     Divisor,
+    LaurentSeries,
     Place,
     _monomials_upto,
-    _monomial_function,
+    _monomial_windows,
     function_degree,
-    function_series,
     function_valuation,
     pole_divisor,
     riemann_roch_basis,
@@ -402,7 +402,12 @@ def decompose_totally_ramified(curve, f: CurveFunction, e: int):
 
     g is pinned to L(e*oo), leading series coefficient 1 and constant term
     0, which makes it unique per e; its pole part is read off the m-th root
-    of the expansion of f at infinity.
+    of the expansion of f at infinity.  Only e coefficients of that
+    expansion matter, tau^-n ... tau^(e-n-1): they are the dot product of
+    f's coefficients with the cached windows of the monomials of L(n*oo)
+    (hypcurve._monomial_windows).  The root's pole part is matched on a
+    plain list over tau^-e ... tau^-1 against the windows of L(e*oo), and g
+    is built only when nothing is left over.
     """
     if not f.is_polynomial_form():
         raise InvalidInput("decomposition expects a polynomial-form function")
@@ -410,35 +415,37 @@ def decompose_totally_ramified(curve, f: CurveFunction, e: int):
     if n % e or not (1 < e < n):
         return None
     m = n // e
-    monos = _monomials_upto(curve, e)
-    pole_orders = [2 * i if not isy else 2 * i + 2 * curve.genus + 1 for i, isy in monos]
-    if max(pole_orders) != e:
+    g2 = 2 * curve.genus + 1
+    monos = _monomial_windows(curve, e, e)
+    if max(2 * i + isy * g2 for i, isy, _ in monos) != e:
         return None  # no exact-degree-e function exists (Weierstrass gap)
-    s = function_series(curve, f, e)
-    lead = s.coefficient(-n)
-    root = (s * (1 / lead)).nth_root(m)
+    window = [0] * e
+    for i, isy, row in _monomial_windows(curve, n, e):
+        c = (f.b if isy else f.a)[i]
+        if c:
+            for t, w in enumerate(row):
+                if w:
+                    window[t] += c * w
+    lead = window[0]
+    root = LaurentSeries(-n, [c / lead for c in window], e - n).nth_root(m)
     if root is None:
         return None
-    # match the pole part of the root against the monomial expansions
-    residual = root
-    gfun = CurveFunction(curve, POLY_ZERO)
-    order_to_mono = {}
-    for (i, isy), o in zip(monos, pole_orders):
-        if o > 0:
-            order_to_mono[o] = (i, isy)
-    for o in sorted(order_to_mono, reverse=True):
-        c = residual.coefficient(-o)
-        if c == 0:
+    # match the pole part of the root against the monomial windows, highest
+    # pole order first; the constant monomial lies outside the window
+    residual = [root.coefficient(t) for t in range(-e, 0)]
+    a, b = [0] * (e // 2 + 1), [0] * (e // 2 + 1)
+    for i, isy, row in reversed(monos):
+        start = e - 2 * i - isy * g2  # the index of tau^-(pole order)
+        if start == e or not residual[start]:
             continue
-        i, isy = order_to_mono[o]
-        mono = _monomial_function(curve, i, isy)
-        mser = function_series(curve, mono, e)
-        coeff = c / mser.coefficient(-o)
-        residual = residual - mser * coeff
-        gfun = gfun + mono * coeff
-    for eo in range(-e, 0):
-        if residual.coefficient(eo) != 0:
-            return None
+        c = residual[start] / row[start]
+        for t in range(start, e):
+            if row[t]:
+                residual[t] -= c * row[t]
+        (b if isy else a)[i] = c
+    if any(residual):
+        return None
+    gfun = CurveFunction(curve, RatPolynomial(a), RatPolynomial(b))
     if gfun.is_zero() or function_degree(curve, gfun) != e:
         return None
     # verify f in span{1, g, ..., g^m} exactly

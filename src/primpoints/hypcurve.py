@@ -616,12 +616,6 @@ def _monomials_upto(curve, n):
     return [(i, isy) for _, i, isy in out]
 
 
-def _monomial_function(curve, i, isy):
-    if isy:
-        return CurveFunction(curve, POLY_ZERO, POLY_X ** i)
-    return CurveFunction(curve, POLY_X ** i)
-
-
 def _vanishing_rows(curve, place, r, monomials):
     """Linear conditions v_place(alpha + beta*y) >= r over monomial coords."""
     u = place.u
@@ -981,6 +975,30 @@ def infinity_series_xy(curve, nterms: int):
     x_series = LaurentSeries(-2, u.coeffs, nterms)
     y_series = LaurentSeries(-(2 * g + 1), ug.coeffs, nterms)
     return x_series, y_series
+
+
+@lru_cache(maxsize=64)
+def _monomial_windows(curve, n: int, k: int):
+    """The monomials of L(n*oo) expanded at infinity in one fixed window.
+
+    One (i, is_y, row) per monomial x^i or x^i*y, in _monomials_upto order;
+    row holds its coefficients of tau^-n, ..., tau^(k-n-1).  The window of a
+    polynomial-form f of pole order n is then the dot product of f.a and f.b
+    with these rows.  All rows come from the one pair infinity_series_xy(
+    curve, k), each power of x from the one before it: a product keeps the
+    least relative precision of its factors, so x^i and x^i*y of pole order
+    o <= n are known up to tau^(k-o+1), past the window's end at
+    tau^(k-n-1).
+    """
+    xs, ys = infinity_series_xy(curve, k)
+    chains = {False: [LaurentSeries(0, [1], k + 2)], True: [ys]}  # x^i, x^i*y
+    out = []
+    for i, isy in _monomials_upto(curve, n):
+        chain = chains[isy]
+        while len(chain) <= i:
+            chain.append(chain[-1] * xs)
+        out.append((i, isy, tuple(chain[i].coefficient(t) for t in range(-n, k - n))))
+    return tuple(out)
 
 
 def function_series(curve, f: CurveFunction, nterms: int) -> LaurentSeries:

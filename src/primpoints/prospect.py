@@ -330,6 +330,10 @@ class DensityReport:
         return sum(self.counts.values())
 
     def fraction(self, key) -> Fraction:
+        """The share of the samples in locus ``key``; a report of no samples
+        has no shares and raises InvalidInput."""
+        if not self.total:
+            raise InvalidInput("a report of no samples has no fractions")
         return Fraction(self.counts[key], self.total)
 
     def to_json(self):
@@ -343,7 +347,8 @@ class DensityReport:
             "seed": self.seed,
             "counts": dict(self.counts),
             "fractions": {
-                k: rat_to_str(Fraction(v, total)) for k, v in self.counts.items()
+                k: rat_to_str(Fraction(v, total)) if total else None
+                for k, v in self.counts.items()
             },
         }
 

@@ -13,8 +13,10 @@ from primpoints import (
     Place,
     POLY_ONE,
     POLY_X,
+    POLY_ZERO,
     PreconditionFailed,
     RatPolynomial,
+    curve_new,
     decompose_totally_ramified,
     dimension_comparison_check,
     enumerate_contr0,
@@ -524,6 +526,103 @@ def test_decomposition_weierstrass_gap(g2):
     assert r.verdict == "no_factorization"
 
 
+# ----------------------------------------------------------------------
+# decomposition oracle: the expansion-per-call routine the monomial windows
+# replaced.  f and every pole monomial of L(e*oo) are expanded by
+# function_series on each call, and g is summed up before the residual is
+# checked.
+
+def decompose_oracle(curve, f, e):
+    n = function_degree(curve, f)
+    if n % e or not (1 < e < n):
+        return None
+    m = n // e
+    monos = hypcurve._monomials_upto(curve, e)
+    pole_orders = [2 * i if not isy else 2 * i + 2 * curve.genus + 1 for i, isy in monos]
+    if max(pole_orders) != e:
+        return None
+    s = hypcurve.function_series(curve, f, e)
+    lead = s.coefficient(-n)
+    root = (s * (1 / lead)).nth_root(m)
+    if root is None:
+        return None
+    residual = root
+    gfun = curve.function(POLY_ZERO)
+    order_to_mono = {}
+    for (i, isy), o in zip(monos, pole_orders):
+        if o > 0:
+            order_to_mono[o] = (i, isy)
+    for o in sorted(order_to_mono, reverse=True):
+        c = residual.coefficient(-o)
+        if c == 0:
+            continue
+        i, isy = order_to_mono[o]
+        mono = curve.function(POLY_ZERO, x ** i) if isy else curve.function(x ** i)
+        mser = hypcurve.function_series(curve, mono, e)
+        coeff = c / mser.coefficient(-o)
+        residual = residual - mser * coeff
+        gfun = gfun + mono * coeff
+    for eo in range(-e, 0):
+        if residual.coefficient(eo) != 0:
+            return None
+    if gfun.is_zero() or function_degree(curve, gfun) != e:
+        return None
+    powers = []
+    p = curve.function(POLY_ONE)
+    for j in range(m + 1):
+        if j:
+            p = p * gfun
+        powers.append(p)
+    coords = contract_module._membership(curve, f, powers)
+    if coords is None:
+        return None
+    return gfun, coords
+
+
+# y^2 = -5/3 x^5 + 2x^3 - x + 1: a genus-2 model with a non-monic h
+NON_MONIC_H = RatPolynomial([1, -1, 0, 2, 0, Fraction(-5, 3)])
+SMALL_RATIONALS = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-2, 3)]
+
+
+def _exact_degree_function(curve, n, rng):
+    space = riemann_roch_basis(curve, Divisor([(INFINITY, n)]))
+    while True:
+        f = space.combination([rng.choice(SMALL_RATIONALS) for _ in range(space.dimension)])
+        if not f.is_constant() and function_degree(curve, f) == n:
+            return f
+
+
+def test_decomposition_matches_oracle(g1, g2, g3):
+    """Every n with 2g < n <= 2g + 11 and every e | n with 2g < e < n, on
+    random functions of degree n and on built compositions q^(n/e) + c*q."""
+    compared = matched = 0
+    for curve in (g1, g2, g3, curve_new(NON_MONIC_H)):
+        low = 2 * curve.genus
+        rng = random.Random(f"decompose:{curve.h.coeffs}")
+        for n in range(low + 1, low + 12):
+            es = [e for e in range(low + 1, n) if n % e == 0]
+            if not es:
+                continue
+            funcs = [_exact_degree_function(curve, n, rng) for _ in range(24)]
+            for e in es:
+                for _ in range(6):
+                    q = _exact_degree_function(curve, e, rng)
+                    funcs.append(q ** (n // e) + rng.choice(SMALL_RATIONALS) * q)
+            for f in funcs:
+                for e in es:
+                    got = decompose_totally_ramified(curve, f, e)
+                    want = decompose_oracle(curve, f, e)
+                    compared += 1
+                    if want is None:
+                        assert got is None, (curve, f, e)
+                        continue
+                    matched += 1
+                    assert got is not None, (curve, f, e)
+                    assert got[0].to_json() == want[0].to_json()
+                    assert got[1] == want[1]
+    assert compared > 500 and matched > 80
+
+
 def test_locus_even_composition_genus_1(g1):
     # a composition through an even e > 2g: x^2 + y has degree 4
     u = g1.function(x ** 2, POLY_ONE)
@@ -592,5 +691,10 @@ def test_imprimitive_functions_specialize_imprimitively(g1):
 
 
 def test_module_caches_bounded():
-    for cached in (infinity_series_xy, enumerate_contr0, exactalg._p_cycle_type):
+    for cached in (
+        infinity_series_xy,
+        hypcurve._monomial_windows,
+        enumerate_contr0,
+        exactalg._p_cycle_type,
+    ):
         assert cached.cache_info().maxsize is not None

@@ -19,6 +19,7 @@ from primpoints import (
     Unsupported,
     UnsupportedModel,
     curve_new,
+    density_experiment,
     divisor_of,
     fiber_divisor,
     function_degree,
@@ -33,7 +34,13 @@ from primpoints import (
     riemann_roch_basis,
     zero_divisor,
 )
-from primpoints.hypcurve import LaurentSeries, _rational_nth_root, _sqrt_lift
+from primpoints.hypcurve import (
+    LaurentSeries,
+    _monomial_windows,
+    _monomials_upto,
+    _rational_nth_root,
+    _sqrt_lift,
+)
 
 x = POLY_X
 
@@ -503,6 +510,46 @@ def test_series_asks_only_for_nterms(g2, monkeypatch):
     assert asked and max(asked) <= 10
     with pytest.raises(InvalidInput):
         function_series(g2, g2.function(POLY_ZERO), 10)
+
+
+def test_monomial_windows_match_function_series(g1, g2, g3):
+    # y^2 = -5/3 x^5 + 2x^3 - x + 1: h is not monic
+    non_monic = curve_new(RatPolynomial([1, -1, 0, 2, 0, Fraction(-5, 3)]))
+    for curve, n, k in (
+        (g1, 3, 1), (g1, 8, 4), (g1, 9, 12),
+        (g2, 5, 5), (g2, 10, 5), (g2, 12, 6),
+        (g3, 7, 7), (g3, 16, 8),
+        (non_monic, 10, 5), (non_monic, 15, 3),
+    ):
+        windows = _monomial_windows(curve, n, k)
+        assert [(i, isy) for i, isy, _ in windows] == _monomials_upto(curve, n)
+        for i, isy, row in windows:
+            mono = curve.function(POLY_ZERO, x ** i) if isy else curve.function(x ** i)
+            s = function_series(curve, mono, k)
+            assert row == tuple(s.coefficient(t) for t in range(-n, k - n))
+
+
+def test_density_sets_up_series_once(g2, monkeypatch):
+    # the locus test at n*oo reads cached monomial windows, so a density
+    # run expands x and y at infinity during set-up only, not per sample
+    from primpoints import hypcurve
+
+    asked = []
+    real = hypcurve.infinity_series_xy
+
+    def spy(curve, nterms):
+        asked.append(nterms)
+        return real(curve, nterms)
+
+    monkeypatch.setattr(hypcurve, "infinity_series_xy", spy)
+    calls = []
+    for samples in (12, 48):
+        _monomial_windows.cache_clear()
+        asked.clear()
+        rep = density_experiment(g2, Divisor([(INFINITY, 10)]), 3, samples=samples)
+        assert rep.counts["primitive"] > samples // 2
+        calls.append(len(asked))
+    assert calls[0] == calls[1] > 0
 
 
 def test_divisor_json_round_trip(g1):

@@ -298,6 +298,14 @@ def test_density_zero_samples(g1):
     with deadline(10):
         rep = density_experiment(g1, Divisor([(INFINITY, 4)]), 1, samples=0)
     assert rep.total == 0 and sum(rep.counts.values()) == 0
+    # no samples, no shares: null fractions in the report, and fraction()
+    # refuses rather than dividing by zero
+    data = rep.to_json()
+    assert data["sample_count"] == 0
+    assert data["fractions"] == {k: None for k in rep.counts}
+    for key in rep.counts:
+        with pytest.raises(InvalidInput):
+            rep.fraction(key)
 
 
 def test_density_json(g1):
