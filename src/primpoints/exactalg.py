@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
-from math import comb, gcd as int_gcd, isqrt
+from math import comb, gcd as int_gcd, isqrt, lcm
 
 from .errors import InvalidInput, LiftObstruction
 
@@ -46,14 +46,16 @@ def rational_sqrt(q: Fraction):
 
 
 # ----------------------------------------------------------------------
-# integer polynomial kernels (little-endian coefficient lists)
+# list kernels (little-endian coefficient lists)
 #
 # The Zassenhaus pipeline works on plain int lists; Fractions only appear
-# at the module boundary.
+# at the module boundary.  The trim, sum, product and field division below
+# are the only ones for every coefficient ring: ints (and ints mod p, reduced
+# afterwards), Fractions, and number-field elements, whose zero is falsy.
 
 def _z_trim(c):
     n = len(c)
-    while n and c[n - 1] == 0:
+    while n and not c[n - 1]:
         n -= 1
     del c[n:]
     return c
@@ -75,15 +77,45 @@ def _z_sub(a, b):
     return _z_trim(out)
 
 
-def _z_mul(a, b):
+def _z_mul(a, b, zero=0):
+    """The product of the lists a and b over any ring, with zero the ring's
+    zero: a coefficient that no product reaches keeps it, so every
+    coefficient is a ring element."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _z_trim(out)
+
+
+def _divmod_list(f, g, inv, zero):
+    """(q, r) with f = q*g + r and len(r) < len(g), both trimmed, for lists
+    over a field and g trimmed and nonzero; inv is 1 / g[-1], or None when
+    g is monic, and zero is the field's zero."""
+    rem = list(f)
+    dg = len(g) - 1
+    q = [zero] * max(0, len(rem) - dg)
+    while len(rem) > dg:
+        c = rem.pop()  # the top coefficient cancels
+        if inv is not None:
+            c = c * inv
+        k = len(rem) - dg
+        q[k] = c
+        for j in range(dg):
+            rem[k + j] -= c * g[j]
+        _z_trim(rem)
+    return _z_trim(q), rem
+
+
+def _numerators(coeffs):
+    """(D, the rationals coeffs times D as ints), D the lcm of their
+    denominators."""
+    dens = [q.denominator for q in coeffs]
+    den = lcm(*dens)
+    return den, [q.numerator * (den // e) for q, e in zip(coeffs, dens)]
 
 
 def _z_content(a):
@@ -185,15 +217,8 @@ def _p_trim(c, p):
 
 
 def _p_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
     # one reduction per output coefficient
-    return _p_trim(out, p)
+    return _p_trim(_z_mul(a, b), p)
 
 
 def _p_divmod(f, g, p):
@@ -308,21 +333,17 @@ def _p_reduce(c, rows, p):
 def _p_mulmod(a, b, rows, p):
     """a * b mod the modulus whose reduction table is rows, for a and b
     reduced mod it; a square takes each cross product once."""
-    if not a or not b:
+    if a is not b:
+        return _p_reduce(_z_mul(a, b), rows, p)
+    if not a:
         return []
-    prod = [0] * (len(a) + len(b) - 1)
-    if a is b:
-        for i, x in enumerate(a):
-            if x:
-                prod[2 * i] += x * x
-                x += x
-                for j in range(i + 1, len(a)):
-                    prod[i + j] += x * a[j]
-    else:
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
+    prod = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            prod[2 * i] += x * x
+            x += x
+            for j in range(i + 1, len(a)):
+                prod[i + j] += x * a[j]
     return _p_reduce(prod, rows, p)
 
 
@@ -489,14 +510,7 @@ class RatPolynomial:
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return RatPolynomial(out)
+        return RatPolynomial(_z_add(self._c, _coerce(other)._c))
 
     __radd__ = __add__
 
@@ -510,16 +524,7 @@ class RatPolynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        a, b = self._c, other._c
-        if not a or not b:
-            return RatPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return RatPolynomial(out)
+        return RatPolynomial(_z_mul(self._c, _coerce(other)._c, Fraction(0)))
 
     __rmul__ = __mul__
 
@@ -532,19 +537,10 @@ class RatPolynomial:
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._c)
-        d = other.degree
         lead = other._c[-1]
-        q = [Fraction(0)] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and rem:
-            c = rem[-1] / lead
-            k = len(rem) - 1 - d
-            q[k] = c
-            for j, y in enumerate(other._c):
-                rem[k + j] -= c * y
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return RatPolynomial(q), RatPolynomial(rem)
+        inv = None if lead == 1 else 1 / lead
+        q, r = _divmod_list(self._c, other._c, inv, Fraction(0))
+        return RatPolynomial(q), RatPolynomial(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -581,8 +577,7 @@ class RatPolynomial:
         if self._z is None:
             if self.is_zero():
                 return Fraction(0), []
-            den = _denominator_lcm([self])
-            ints = _scaled_ints(self, den)
+            den, ints = _numerators(self._c)
             cont = _z_content(ints)
             sign = 1 if ints[-1] > 0 else -1
             self._z = Fraction(cont * sign, den), tuple(x // (cont * sign) for x in ints)
@@ -784,11 +779,6 @@ def _denominator_lcm(polys) -> int:
         for q in poly.coeffs:
             den = den * q.denominator // int_gcd(den, q.denominator)
     return den
-
-
-def _scaled_ints(poly: RatPolynomial, den: int) -> list:
-    """den * poly as ints, for den a multiple of every denominator of poly."""
-    return [q.numerator * (den // q.denominator) for q in poly.coeffs]
 
 
 def _integral(coeffs) -> list:

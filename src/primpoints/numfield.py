@@ -25,9 +25,11 @@ from .exactalg import (
     _QUARTIC_PRIMES,
     _cycle_types,
     _denominator_lcm,
+    _divmod_list,
     _factor_list,
     _factor_squarefree_z,
     _integral,
+    _numerators,
     _p_mod,
     _p_mul,
     _p_reduce,
@@ -41,6 +43,7 @@ from .exactalg import (
     _z_add,
     _z_mul,
     _z_sub,
+    _z_trim,
     factor_over_rationals,
     from_power_sums,
     is_prime,
@@ -120,14 +123,6 @@ class NumberField:
         return f"NumberField(x^{self.degree}: {self.modulus})"
 
 
-def _numerators(coeffs):
-    """(D, the rationals coeffs times D as ints), D the lcm of their
-    denominators."""
-    dens = [q.denominator for q in coeffs]
-    den = lcm(*dens)
-    return den, [q.numerator * (den // e) for q, e in zip(coeffs, dens)]
-
-
 class FieldElement:
     """Element of a NumberField, as coordinates in the power basis."""
 
@@ -148,6 +143,9 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
@@ -181,11 +179,8 @@ class FieldElement:
         d = L.degree
         da, a = _numerators(self.coeffs)
         db, b = _numerators(other.coeffs)
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
+        prod = _z_mul(a, b)
+        prod += [0] * (2 * d - 1 - len(prod))  # _z_mul trims; a zero operand gives []
         den = L._red_den
         out = [c * den for c in prod[:d]]
         for c, row in zip(prod[d:], L._red_powers):
@@ -294,11 +289,8 @@ class NfPolynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: NumberField, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1].is_zero():
-            c.pop()
         self.field = field
-        self.coeffs = tuple(c)
+        self.coeffs = tuple(_z_trim(list(coeffs)))
 
     @classmethod
     def from_rat(cls, field: NumberField, poly: RatPolynomial) -> "NfPolynomial":
@@ -328,13 +320,7 @@ class NfPolynomial:
         return hash((self.field.modulus, tuple(e.coeffs for e in self.coeffs)))
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] = out[i] + x
-        return NfPolynomial(self.field, out)
+        return NfPolynomial(self.field, _z_add(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return NfPolynomial(self.field, [-x for x in self.coeffs])
@@ -345,34 +331,15 @@ class NfPolynomial:
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             return NfPolynomial(self.field, [c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return NfPolynomial(self.field)
-        zero = self.field.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x.is_zero():
-                for j, y in enumerate(b):
-                    out[i + j] = out[i + j] + x * y
-        return NfPolynomial(self.field, out)
+        return NfPolynomial(self.field, _z_mul(self.coeffs, other.coeffs, self.field.zero))
 
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError
         # a monic divisor needs no inverse
         inv = None if other.lc == 1 else other.lc.inverse()
-        rem = list(self.coeffs)
-        d = other.degree
-        q = [self.field.zero] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and rem:
-            c = rem[-1] if inv is None else rem[-1] * inv
-            k = len(rem) - 1 - d
-            q[k] = c
-            for j, y in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - c * y
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return NfPolynomial(self.field, q), NfPolynomial(self.field, rem)
+        q, r = _divmod_list(self.coeffs, other.coeffs, inv, self.field.zero)
+        return NfPolynomial(self.field, q), NfPolynomial(self.field, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -727,7 +694,7 @@ def _rp_gcd(a, b, m_p, rows, p):
         return _p_reduce(_z_mul(u, v), rows, p)
 
     inv = [1]
-    b = _rp_trim(b)
+    b = _z_trim(list(b))
     while b:
         unit, inv, _ = _p_xgcd(b[-1], m_p, p)
         if unit != [1]:
@@ -738,16 +705,9 @@ def _rp_gcd(a, b, m_p, rows, p):
             k = len(rem) - len(b) + 1
             for j in range(len(b) - 1):
                 rem[k + j] = _p_reduce(_z_sub(rem[k + j], _z_mul(c, b[j])), rows, p)
-            rem = _rp_trim(rem)
+            _z_trim(rem)
         a, b = b, rem
     return [mul(c, inv) for c in a]
-
-
-def _rp_trim(c):
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return c
 
 
 def _crt(r: int, modulus: int, c: int, p: int) -> int:
@@ -875,13 +835,24 @@ _TRIAL_BOUND = 1_000_000
 def _squarefree_int_part(n: int):
     """(s, n0) with n == s^2 * n0 and n0 free of square factors p^2 with
     p <= _TRIAL_BOUND.  Each p is divided out of the untried cofactor fully,
-    and the search stops once that cofactor is prime or 1."""
+    and the search stops once that cofactor is 1, a prime, or the square of
+    a prime r, which moves into s when r <= _TRIAL_BOUND, as trial division
+    would move it."""
     sign = -1 if n < 0 else 1
     rest = abs(n)
     s = core = 1
-    settled = is_prime(rest)
+    untested = True  # rest changed since it was last tested
     p = 2
-    while not settled and p * p <= rest and p <= _TRIAL_BOUND:
+    while p * p <= rest and p <= _TRIAL_BOUND:
+        if untested:
+            if is_prime(rest):
+                break
+            r = isqrt(rest)
+            if r * r == rest and is_prime(r):
+                if r <= _TRIAL_BOUND:
+                    s, rest = s * r, 1
+                break
+            untested = False
         e = 0
         while rest % p == 0:
             rest //= p
@@ -889,7 +860,7 @@ def _squarefree_int_part(n: int):
         if e:
             s *= p ** (e // 2)
             core *= p ** (e % 2)
-            settled = is_prime(rest)
+            untested = True
         p += 1 if p == 2 else 2
     return s, sign * core * rest
 

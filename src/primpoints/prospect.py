@@ -24,10 +24,9 @@ from .errors import (
 )
 from .exactalg import (
     RatPolynomial,
-    _denominator_lcm,
     _has_good_prime,
     _integral,
-    _scaled_ints,
+    _numerators,
     _z_mul,
     _z_primitive,
     _z_sub,
@@ -104,9 +103,9 @@ def fiber_polynomial(curve, f: CurveFunction, t: Fraction):
     a, b, h = f.a, f.b, curve.h
     if not b.is_zero():
         r, s = t.numerator, t.denominator
-        den = _denominator_lcm((a, b))
-        den_h = _denominator_lcm((h,))
-        A, B, H = _scaled_ints(a, den), _scaled_ints(b, den), _scaled_ints(h, den_h)
+        den, AB = _numerators(a.coeffs + b.coeffs)
+        A, B = AB[:len(a.coeffs)], AB[len(a.coeffs):]
+        den_h, H = _numerators(h.coeffs)
         u = _z_sub([r * den], [s * c for c in A])
         F = _z_sub(
             [den_h * c for c in _z_mul(u, u)],
@@ -434,8 +433,11 @@ class FunctionCertificate:
     method: str = METHOD_FROM_SPECIALIZATION
 
     def verify(self, curve, strict: bool = False) -> bool:
+        degree = function_degree(curve, self.function)
+        if self.degree != degree or degree <= 2 * curve.genus:
+            return False
         poly, _ = fiber_polynomial(curve, self.function, self.t)
-        if poly != self.fiber_poly:
+        if poly != self.fiber_poly or poly.degree != degree:
             return False
         if self.point_certificate.verdict != PRIMITIVE:
             return False

@@ -33,7 +33,7 @@ from primpoints.hypcurve import (
     _sqrt_lift,
     function_valuation,
 )
-from primpoints.numfield import NfPolynomial, NumberField
+from primpoints.numfield import FieldElement, NfPolynomial, NumberField
 
 x = POLY_X
 
@@ -1165,18 +1165,24 @@ def test_factor_mod_p_matches_the_oracle_kernels(monkeypatch):
     assert any(len(f) > 3 for fl in ours for f, _ in fl)
 
 
-def test_field_product_matches_fraction_oracle():
-    rng = random.Random(269)
+def random_fields(rng):
+    """Number fields of degree 1, 2, ..., 6, 1, 2, ... with random monic
+    irreducible moduli; every other modulus has non-integral coefficients."""
     fields = 0
-    while fields < 60:
+    while True:
         d = 1 + fields % 6
-        # every other modulus has non-integral coefficients
         dens = [1] if fields % 2 else [1, 2, 3, 7]
         m = RatPolynomial([Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(d)] + [1])
-        if not factor_over_rationals(m).is_irreducible():
-            continue
-        fields += 1
-        L = NumberField(m, check=False)
+        if factor_over_rationals(m).is_irreducible():
+            fields += 1
+            yield NumberField(m, check=False)
+
+
+def test_field_product_matches_fraction_oracle():
+    rng = random.Random(269)
+    for L in islice(random_fields(rng), 60):
+        d = L.degree
+        m = L.modulus
 
         def element():
             return L.element([Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 5])) for _ in range(d)])
@@ -1186,3 +1192,204 @@ def test_field_product_matches_fraction_oracle():
             assert product.coeffs == fraction_product(a, b), (m, a, b)
             assert all(type(c) is Fraction for c in product.coeffs)
         assert (L.theta * 3).coeffs == fraction_product(L.theta, L.element([3]))
+
+
+# ----------------------------------------------------------------------
+# oracles: the per-ring loops that the shared list kernels (_z_add, _z_mul,
+# _divmod_list, _numerators) replaced
+
+def loop_rat_add(f, g):
+    """RatPolynomial.__add__ with its own loop."""
+    a, b = f.coeffs, g.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return RatPolynomial(out)
+
+
+def loop_rat_mul(f, g):
+    """RatPolynomial.__mul__ with its own loop."""
+    a, b = f.coeffs, g.coeffs
+    if not a or not b:
+        return RatPolynomial()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return RatPolynomial(out)
+
+
+def loop_rat_divmod(f, g):
+    """RatPolynomial.__divmod__ with its own loop, dividing by lc(g)."""
+    rem = list(f.coeffs)
+    d = g.degree
+    lead = g.coeffs[-1]
+    q = [Fraction(0)] * max(0, len(rem) - d)
+    while len(rem) - 1 >= d and rem:
+        c = rem[-1] / lead
+        k = len(rem) - 1 - d
+        q[k] = c
+        for j, y in enumerate(g.coeffs):
+            rem[k + j] -= c * y
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return RatPolynomial(q), RatPolynomial(rem)
+
+
+def loop_nf_add(f, g):
+    """NfPolynomial.__add__ with its own loop."""
+    a, b = f.coeffs, g.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] = out[i] + x
+    return NfPolynomial(f.field, out)
+
+
+def loop_nf_mul(f, g):
+    """NfPolynomial.__mul__ with its own loop, from the field's zero."""
+    a, b = f.coeffs, g.coeffs
+    if not a or not b:
+        return NfPolynomial(f.field)
+    zero = f.field.zero
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return NfPolynomial(f.field, out)
+
+
+def loop_nf_divmod(f, g):
+    """NfPolynomial.__divmod__ with its own loop."""
+    inv = None if g.lc == 1 else g.lc.inverse()
+    rem = list(f.coeffs)
+    d = g.degree
+    q = [f.field.zero] * max(0, len(rem) - d)
+    while len(rem) - 1 >= d and rem:
+        c = rem[-1] if inv is None else rem[-1] * inv
+        k = len(rem) - 1 - d
+        q[k] = c
+        for j, y in enumerate(g.coeffs):
+            rem[k + j] = rem[k + j] - c * y
+        while rem and rem[-1].is_zero():
+            rem.pop()
+    return NfPolynomial(f.field, q), NfPolynomial(f.field, rem)
+
+
+def loop_p_mul(a, b, p):
+    """_p_mul with its own loop: one reduction per output coefficient."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return exactalg._p_trim(out, p)
+
+
+def loop_p_mulmod(a, b, rows, p):
+    """The general branch of _p_mulmod with its own product loop."""
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return exactalg._p_reduce(prod, rows, p)
+
+
+def loop_scaled_ints(poly, den):
+    """den * poly as ints, for den a multiple of every denominator of poly."""
+    return [q.numerator * (den // q.denominator) for q in poly.coeffs]
+
+
+@pytest.mark.parametrize("p", [7, 251, 2 ** 31 - 1, 13 ** 20])
+def test_modular_products_match_loop_oracles(p):
+    # 13^20 is a Hensel-lifting modulus; _p_mul also takes unreduced input
+    rng = random.Random(p + 1)
+    for n in range(1, 13):
+        rows = exactalg._p_table(_random_residues(rng, n, p, monic=True), p)
+        for _ in range(12):
+            a = exactalg._p_trim([rng.randrange(p) for _ in range(rng.randint(0, n))], p)
+            b = exactalg._p_trim([rng.randrange(p) for _ in range(rng.randint(0, n))], p)
+            got = exactalg._p_mulmod(a, b, rows, p)
+            assert got == loop_p_mulmod(a, b, rows, p)
+            assert exactalg._p_mulmod(a, a, rows, p) == loop_p_mulmod(a, list(a), rows, p)
+            u = [rng.randint(-3 * p, 3 * p) for _ in range(rng.randint(0, 2 * n))]
+            prod = exactalg._p_mul(u, b, p)
+            assert prod == loop_p_mul(u, b, p)
+            assert all(type(c) is int for c in got + prod)
+
+
+@pytest.mark.parametrize("dens", [[1], [1, 2, 3, 10]])
+def test_rational_polynomial_ops_match_loop_oracles(dens):
+    rng = random.Random(len(dens))
+
+    def poly():
+        # a third of the coefficients are zero
+        return RatPolynomial([
+            Fraction(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.67 else 0
+            for _ in range(rng.randint(0, 8))
+        ])
+
+    for _ in range(300):
+        f, g = poly(), poly()
+        results = [f + g, f * g]
+        assert results == [loop_rat_add(f, g), loop_rat_mul(f, g)]
+        if g:
+            q, r = divmod(f, g)
+            assert (q, r) == loop_rat_divmod(f, g)
+            assert q * g + r == f and r.degree < g.degree
+            results += [q, r]
+        assert all(type(c) is Fraction for h in results for c in h.coeffs)
+
+
+def test_field_polynomial_ops_match_loop_oracles():
+    rng = random.Random(271)
+    for L in islice(random_fields(rng), 24):
+        def element():
+            # a third of the elements are zero
+            return L.element([
+                Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3])) if rng.random() < 0.67 else 0
+                for _ in range(L.degree)
+            ])
+
+        def poly():
+            return NfPolynomial(L, [element() for _ in range(rng.randint(0, 5))])
+
+        zero, one = NfPolynomial(L), NfPolynomial(L, [L.one])
+        # a product that reaches x^1 through no pair of nonzero terms
+        sparse = NfPolynomial(L, [L.one, L.zero, L.theta]), NfPolynomial(L, [L.theta + 1])
+        pairs = [(poly(), poly()) for _ in range(6)] + [(zero, poly()), (poly(), one), sparse]
+        for f, g in pairs:
+            results = [f + g, f * g]
+            assert results == [loop_nf_add(f, g), loop_nf_mul(f, g)]
+            for divisor in [] if g.is_zero() else [g, g.monic()]:
+                q, r = divmod(f, divisor)
+                assert (q, r) == loop_nf_divmod(f, divisor)
+                assert q * divisor + r == f and r.degree < divisor.degree
+                results += [q, r]
+            assert all(type(c) is FieldElement and c.field == L for h in results for c in h.coeffs)
+
+
+def test_numerators_match_scaled_ints_oracle():
+    rng = random.Random(277)
+
+    def poly():
+        return RatPolynomial([
+            Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 10, 49])) for _ in range(rng.randint(0, 7))
+        ])
+
+    for _ in range(300):
+        a, b = poly(), poly()
+        den, ints = exactalg._numerators(a.coeffs + b.coeffs)
+        assert den == exactalg._denominator_lcm((a, b))
+        assert ints == loop_scaled_ints(a, den) + loop_scaled_ints(b, den)
+        assert all(type(c) is int for c in ints)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import signal
@@ -330,6 +331,17 @@ def test_find_function_g1(g1):
     assert cert4.t == Fraction(2)
     assert cert4.fiber_poly == x ** 4 - x ** 3 - 4 * x ** 2 + 3
     assert cert4.verify(g1, strict=True)
+
+
+def test_function_certificate_rejects_a_doubled_degree(g1):
+    _, cert = find_primitive_function(g1, 6)
+    assert cert.verify(g1)
+    assert not dataclasses.replace(cert, degree=12).verify(g1)
+
+
+def test_function_certificate_rejects_a_degree_at_most_2g(g1):
+    _, cert = find_primitive_function(g1, 6)
+    assert not dataclasses.replace(cert, degree=2).verify(g1)
 
 
 def test_find_function_out_of_range(g1, g2):
