@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import (
     InvalidInput,
@@ -297,15 +298,62 @@ def parse_divisor(text: str, curve: HyperellipticCurve) -> Divisor:
 # subcommands
 
 def _load_curve(path) -> HyperellipticCurve:
-    with open(path) as fh:
-        data = json.load(fh)
-    if "h" not in data:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not UTF-8, not JSON, or an int past 4300 digits
+            raise InvalidInput(str(exc)) from exc
+    if not isinstance(data, dict) or "h" not in data:
         raise InvalidInput("curve file must contain an 'h' array")
     return HyperellipticCurve(RatPolynomial.from_json(data["h"]))
 
 
+def _dumps(value, pad="\n") -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True) for a tree of
+    dicts with str keys, lists, tuples, str, int, bool and None; any other
+    type, float included, raises TypeError.  pad is a newline and the indent
+    of value's line.  Given an indent, json leaves its C encoder for a Python
+    one that makes a call per value; here a list of strings is one join of
+    strings quoted by json's C encoder, and a string or null in a dict takes
+    no call of its own."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        parts = []
+        for key in sorted(value):
+            item = value[key]
+            if isinstance(item, str):
+                parts.append(_quote(key) + ": " + _quote(item))
+            elif item is None:
+                parts.append(_quote(key) + ": null")
+            else:
+                parts.append(_quote(key) + ": " + _dumps(item, inner))
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        try:  # a list of strings, as every polynomial is written
+            body = ("," + inner).join(map(_quote, value))
+        except TypeError:
+            body = ("," + inner).join([_dumps(item, inner) for item in value])
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write a {type(value).__name__} into a report")
+
+
 def _emit(report: dict, args, summary: str) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _dumps(report)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -547,7 +595,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PrimpointsError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (PrimpointsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

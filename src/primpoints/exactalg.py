@@ -49,9 +49,10 @@ def rational_sqrt(q: Fraction):
 # list kernels (little-endian coefficient lists)
 #
 # The Zassenhaus pipeline works on plain int lists; Fractions only appear
-# at the module boundary.  The trim, sum, product and field division below
-# are the only ones for every coefficient ring: ints (and ints mod p, reduced
-# afterwards), Fractions, and number-field elements, whose zero is falsy.
+# at the module boundary.  The trim, sum, difference, product and field
+# division below are the only ones for every coefficient ring: ints (and ints
+# mod p, reduced afterwards), Fractions, and number-field elements, whose
+# zero is falsy.
 
 def _z_trim(c):
     n = len(c)
@@ -411,6 +412,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
+    if n < 41 * 41:  # no prime factor up to 37
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -436,22 +439,38 @@ class RatPolynomial:
 
     The zero polynomial has an empty coefficient tuple and degree -1.
 
-    The integer form (to_zpoly) is kept once computed, in the slot ``_z``
-    beside the hash: the polynomial is immutable, so the form lives as long
-    as the polynomial and no longer.
+    The integer form (to_zpoly) and the JSON strings (to_json) are kept
+    once computed, in the slots ``_z`` and ``_json`` beside the hash: the
+    polynomial is immutable, so each form lives as long as the polynomial
+    and no longer.  A report writes one fiber polynomial up to four times.
     """
 
-    __slots__ = ("_c", "_hash", "_z")
+    __slots__ = ("_c", "_hash", "_z", "_json")
 
     def __init__(self, coeffs=()):
         self._c = tuple(_z_trim([Fraction(x) for x in coeffs]))
         self._hash = None
         self._z = None
+        self._json = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_json(cls, items):
-        return cls([rat_from_str(s) for s in items])
+        """The polynomial of a list of rational literals such as "-3/2";
+        anything else raises InvalidInput."""
+        if not isinstance(items, (list, tuple)):
+            kind = type(items).__name__
+            raise InvalidInput(f"a polynomial is a list of strings, not a {kind}")
+        coeffs = []
+        for s in items:
+            if not isinstance(s, str):
+                kind = type(s).__name__
+                raise InvalidInput(f"a polynomial coefficient is a string, not a {kind}")
+            try:
+                coeffs.append(rat_from_str(s))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InvalidInput(f"bad rational literal {s!r}") from exc
+        return cls(coeffs)
 
     @classmethod
     def _monic_from_z(cls, zc):
@@ -462,6 +481,7 @@ class RatPolynomial:
         out._c = tuple(Fraction(x, lc) for x in zc)
         out._hash = None
         out._z = (Fraction(1, lc), tuple(zc))
+        out._json = None
         return out
 
     # -- structure -------------------------------------------------------
@@ -518,10 +538,10 @@ class RatPolynomial:
         return RatPolynomial([-x for x in self._c])
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return RatPolynomial(_z_sub(self._c, _coerce(other)._c))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return RatPolynomial(_z_sub(_coerce(other)._c, self._c))
 
     def __mul__(self, other):
         return RatPolynomial(_z_mul(self._c, _coerce(other)._c, Fraction(0)))
@@ -590,7 +610,10 @@ class RatPolynomial:
 
     # -- io ---------------------------------------------------------------
     def to_json(self):
-        return [rat_to_str(x) for x in self._c]
+        """The coefficients as strings, a fresh list on every call."""
+        if self._json is None:
+            self._json = tuple([rat_to_str(x) for x in self._c])
+        return list(self._json)
 
     def __str__(self):
         if self.is_zero():
@@ -1128,14 +1151,29 @@ def _p_cycle_type(p: int, monic: tuple):
     return tuple(degrees)
 
 
+# the primes below 512, which cycle-type reads walk without a primality
+# test; a fixed table, so nothing grows with the reads
+_SMALL_PRIMES = tuple(q for q in range(2, 512) if is_prime(q))
+
+
+def _primes():
+    """The primes in increasing order: the table, then is_prime past it."""
+    yield from _SMALL_PRIMES
+    p = _SMALL_PRIMES[-1]
+    while True:
+        p += 2
+        if is_prime(p):
+            yield p
+
+
 def _p_readings(zc):
     """Yield (p, _p_cycle_type of zc mod p) at the primes p not dividing
-    lc(zc), in increasing order."""
-    p = 1
-    while True:
-        p += 1
-        if is_prime(p) and zc[-1] % p:
-            yield p, _p_cycle_type(p, tuple(_p_monic(_p_trim(zc, p), p)))
+    lc(zc), in increasing order.  The monic residue is built in one pass."""
+    lc = zc[-1]
+    for p in _primes():
+        if lc % p:
+            inv = pow(lc, -1, p)
+            yield p, _p_cycle_type(p, tuple([c * inv % p for c in zc]))
 
 
 def _cycle_types(zc):

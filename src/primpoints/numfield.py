@@ -165,10 +165,16 @@ class FieldElement:
         return FieldElement(self.field, tuple(-a for a in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        other = self._check(other)
+        return FieldElement(
+            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        )
 
     def __rsub__(self, other):
-        return self._check(other) + (-self)
+        other = self._check(other)
+        return FieldElement(
+            self.field, tuple(b - a for a, b in zip(self.coeffs, other.coeffs))
+        )
 
     def __mul__(self, other):
         """The product in Python ints: each operand as integer numerators
@@ -326,7 +332,7 @@ class NfPolynomial:
         return NfPolynomial(self.field, [-x for x in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        return NfPolynomial(self.field, _z_sub(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):

@@ -280,6 +280,34 @@ def test_bounds_checked_flags(curve_file):
     assert main(["contr", curve_file, "--divisor", "+".join(inert)]) == 1
 
 
+@pytest.mark.parametrize("content", [
+    b'["h"]',
+    b'{"h": [1, 0, 0, 1]}',
+    b'{"h": [1.5, 2]}',
+    b'{"h": "x"}',
+    b'{"h": ["1/0", "1"]}',
+    b'{"h": [' + b"1" * 4301 + b']}',
+    b'{"h": ["1", "0", "0", "1"]}\xff',
+], ids=["list", "int-entries", "float-entries", "string", "zero-denominator",
+        "int-past-4300-digits", "not-utf8"])
+def test_malformed_curve_file_exit_1(content, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_bytes(content)
+    assert main(["curve-info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_directory_as_curve_exit_1(tmp_path, capsys):
+    assert main(["curve-info", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_directory_as_output_exit_1(curve_file, tmp_path, capsys):
+    assert main(["curve-info", curve_file, "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
 def test_output_file(curve_file, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     assert main(["curve-info", curve_file, "--output", str(out_path)]) == 0

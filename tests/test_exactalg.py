@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice, takewhile
+import math
 from math import gcd
 
 import pytest
@@ -711,6 +712,59 @@ def test_one_monic_residue_gives_one_read():
             assert exactalg._p_cycle_type.cache_info().hits > before
 
 
+def trial_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(exactalg.is_prime(n) == trial_prime(n) for n in range(-3, 5000))
+    # Carmichael numbers, a strong pseudoprime to the bases 2, 3, 5 and 7,
+    # and Mersenne primes
+    assert not any(map(exactalg.is_prime, (561, 1105, 1729, 41041, 3215031751)))
+    assert exactalg.is_prime(2 ** 61 - 1) and exactalg.is_prime(2 ** 89 - 1)
+
+
+def loop_p_readings(zc):
+    """The reads _p_readings made before its prime table: is_prime on every
+    integer, and the monic residue rebuilt by _p_trim and _p_monic."""
+    p = 1
+    while True:
+        p += 1
+        if exactalg.is_prime(p) and zc[-1] % p:
+            monic = exactalg._p_monic(exactalg._p_trim(zc, p), p)
+            yield p, exactalg._p_cycle_type(p, tuple(monic))
+
+
+def test_readings_match_the_primality_loop(monkeypatch):
+    rng = random.Random(241)
+    keys = []
+    memo = exactalg._p_cycle_type
+
+    def recorded(p, monic):
+        keys.append((p, monic))
+        return memo(p, monic)
+
+    monkeypatch.setattr(exactalg, "_p_cycle_type", recorded)
+    table = exactalg._SMALL_PRIMES
+    assert table == tuple(p for p in range(2, table[-1] + 1) if trial_prime(p))
+    # leading coefficients negative, divisible by small primes, and a
+    # product of every prime in the table, so that the reads run past it
+    leads = [1, -1, -6, 30, -210, 2 * 3 * 5 * 7 * 11 * 13, math.prod(table), -math.prod(table)]
+    for lc in leads:
+        for _ in range(4):
+            zc = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))] + [lc]
+            reads = 30 if abs(lc) < 10 ** 6 else 3
+            keys.clear()
+            ours = list(islice(exactalg._p_readings(zc), reads))
+            ours_keys = list(keys)
+            keys.clear()
+            assert ours == list(islice(loop_p_readings(zc), reads)), zc
+            # the same memo keys: the monic residues agree
+            assert ours_keys == keys
+            assert all(lc % p for p, _ in ours)
+    assert max(p for p, _ in ours) > table[-1]
+
+
 def test_a_yielded_list_is_fresh():
     f = [-2, 2, -1, -5, 1]
     p, degrees = next(exactalg._cycle_types(f))
@@ -1377,6 +1431,36 @@ def test_field_polynomial_ops_match_loop_oracles():
                 assert q * divisor + r == f and r.degree < divisor.degree
                 results += [q, r]
             assert all(type(c) is FieldElement and c.field == L for h in results for c in h.coeffs)
+
+
+def test_subtraction_matches_adding_the_negation():
+    rng = random.Random(281)
+
+    def rational(dens):
+        return Fraction(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.67 else 0
+
+    for _ in range(300):
+        f, g = (RatPolynomial([rational([1, 2, 3]) for _ in range(rng.randint(0, 7))])
+                for _ in range(2))
+        c = rational([1, 5])
+        assert f - g == f + (-g)
+        assert f - f == POLY_ZERO
+        assert f - c == f + (-RatPolynomial([c])) and c - f == RatPolynomial([c]) + (-f)
+        assert all(type(v) is Fraction for h in (f - g, c - f) for v in h.coeffs)
+    for L in islice(random_fields(rng), 24):
+        def element():
+            return L.element([rational([1, 2]) for _ in range(L.degree)])
+
+        for _ in range(6):
+            a, b, c = element(), element(), rational([1, 3])
+            assert a - b == a + (-b) and (a - a).is_zero()
+            assert a - c == a + (-L.element([c])) and c - a == L.element([c]) + (-a)
+            f, g = (NfPolynomial(L, [element() for _ in range(rng.randint(0, 5))])
+                    for _ in range(2))
+            for h, k in ((f, g), (g, f), (f, f), (f, NfPolynomial(L))):
+                diff = h - k
+                assert diff == h + (-k)
+                assert all(type(v) is FieldElement and v.field == L for v in diff.coeffs)
 
 
 def test_numerators_match_scaled_ints_oracle():
