@@ -31,18 +31,18 @@ def rat_to_str(q: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
-def rational_sqrt(q: Fraction):
-    """Return r with r*r == q, or None when q is not a rational square."""
-    if q < 0:
-        return None
-    a, b = q.numerator, q.denominator
-    ra, rb = isqrt(a), isqrt(b)
-    if ra * ra == a and rb * rb == b:
-        return Fraction(ra, rb)
-    return None
+    """The rational of a literal such as "-3/2", "7" or "0.5"; anything
+    else raises InvalidInput.  An exponent such as "1e10000000" is refused
+    before Fraction would build its value, which a ten-byte literal can
+    make ten million digits long."""
+    if not isinstance(s, str):
+        raise InvalidInput(f"a rational literal is a string, not a {type(s).__name__}")
+    if "e" in s or "E" in s:
+        raise InvalidInput(f"bad rational literal {s!r}: exponents are not read")
+    try:
+        return Fraction(s.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"bad rational literal {s!r}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -461,16 +461,7 @@ class RatPolynomial:
         if not isinstance(items, (list, tuple)):
             kind = type(items).__name__
             raise InvalidInput(f"a polynomial is a list of strings, not a {kind}")
-        coeffs = []
-        for s in items:
-            if not isinstance(s, str):
-                kind = type(s).__name__
-                raise InvalidInput(f"a polynomial coefficient is a string, not a {kind}")
-            try:
-                coeffs.append(rat_from_str(s))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InvalidInput(f"bad rational literal {s!r}") from exc
-        return cls(coeffs)
+        return cls([rat_from_str(s) for s in items])
 
     @classmethod
     def _monic_from_z(cls, zc):
@@ -712,9 +703,22 @@ def squarefree_part(p: RatPolynomial) -> RatPolynomial:
 
 
 def is_squarefree(p: RatPolynomial) -> bool:
+    """Whether p is nonzero with no repeated factor over Q.
+
+    With zc the integer form of p, a good prime among the first
+    _SQUAREFREE_PRIMES primes not dividing lc(zc) proves it: a square factor
+    g^2 of zc over Z has lc(g) prime to such a prime, so g^2 would divide
+    zc mod it with deg g > 0.  The primes are read through the memo
+    _p_cycle_type, so the first good prime is the one _cycle_types then
+    reads without a second DDF.  Only a p with no good prime among them
+    runs the rational gcd with its derivative.
+    """
     if p.is_zero():
         return False
     if p.degree == 0:
+        return True
+    readings = islice(_p_readings(p.to_zpoly()[1]), _SQUAREFREE_PRIMES)
+    if any(degrees is not None for _, degrees in readings):
         return True
     return poly_gcd(p, p.derivative()).degree == 0
 
@@ -746,10 +750,12 @@ def rational_roots(p: RatPolynomial) -> list:
     With f the squarefree part of p in Z[x] and c = lc(f), the monic
     M(y) = c^(n-1) f(y / c) is in Z[y], and y = c x maps the rational roots
     of f onto the integer roots of M, each at most B = 1 + max |M_i| in size
-    (Cauchy).  At the first prime where M is squarefree, every root of M is
-    a simple root mod that prime, and Newton's iteration lifts it uniquely;
-    a lift modulo more than 2 B, read in the symmetric range, is the integer
-    root when there is one, and M(y) == 0 decides.
+    (Cauchy).  At the first prime where M is squarefree, the first that
+    _cycle_types reads, every root of M is a simple root mod that prime, so
+    a cycle type there with no 1 leaves no rational root, and Newton's
+    iteration lifts each root uniquely; a lift modulo more than 2 B, read in
+    the symmetric range, is the integer root when there is one, and
+    M(y) == 0 decides.
     """
     if p.is_zero():
         raise InvalidInput("rational roots of zero are undefined")
@@ -763,15 +769,13 @@ def rational_roots(p: RatPolynomial) -> list:
     monic = [x * c ** (n - 1 - i) for i, x in enumerate(f[:-1])] + [1]
     slope = _z_derivative(monic)
     bound = 2 * (1 + max(abs(x) for x in monic))
-    prime = 2
-    while not (is_prime(prime) and _p_squarefree_of_degree(_p_trim(monic, prime), n, prime)):
-        prime += 1
+    prime, degrees = next(_cycle_types(monic))
+    if 1 not in degrees:
+        return []
     red = _p_trim(monic, prime)
     # gcd(x^prime - x, M): the product of the linear factors of M mod prime
     frobenius = _p_powmod([0, 1], prime, red, prime)
     linear = _p_gcd(_p_trim(_z_sub(frobenius, [0, 1]), prime), red, prime)
-    if len(linear) < 2:
-        return []
     roots = []
     for factor in _p_equal_degree(linear, 1, prime, random.Random(0)):
         y, q = -factor[0] % prime, prime
@@ -794,16 +798,6 @@ def rational_roots(p: RatPolynomial) -> list:
 # their number type: integral inputs stay Python ints, which is about 25x
 # cheaper than Fraction arithmetic.
 
-def _denominator_lcm(polys) -> int:
-    """The lcm C of the coefficient denominators of the given monic
-    polynomials: C^n * p(x / C) is integral for each p of degree n."""
-    den = 1
-    for poly in polys:
-        for q in poly.coeffs:
-            den = den * q.denominator // int_gcd(den, q.denominator)
-    return den
-
-
 def _integral(coeffs) -> list:
     """The Fraction coefficients as Python ints when they are all integral."""
     if all(q.denominator == 1 for q in coeffs):
@@ -814,7 +808,7 @@ def _integral(coeffs) -> list:
 def _scaled_monic(poly: RatPolynomial, scale: int) -> list:
     """The coefficients of scale^n * poly(x / scale) for a monic poly of
     degree n, as ints; its roots are scale times those of poly.  scale must
-    be a multiple of _denominator_lcm([poly])."""
+    be a multiple of the lcm of its denominators, _numerators(poly.coeffs)[0]."""
     n = poly.degree
     return [int(q * scale ** (n - i)) for i, q in enumerate(poly.coeffs)]
 
@@ -1193,19 +1187,8 @@ def _cycle_types(zc):
             yield p, list(degrees)
 
 
-# primes not dividing lc among which _has_good_prime looks for a good one
+# primes not dividing lc among which is_squarefree looks for a good one
 _SQUAREFREE_PRIMES = 5
-
-
-def _has_good_prime(zc) -> bool:
-    """Whether zc is squarefree of full degree mod one of the first
-    _SQUAREFREE_PRIMES primes not dividing lc(zc).  True proves zc
-    squarefree over Q: a square factor g^2 of zc over Z has lc(g) prime to
-    such a p, so g^2 would divide zc mod p with deg g > 0.  False proves
-    nothing.  The test reads through the memo _p_cycle_type, so the first
-    good prime is the one _cycle_types then reads without a second DDF."""
-    readings = islice(_p_readings(zc), _SQUAREFREE_PRIMES)
-    return any(degrees is not None for _, degrees in readings)
 
 
 # good primes whose degree sets _factor_squarefree_z intersects; a quartic

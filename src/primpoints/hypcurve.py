@@ -34,7 +34,6 @@ from .exactalg import (
     factor_over_rationals,
     is_squarefree,
     poly_gcd,
-    rational_sqrt,
 )
 from .linalg import nullspace
 from .numfield import NumberField, nf_sqrt
@@ -156,7 +155,7 @@ def places_over_x(curve: HyperellipticCurve, u: RatPolynomial, check: bool = Tru
     if u.degree == 1:
         c = -u[0]
         val = curve.h(c)
-        root = rational_sqrt(val)
+        root = _rational_nth_root(val, 2)
         if root is None:
             return [Place(KIND_INERT, u, None)]
         places = [

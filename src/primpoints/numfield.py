@@ -24,7 +24,6 @@ from .exactalg import (
     RatPolynomial,
     _QUARTIC_PRIMES,
     _cycle_types,
-    _denominator_lcm,
     _divmod_list,
     _factor_list,
     _factor_squarefree_z,
@@ -49,6 +48,7 @@ from .exactalg import (
     is_prime,
     is_squarefree,
     power_sums,
+    rat_from_str,
     rat_to_str,
     rational_roots,
     resultant,
@@ -212,7 +212,7 @@ class FieldElement:
         if self.is_zero():
             raise DivisionByZero("cannot invert zero")
         d = self.field.degree
-        C = _denominator_lcm([self.field.modulus])
+        C = _numerators(self.field.modulus.coeffs)[0]
         m = _scaled_monic(self.field.modulus, C)
         dens = [q.denominator * C ** i for i, q in enumerate(self.coeffs)]
         D = lcm(*dens)
@@ -424,7 +424,7 @@ def _cofactor_norm(m: RatPolynomial, g_q: RatPolynomial, shift: int) -> RatPolyn
     Both polynomials are scaled by the lcm C of their denominators, so that
     every sum is a Python int, and the norm is scaled back at the end.
     """
-    scale = _denominator_lcm((m, g_q))
+    scale = _numerators(m.coeffs + g_q.coeffs)[0]
     degree = (g_q.degree - 1) * m.degree
     P = power_sums(_scaled_monic(m, scale), degree + 1)
     Q = power_sums(_scaled_monic(g_q, scale), degree + 1)
@@ -448,43 +448,15 @@ def _composed_norm(trace, degree: int, shift: int, scale: int = 1) -> RatPolynom
     return from_power_sums(sums, degree, scale)
 
 
-# Each candidate shift's norm is screened mod this prime: a reduction of
-# full degree that is squarefree mod p proves the norm squarefree over Q.
-_SCREEN_PRIME = 2 ** 31 - 1
-# shifts screened mod p before each later shift gets the exact test
-_SCREENED_SHIFTS = 4
-
-
 def _squarefree_norm(norm_at, skip) -> tuple:
     """(s, norm_at(s)) for the first shift s, in _shift_sequence order and
-    not in skip, whose norm is squarefree.
-
-    Norms are cheap, so each shift has its exact norm computed; the first
-    _SCREENED_SHIFTS of them are tested mod p only, and a rejected shift is
-    passed over even if its norm is squarefree over Q.  Later shifts, and
-    every norm with p in a denominator, get the exact squarefree test.  The
-    shift does not change the factors, which are canonical.
-    """
-    p = _SCREEN_PRIME
-    screened = 0
+    not in skip, whose norm is squarefree (is_squarefree).  The shift does
+    not change the factors, which are canonical."""
     for s in _shift_sequence():
-        if s in skip:
-            continue
-        norm = norm_at(s)
-        if screened < _SCREENED_SHIFTS and all(q.denominator % p for q in norm.coeffs):
-            screened += 1
-            if _squarefree_mod_p(norm):
+        if s not in skip:
+            norm = norm_at(s)
+            if is_squarefree(norm):
                 return s, norm
-        elif is_squarefree(norm):
-            return s, norm
-
-
-def _squarefree_mod_p(norm: RatPolynomial) -> bool:
-    """Whether the p-integral norm reduces mod _SCREEN_PRIME to a
-    squarefree polynomial of full degree."""
-    p = _SCREEN_PRIME
-    red = _p_trim(_p_residues(norm.coeffs, p), p)
-    return _p_squarefree_of_degree(red, norm.degree, p)
 
 
 @dataclass(frozen=True)
@@ -959,7 +931,7 @@ class SubfieldWitness:
         L = NumberField(modulus, check=False)
         return cls(
             degree=data["degree"],
-            generator=L.element([Fraction(c) for c in data["generator_coeffs"]]),
+            generator=L.element([rat_from_str(c) for c in data["generator_coeffs"]]),
             generator_minpoly=RatPolynomial.from_json(data["minpoly"]),
         )
 

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .exactalg import (
     RatPolynomial,
-    _has_good_prime,
     _integral,
     _numerators,
     _z_mul,
@@ -119,18 +118,11 @@ def fiber_polynomial(curve, f: CurveFunction, t: Fraction):
     # primitive element x + lam*y, eliminating x by a resultant
     for lam in range(1, 2 * d + 1):
         ft = _eliminated_presentation(curve, a, t, Fraction(lam))
-        if _is_squarefree(ft):
+        if is_squarefree(ft):
             return RatPolynomial._monic_from_z(ft.to_zpoly()[1]), lam
     raise DegeneratePresentation(
         f"no primitive-element presentation for t={t} within lam <= {2 * d}"
     )
-
-
-def _is_squarefree(poly: RatPolynomial) -> bool:
-    """is_squarefree(poly) for a nonconstant poly, proven from a good prime
-    among its first few (exactalg._has_good_prime) when there is one; only
-    a poly with none runs the rational gcd with its derivative."""
-    return _has_good_prime(poly.to_zpoly()[1]) or is_squarefree(poly)
 
 
 def _eliminated_presentation(curve, a: RatPolynomial, t: Fraction, lam: Fraction):
@@ -198,7 +190,7 @@ def classify_specialization(
         poly, lam = fiber_polynomial(curve, f, t)
     except DegeneratePresentation:
         return Specialization(t=t, fiber_poly=None, status=STATUS_DEGENERATE)
-    if lam is None and not _is_squarefree(poly):
+    if lam is None and not is_squarefree(poly):
         return Specialization(t=t, fiber_poly=poly, status=STATUS_BRANCH_LIKE)
     # poly is monic: one reading of its cycle types decides both
     # irreducibility and primitivity

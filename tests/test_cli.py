@@ -7,6 +7,7 @@ import random
 import string
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,18 @@ def test_malformed_curve_file_exit_1(content, tmp_path, capsys):
     path = tmp_path / "curve.json"
     path.write_bytes(content)
     assert main(["curve-info", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("literal", ["1e100000", "1e10000000"])
+def test_exponent_literal_in_curve_file_exit_1(literal, tmp_path, capsys):
+    # Fraction would build 10^(10^7) from ten bytes before any check
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"h": [literal, "0", "0", "1"]}))
+    start = time.perf_counter()
+    assert main(["curve-info", str(path)]) == 1
+    assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

@@ -5,7 +5,7 @@ import math
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from primpoints import (
     DivisionByZero,
@@ -22,7 +22,7 @@ from primpoints import (
     resultant,
     squarefree_part,
 )
-from primpoints import exactalg, numfield
+from primpoints import exactalg
 from primpoints.contract import POINT_INF, point_closed, point_rat
 from primpoints.exactalg import POLY_ONE, POLY_ZERO, from_power_sums, power_sums
 from primpoints.hypcurve import (
@@ -84,6 +84,48 @@ def test_squarefree_coprime_with_derivative(p):
     s = squarefree_part(p)
     if s.degree > 0:
         assert poly_gcd(s, s.derivative()).degree == 0
+
+
+def prs_squarefree(poly):
+    """is_squarefree by the PRS gcd with the derivative alone."""
+    if poly.is_zero():
+        return False
+    return poly.degree == 0 or poly_gcd(poly, poly.derivative()).degree == 0
+
+
+rat_factors = st.lists(
+    st.fractions(min_value=-12, max_value=12, max_denominator=10), min_size=1, max_size=4
+).map(RatPolynomial)
+# primitive, with lc divisible by 2*3*5*7*11: the first five primes are not
+# read, and a good prime is 13 or beyond
+lc_2310 = st.lists(st.integers(-9, 9), max_size=3).map(lambda c: RatPolynomial([1] + c + [2310]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rat_factors, rat_factors, st.integers(0, 2), st.none() | lc_2310)
+# (x - 1)(x - 2311) has discriminant 2310^2: no good prime among the
+# first five, so the PRS gcd decides
+@example(x - 1, x - 2311, 1, None)
+@example(x + 1, x - 3, 2, RatPolynomial([1, 0, 2310]))
+@example(RatPolynomial([Fraction(3, 7)]), POLY_ONE, 1, None)
+@example(x * Fraction(5, 3) - 2, POLY_ONE, 0, None)
+@example(POLY_ZERO, x, 1, None)
+def test_squarefree_matches_prs_oracle(a, b, power, lead):
+    # a times b, b squared or no b, and maybe a factor with lc 2310
+    poly = a * b ** power * (lead or POLY_ONE)
+    assert is_squarefree(poly) == prs_squarefree(poly), poly
+
+
+def test_rational_literals():
+    # integers, p/q and decimals read as before; an exponent never reaches
+    # Fraction, whose value it could make millions of digits long
+    assert RatPolynomial.from_json([" 7", "-3/2", "0.5"]) == RatPolynomial(
+        [7, Fraction(-3, 2), Fraction(1, 2)])
+    for literal in ("1e3", "2E-1", "1/0", "x", "1e10000000"):
+        with pytest.raises(InvalidInput):
+            exactalg.rat_from_str(literal)
+    with pytest.raises(InvalidInput):
+        exactalg.rat_from_str(3)
 
 
 # ----------------------------------------------------------------------
@@ -587,7 +629,8 @@ def cycle_types_good(zc, p):
 
 
 def screen_good(poly, p):
-    """The test numfield._squarefree_mod_p ran inline, at any prime p."""
+    """The good-prime test on a p-integral RatPolynomial: its reduction mod
+    p is squarefree of full degree."""
     red = reduce_mod(poly, p)
     slope = exactalg._p_trim(exactalg._z_derivative(red), p)
     return len(red) == poly.degree + 1 and len(exactalg._p_gcd(red, slope, p)) == 1
@@ -627,15 +670,6 @@ def test_good_prime_predicate_matches_the_inline_tests():
             assert ours == (zc[-1] % p != 0 and res % p != 0), (f, p)
             seen.add("lc" if zc[-1] % p == 0 else "disc" if not ours else "good")
     assert seen == {"lc", "disc", "good"}
-    # the shift screen's seam at its own prime
-    P = numfield._SCREEN_PRIME
-    for f, good in (
-        (x ** 2 + 3 * x + 1, True),
-        ((x - 1) * (x - 1 - P), False),
-        (P * x ** 2 + x + 1, False),
-        (x ** 3 - Fraction(1, 3), True),
-    ):
-        assert numfield._squarefree_mod_p(f) == screen_good(f, P) == good
 
 
 # ----------------------------------------------------------------------
@@ -874,24 +908,6 @@ def interpolated_norm(f, shift=0):
     return interpolate(sample, f.degree * L.degree + 1)
 
 
-def resultant_screen(m_p, lifted_p, s, p):
-    """Whether nf_norm(g, s) mod p has full degree and is squarefree, by
-    interpolated resultants mod p, given the modulus and g's lifted
-    coefficients (highest first) mod p."""
-    nd = (len(lifted_p) - 1) * (len(m_p) - 1)
-
-    def sample(c):
-        arg = exactalg._p_trim([int(c), s], p)
-        val = []
-        for a in lifted_p:
-            val = exactalg._p_trim(exactalg._z_add(exactalg._p_mul(val, arg, p), a), p)
-        return _p_resultant(m_p, exactalg._p_mod(val, m_p, p), p)
-
-    norm = reduce_mod(interpolate(sample, nd + 1), p)
-    slope = exactalg._p_trim(exactalg._z_derivative(norm), p)
-    return len(norm) == nd + 1 and len(exactalg._p_gcd(norm, slope, p)) == 1
-
-
 def euclidean_pull_back(g, fl, s):
     """The factors gcd(g, G(x - s*theta)) of g, by Horner and the
     Euclidean gcd over L; the largest G's is g divided by the others."""
@@ -1014,7 +1030,7 @@ def test_from_power_sums_inverts_power_sums():
         poly = RatPolynomial(coeffs)
         assert from_power_sums(power_sums(coeffs, n + 1), n) == poly
         # roots scaled by C: C^n poly(x / C) is integral, and unscaled back
-        scale = exactalg._denominator_lcm([poly])
+        scale = exactalg._numerators(poly.coeffs)[0]
         scaled = exactalg._scaled_monic(poly, scale)
         assert all(type(c) is int for c in scaled)
         assert from_power_sums(power_sums(scaled, n + 1), n, scale) == poly
@@ -1359,6 +1375,15 @@ def loop_p_mulmod(a, b, rows, p):
     return exactalg._p_reduce(prod, rows, p)
 
 
+def loop_denominator_lcm(polys):
+    """The lcm of the coefficient denominators of polys, one at a time."""
+    den = 1
+    for poly in polys:
+        for q in poly.coeffs:
+            den = den * q.denominator // gcd(den, q.denominator)
+    return den
+
+
 def loop_scaled_ints(poly, den):
     """den * poly as ints, for den a multiple of every denominator of poly."""
     return [q.numerator * (den // q.denominator) for q in poly.coeffs]
@@ -1474,6 +1499,6 @@ def test_numerators_match_scaled_ints_oracle():
     for _ in range(300):
         a, b = poly(), poly()
         den, ints = exactalg._numerators(a.coeffs + b.coeffs)
-        assert den == exactalg._denominator_lcm((a, b))
+        assert den == loop_denominator_lcm((a, b))
         assert ints == loop_scaled_ints(a, den) + loop_scaled_ints(b, den)
         assert all(type(c) is int for c in ints)

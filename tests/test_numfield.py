@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -32,8 +33,7 @@ from primpoints.linalg import nullspace
 from test_exactalg import (
     euclidean_pull_back,
     interpolated_norm,
-    reduce_mod,
-    resultant_screen,
+    prs_squarefree,
     zassenhaus_rational_roots,
 )
 
@@ -180,38 +180,6 @@ def test_known_factor_needs_no_gcd(monkeypatch):
         assert [e.degree for e in entries][-1] == 6
 
 
-def test_screen_skipped_when_prime_divides_a_denominator(monkeypatch):
-    def no_screen(*args):
-        raise AssertionError("screened a norm that has no reduction mod p")
-
-    monkeypatch.setattr(numfield, "_squarefree_mod_p", no_screen)
-    m = x ** 2 - Fraction(2, numfield._SCREEN_PRIME)
-    L = NumberField(m)
-    f = NfPolynomial.from_rat(L, m)
-    fact = trager_factor(f)
-    assert [(g.degree, mult) for g, mult in fact.factors] == [(1, 1), (1, 1)]
-    assert fact.expand() == f
-    # an input whose coefficients carry p in a denominator
-    g = NfPolynomial(L, [L.element([0, 3]), L.one]) * f
-    fact = trager_factor(g)
-    assert sorted(h.degree for h, _ in fact.factors) == [1, 1, 1]
-    assert fact.expand() == g
-
-
-def test_exact_test_after_inconclusive_screens(monkeypatch):
-    # a screen that never passes leaves every later shift to the exact test
-    fields = [x ** 3 - 2, SWINNERTON, x ** 2 + 1]
-    inputs = [NfPolynomial.from_rat(NumberField(m), m) for m in fields]
-    L = NumberField(x ** 2 + 1)
-    inputs.append(NfPolynomial(L, [L.element([0, -1]), L.zero, L.one]))  # x^2 - i
-    expected = [trager_factor(f).factors for f in inputs]
-    monkeypatch.setattr(numfield, "_squarefree_mod_p", lambda *args: False)
-    for f, factors in zip(inputs, expected):
-        fact = trager_factor(f)
-        assert fact.factors == factors
-        assert fact.expand() == f
-
-
 def _random_field(rng, d, denominators=True):
     while True:
         coeffs = [
@@ -259,26 +227,48 @@ def test_cofactor_norm_matches_interpolated_resultants():
             assert numfield.nf_norm(cofactor, shift) == expected
 
 
-def test_norm_screen_matches_resultant_screen():
-    p = numfield._SCREEN_PRIME
+def _squarefree_norm_inputs():
+    """(norm_at, skip) as trager_factor hands them to _squarefree_norm."""
     rng = random.Random(107)
-    verdicts = set()
     for case in range(30):
         L = _random_field(rng, rng.randint(2, 5))
         if case % 2:
             # a rational input, whose norm at shift 0 is a power
             g_q = RatPolynomial([rng.randint(-4, 4), rng.randint(-4, 4), 1])
-            g = NfPolynomial.from_rat(L, g_q)
+            g = NfPolynomial.from_rat(L, numfield.squarefree_part(g_q))
+            yield partial(numfield.nf_norm, g), (0,)
         else:
             coeffs = [_random_element(rng, L) for _ in range(rng.randint(1, 3))]
-            g = NfPolynomial(L, coeffs + [L.one])
-        m_p = reduce_mod(L.modulus, p)
-        lifted_p = [reduce_mod(c.to_poly(), p) for c in reversed(g.coeffs)]
-        for shift in (0, 1, -2):
-            verdict = numfield._squarefree_mod_p(numfield.nf_norm(g, shift))
-            assert verdict == resultant_screen(m_p, lifted_p, shift, p)
-            verdicts.add(verdict)
-    assert verdicts == {True, False}
+            yield partial(numfield.nf_norm, NfPolynomial(L, coeffs + [L.one])), ()
+    # moduli whose first shifts have norms with repeated roots: the cyclotomic
+    # x^4 + 1 and x^6 - 2 pass over shifts, and 2^31 - 1 divides denominators
+    for m in (x ** 4 + 1, x ** 6 - 2, SWINNERTON, x ** 2 - Fraction(2, 2 ** 31 - 1)):
+        yield partial(numfield._cofactor_norm, m, m), (0, -1)
+    L = NumberField(x ** 2 - Fraction(2, 2 ** 31 - 1))
+    g = NfPolynomial(L, [L.element([0, 3]), L.one]) * NfPolynomial.from_rat(L, L.modulus)
+    yield partial(numfield.nf_norm, g), ()
+
+
+def test_squarefree_norm_takes_the_first_prs_squarefree_shift():
+    passed_over = 0
+    for norm_at, skip in _squarefree_norm_inputs():
+        shifts = [s for s in islice(numfield._shift_sequence(), 12) if s not in skip]
+        norms = map(norm_at, shifts)
+        expected = next((s, norm) for s, norm in zip(shifts, norms) if prs_squarefree(norm))
+        assert numfield._squarefree_norm(norm_at, skip) == expected
+        passed_over += expected[0] != shifts[0]
+    assert passed_over >= 2
+    # trager_factor with 2^31 - 1 in the denominators of m and of its input
+    m = x ** 2 - Fraction(2, 2 ** 31 - 1)
+    L = NumberField(m)
+    f = NfPolynomial.from_rat(L, m)
+    fact = trager_factor(f)
+    assert [(g.degree, mult) for g, mult in fact.factors] == [(1, 1), (1, 1)]
+    assert fact.expand() == f
+    g = NfPolynomial(L, [L.element([0, 3]), L.one]) * f
+    fact = trager_factor(g)
+    assert sorted(h.degree for h, _ in fact.factors) == [1, 1, 1]
+    assert fact.expand() == g
 
 
 # a Swinnerton-Dyer quartic scaled by 1000: its factors over L carry
@@ -297,7 +287,7 @@ def _pull_back_inputs():
         )
         yield g, factor_over_rationals(norm), s
     # inputs over L: with 2^31 - 1 in a denominator, and over Q(i)
-    L = NumberField(x ** 2 - Fraction(2, numfield._SCREEN_PRIME))
+    L = NumberField(x ** 2 - Fraction(2, 2 ** 31 - 1))
     L_i = NumberField(x ** 2 + 1)
     for g in (
         NfPolynomial(L, [L.element([0, 3]), L.one]) * NfPolynomial.from_rat(L, L.modulus),
@@ -330,7 +320,7 @@ def test_modular_pull_back_matches_euclidean_gcd(monkeypatch):
     counts = {str(m): (good, tried) for m, good, tried in used}
     assert counts[str(SCALED_SWINNERTON)][0] >= 2
     # 2^31 - 1 divides a denominator there, so the first prime is passed over
-    assert counts[str(x ** 2 - Fraction(2, numfield._SCREEN_PRIME))] == (1, 2)
+    assert counts[str(x ** 2 - Fraction(2, 2 ** 31 - 1))] == (1, 2)
 
 
 # the imprimitive tail of stream-sextic: terms (1, 1, +-1) of
@@ -532,6 +522,56 @@ def test_mislabelled_imprimitive_certificates_rejected(method, modulus, generato
     cert = PrimitivityCertificate.from_json(data)
     assert cert.witness.verify(cert.modulus)
     assert not cert.verify()
+
+
+def _sqrt2_certificate():
+    """The imprimitive certificate of Q(sqrt 2 + sqrt 3), witnessed by sqrt 2."""
+    cert = is_primitive_field(SWINNERTON)
+    assert cert.witness.generator_minpoly == x ** 2 - 2 and cert.verify()
+    return cert
+
+
+def _other_field_sqrt2():
+    """sqrt 2 as theta^2 in Q(2^(1/4)), a field other than SWINNERTON's."""
+    L = NumberField(x ** 4 - 2)
+    return L.theta * L.theta
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda w: dataclasses.replace(w, degree=3),
+        lambda w: dataclasses.replace(w, generator=w.generator.field.element([2])),
+        lambda w: dataclasses.replace(w, generator_minpoly=2 * x ** 2 - 4),
+        lambda w: dataclasses.replace(w, generator_minpoly=x ** 3 - 2 * x),
+        lambda w: dataclasses.replace(w, generator_minpoly=x ** 2 - 1),
+        lambda w: dataclasses.replace(w, generator=_other_field_sqrt2()),
+    ],
+    ids=["degree-not-dividing-d", "rational-generator", "minpoly-not-monic",
+         "minpoly-wrong-degree", "minpoly-reducible", "generator-from-another-field"],
+)
+def test_forged_subfield_witness_rejected(forge):
+    cert = _sqrt2_certificate()
+    forged = forge(cert.witness)
+    assert not forged.verify(SWINNERTON)
+    assert not dataclasses.replace(cert, witness=forged).verify()
+
+
+@pytest.mark.parametrize(
+    "forgery",
+    ["imprimitive-without-witness", "primitive-with-witness", "resolvent-verdict-flipped"],
+)
+def test_forged_primitivity_certificate_rejected(forgery):
+    imprimitive = _sqrt2_certificate()
+    primitive = is_primitive_field(x ** 4 - x ** 3 - 4 * x ** 2 + 3)
+    assert imprimitive.method == primitive.method == "resolvent_cubic" and primitive.verify()
+    forged = {
+        "imprimitive-without-witness": dataclasses.replace(imprimitive, witness=None),
+        "primitive-with-witness": dataclasses.replace(primitive, witness=imprimitive.witness),
+        "resolvent-verdict-flipped": dataclasses.replace(
+            imprimitive, verdict="primitive", witness=None),
+    }[forgery]
+    assert not forged.verify()
 
 
 def test_certificate_reducible_rejected():

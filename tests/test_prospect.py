@@ -344,6 +344,25 @@ def test_function_certificate_rejects_a_degree_at_most_2g(g1):
     assert not dataclasses.replace(cert, degree=2).verify(g1)
 
 
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda c, g1: dataclasses.replace(c, t=c.t + 1),
+        lambda c, g1: dataclasses.replace(c, fiber_poly=fiber_polynomial(g1, c.function, c.t + 1)[0]),
+        lambda c, g1: dataclasses.replace(c, point_certificate=numfield.is_primitive_field(
+            x ** 4 - 10 * x ** 2 + 1)),
+        lambda c, g1: dataclasses.replace(c, point_certificate=numfield.is_primitive_field(
+            x ** 4 + x + 1)),
+    ],
+    ids=["swapped-t", "another-fiber", "imprimitive-point-certificate",
+         "point-certificate-of-another-modulus"],
+)
+def test_forged_function_certificate_rejected(g1, forge):
+    _, cert = find_primitive_function(g1, 4)
+    assert cert.verify(g1)
+    assert not forge(cert, g1).verify(g1)
+
+
 def test_find_function_out_of_range(g1, g2):
     with pytest.raises(OutOfTheoremRange):
         find_primitive_function(g1, 2)
@@ -462,9 +481,9 @@ def test_one_pass_matches_two_pass_oracle(monkeypatch):
 # ----------------------------------------------------------------------
 # squarefreeness from a good prime
 
-def _counting(monkeypatch, name):
-    """Replace primpoints.prospect.<name> by a wrapper counting its calls."""
-    module = sys.modules["primpoints.prospect"]
+def _counting(monkeypatch, module, name):
+    """Replace primpoints.<module>.<name> by a wrapper counting its calls."""
+    module = sys.modules[f"primpoints.{module}"]
     inner = getattr(module, name)
     calls = []
 
@@ -480,7 +499,7 @@ def test_branch_point_fiber_stays_branch_like(g1, monkeypatch):
     # at t = 1 the fiber of x^2 - 2x + 4 + y is (x - 2)^2 (x^2 - x + 2): a
     # repeated root has no good prime, so only the rational gcd decides it
     f = g1.function(x ** 2 - 2 * x + 4, POLY_ONE)
-    rational = _counting(monkeypatch, "is_squarefree")
+    rational = _counting(monkeypatch, "exactalg", "poly_gcd")
     # factoring a fiber wrongly taken as squarefree need not end
     with deadline(10):
         spec = classify_specialization(g1, f, 1)
@@ -491,7 +510,7 @@ def test_branch_point_fiber_stays_branch_like(g1, monkeypatch):
 
 def test_quartic_sweep_runs_no_rational_squarefree_test(g1, monkeypatch):
     f = g1.function(x ** 2 + x - 2, POLY_ONE)
-    rational = _counting(monkeypatch, "is_squarefree")
+    rational = _counting(monkeypatch, "exactalg", "poly_gcd")
     rep = prospect(g1, f, count=120)
     assert rational == []
     monkeypatch.undo()
@@ -502,11 +521,12 @@ def test_quartic_sweep_runs_no_rational_squarefree_test(g1, monkeypatch):
 
 def test_b0_fiber_is_tested_squarefree_once(g1, monkeypatch):
     f = g1.function(x ** 2 + x)
-    tests = _counting(monkeypatch, "_is_squarefree")
+    tests = _counting(monkeypatch, "prospect", "is_squarefree")
+    rational = _counting(monkeypatch, "exactalg", "poly_gcd")
     for t in islice(height_ordered_rationals(), 12):
         fiber_polynomial(g1, f, t)
-        alone = len(tests)
+        alone = len(tests), len(rational)
         spec = classify_specialization(g1, f, t)
         assert spec.lam is not None
-        assert len(tests) == 2 * alone, t
-        del tests[:]
+        assert (len(tests), len(rational)) == (2 * alone[0], 2 * alone[1]), t
+        del tests[:], rational[:]
