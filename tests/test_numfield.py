@@ -249,16 +249,28 @@ def _squarefree_norm_inputs():
     yield partial(numfield.nf_norm, g), ()
 
 
-def test_squarefree_norm_takes_the_first_prs_squarefree_shift():
+def test_norm_screen_matches_resultant_screen():
+    # the squarefree test that chooses a shift agrees with the PRS oracle,
+    # and _squarefree_norm takes the first shift that passes it
+    verdicts = set()
     passed_over = 0
     for norm_at, skip in _squarefree_norm_inputs():
+        for shift in (0, 1, -2):
+            norm = norm_at(shift)
+            verdict = numfield.is_squarefree(norm)
+            assert verdict == prs_squarefree(norm), (norm, shift)
+            verdicts.add(verdict)
         shifts = [s for s in islice(numfield._shift_sequence(), 12) if s not in skip]
         norms = map(norm_at, shifts)
         expected = next((s, norm) for s, norm in zip(shifts, norms) if prs_squarefree(norm))
         assert numfield._squarefree_norm(norm_at, skip) == expected
         passed_over += expected[0] != shifts[0]
+    assert verdicts == {True, False}
     assert passed_over >= 2
-    # trager_factor with 2^31 - 1 in the denominators of m and of its input
+
+
+def test_screen_skipped_when_prime_divides_a_denominator():
+    # 2^31 - 1 in the denominators of m and of the input
     m = x ** 2 - Fraction(2, 2 ** 31 - 1)
     L = NumberField(m)
     f = NfPolynomial.from_rat(L, m)
@@ -269,6 +281,33 @@ def test_squarefree_norm_takes_the_first_prs_squarefree_shift():
     fact = trager_factor(g)
     assert sorted(h.degree for h, _ in fact.factors) == [1, 1, 1]
     assert fact.expand() == g
+
+
+def test_exact_test_after_inconclusive_screens(monkeypatch):
+    # shifts whose norms are not squarefree are passed over by the exact
+    # test alone, and the factors come out the same
+    fields = [x ** 3 - 2, SWINNERTON, x ** 2 + 1]
+    inputs = [NfPolynomial.from_rat(NumberField(m), m) for m in fields]
+    L = NumberField(x ** 2 + 1)
+    inputs.append(NfPolynomial(L, [L.element([0, -1]), L.zero, L.one]))  # x^2 - i
+    verdicts = []
+    exact = numfield.is_squarefree
+
+    def recorded(poly):
+        verdict = exact(poly)
+        verdicts.append((verdict, prs_squarefree(poly)))
+        return verdict
+
+    monkeypatch.setattr(numfield, "is_squarefree", recorded)
+    degrees = []
+    for f in inputs:
+        fact = trager_factor(f)
+        assert fact.expand() == f
+        assert all(mult == 1 for _, mult in fact.factors)
+        degrees.append(sorted(g.degree for g, _ in fact.factors))
+    assert degrees == [[1, 2], [1, 1, 1, 1], [1, 1], [2]]
+    assert all(ours == oracle for ours, oracle in verdicts)
+    assert (False, False) in verdicts
 
 
 # a Swinnerton-Dyer quartic scaled by 1000: its factors over L carry
