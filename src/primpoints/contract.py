@@ -28,6 +28,7 @@ from .exactalg import (
     POLY_ZERO,
     RatPolynomial,
     _gcd_cofactor,
+    _numerators,
     conjugate_power_sums,
     from_power_sums,
     poly_gcd,
@@ -40,7 +41,6 @@ from .hypcurve import (
     KIND_SPLIT,
     CurveFunction,
     Divisor,
-    LaurentSeries,
     Place,
     _monomials_upto,
     _monomial_windows,
@@ -51,6 +51,7 @@ from .hypcurve import (
     _monic_at_infinity,
     _ord_u,
     _principal_function,
+    _series_nth_root,
     _sqrt_lift,
 )
 from .linalg import in_span
@@ -403,11 +404,14 @@ def decompose_totally_ramified(curve, f: CurveFunction, e: int):
     g is pinned to L(e*oo), leading series coefficient 1 and constant term
     0, which makes it unique per e; its pole part is read off the m-th root
     of the expansion of f at infinity.  Only e coefficients of that
-    expansion matter, tau^-n ... tau^(e-n-1): they are the dot product of
-    f's coefficients with the cached windows of the monomials of L(n*oo)
-    (hypcurve._monomial_windows).  The root's pole part is matched on a
-    plain list over tau^-e ... tau^-1 against the windows of L(e*oo), and g
-    is built only when nothing is left over.
+    expansion matter, tau^-n ... tau^(e-n-1): up to scale they are the dot
+    product of f's numerators with the cached integer windows of the
+    monomials of L(n*oo) (hypcurve._monomial_windows), and the root of the
+    window divided by its leading term does not depend on that scale.  The
+    root comes from hypcurve._series_nth_root in ints, and its pole part is
+    matched fraction-free over tau^-e ... tau^-1 against the windows of
+    L(e*oo).  A miss builds no Fraction, series or function; g is built
+    only when nothing is left over.
     """
     if not f.is_polynomial_form():
         raise InvalidInput("decomposition expects a polynomial-form function")
@@ -416,35 +420,47 @@ def decompose_totally_ramified(curve, f: CurveFunction, e: int):
         return None
     m = n // e
     g2 = 2 * curve.genus + 1
-    monos = _monomial_windows(curve, e, e)
+    den, monos = _monomial_windows(curve, e, e)
     if max(2 * i + isy * g2 for i, isy, _ in monos) != e:
         return None  # no exact-degree-e function exists (Weierstrass gap)
+    na = len(f.a.coeffs)
+    _, nums = _numerators(f.a.coeffs + f.b.coeffs)
+    fa, fb = nums[:na], nums[na:]
     window = [0] * e
-    for i, isy, row in _monomial_windows(curve, n, e):
-        c = (f.b if isy else f.a)[i]
+    for i, isy, row in _monomial_windows(curve, n, e)[1]:
+        part = fb if isy else fa
+        c = part[i] if i < len(part) else 0
         if c:
             for t, w in enumerate(row):
                 if w:
                     window[t] += c * w
-    lead = window[0]
-    root = LaurentSeries(-n, [c / lead for c in window], e - n).nth_root(m)
-    if root is None:
-        return None
+    # the normalized root has r_t = R[t] / d_t with d_t = (m w_0)^t t!;
+    # over the one denominator up = d_(e-1) it is residual[t] / up
+    step = m * window[0]
+    residual = _series_nth_root(window, m, e)
+    up = 1
+    for t in range(e - 1, 0, -1):
+        up *= step * t
+        residual[t - 1] *= up
     # match the pole part of the root against the monomial windows, highest
-    # pole order first; the constant monomial lies outside the window
-    residual = [root.coefficient(t) for t in range(-e, 0)]
-    a, b = [0] * (e // 2 + 1), [0] * (e // 2 + 1)
+    # pole order first, by residual <- residual * pivot - c * row with c its
+    # entry at start; from start on it then stands for residual / (up *
+    # scale).  The constant monomial lies outside the window.
+    scale, found = 1, []
     for i, isy, row in reversed(monos):
         start = e - 2 * i - isy * g2  # the index of tau^-(pole order)
         if start == e or not residual[start]:
             continue
-        c = residual[start] / row[start]
+        c, pivot = residual[start], row[start]
         for t in range(start, e):
-            if row[t]:
-                residual[t] -= c * row[t]
-        (b if isy else a)[i] = c
+            residual[t] = residual[t] * pivot - c * row[t]
+        scale *= pivot
+        found.append((i, isy, c, scale))
     if any(residual):
         return None
+    a, b = [0] * (e // 2 + 1), [0] * (e // 2 + 1)
+    for i, isy, c, scale in found:
+        (b if isy else a)[i] = Fraction(c * den, up * scale)
     gfun = CurveFunction(curve, RatPolynomial(a), RatPolynomial(b))
     if gfun.is_zero() or function_degree(curve, gfun) != e:
         return None

@@ -30,6 +30,7 @@ from .exactalg import (
     POLY_ZERO,
     RatPolynomial,
     _gcd_cofactor,
+    _numerators,
     _power,
     factor_over_rationals,
     is_squarefree,
@@ -873,30 +874,27 @@ class LaurentSeries:
         return LaurentSeries(-v, inv, -v + nterms)
 
     def nth_root(self, m: int):
-        """Series s with s^m = self; requires val divisible by m and the
-        leading coefficient a rational m-th power."""
+        """Series s with s^m = self; requires m >= 1, val divisible by m and
+        the leading coefficient a rational m-th power.  The normalized root
+        comes from _series_nth_root on the coefficients over one
+        denominator, and its k-th term from R_k / ((m w_0)^k k!)."""
+        if m < 1:
+            raise InvalidInput(f"root index must be positive, not {m}")
         if not self.coeffs:
             raise InvalidInput("root of zero series")
         if self.val % m:
             return None
-        c0 = self.coeffs[0]
-        root0 = _rational_nth_root(c0, m)
+        root0 = _rational_nth_root(self.coeffs[0], m)
         if root0 is None:
             return None
         nterms = self.prec - self.val
-        u = [c / c0 for c in self.coeffs]
-        # r = u^(1/m) with u[0] = 1 by the power recurrence (Knuth, TAOCP 2,
-        # 4.7): k r_k = sum_{j=1..k} (j/m - (k - j)) u_j r_(k-j)
-        r = [Fraction(1)]
-        for k in range(1, nterms):
-            acc = Fraction(0)
-            for j in range(1, min(k, len(u) - 1) + 1):
-                if u[j]:
-                    acc += (Fraction(j, m) - (k - j)) * u[j] * r[k - j]
-            r.append(acc / k)
-        return LaurentSeries(
-            self.val // m, [c * root0 for c in r], self.val // m + nterms
-        )
+        _, w = _numerators(self.coeffs)
+        step, scale, out = m * w[0], 1, []
+        for k, c in enumerate(_series_nth_root(w, m, nterms)):
+            if k:
+                scale *= step * k
+            out.append(root0 * Fraction(c, scale))
+        return LaurentSeries(self.val // m, out, self.val // m + nterms)
 
     def __repr__(self):
         terms = [
@@ -913,6 +911,31 @@ def _trunc_mul(a, b, k):
             for j, y in enumerate(b[: k + 1 - i]):
                 if y:
                     out[i + j] += x * y
+    return out
+
+
+def _series_nth_root(w, m: int, nterms: int):
+    """The ints R_0 .. R_(nterms-1) with u^(1/m) = sum_k R_k / ((m w_0)^k k!)
+    tau^k, where u = w / w_0 for an int list w with w[0] != 0 and terms past
+    w are zero.  The root does not depend on the scale of w.
+
+    This is the power recurrence k r_k = sum_{j=1..k} (j/m - (k - j)) u_j
+    r_(k-j) (Knuth, TAOCP 2, 4.7) multiplied through by (m w_0)^k (k-1)!:
+    R_0 = 1 and R_k = sum_{j=1..k} (j - m(k - j)) w_j R_(k-j) (m w_0)^(j-1)
+    (k-1)!/(k-j)!, all in ints."""
+    if m < 1:
+        raise InvalidInput(f"root index must be positive, not {m}")
+    if not w or not w[0]:
+        raise InvalidInput("root of a series with zero leading term")
+    step = m * w[0]
+    out = [1]
+    for k in range(1, nterms):
+        acc, scale = 0, 1  # scale = (m w_0)^(j-1) (k-1)!/(k-j)!
+        for j in range(1, min(k, len(w) - 1) + 1):
+            if w[j]:
+                acc += (j - m * (k - j)) * w[j] * out[k - j] * scale
+            scale *= step * (k - j)
+        out.append(acc)
     return out
 
 
@@ -978,10 +1001,12 @@ def infinity_series_xy(curve, nterms: int):
 
 @lru_cache(maxsize=64)
 def _monomial_windows(curve, n: int, k: int):
-    """The monomials of L(n*oo) expanded at infinity in one fixed window.
+    """The monomials of L(n*oo) expanded at infinity in one fixed window, as
+    integer rows over one denominator: (den, rows).
 
-    One (i, is_y, row) per monomial x^i or x^i*y, in _monomials_upto order;
-    row holds its coefficients of tau^-n, ..., tau^(k-n-1).  The window of a
+    rows holds one (i, is_y, row) per monomial x^i or x^i*y, in
+    _monomials_upto order; row / den are its coefficients of tau^-n, ...,
+    tau^(k-n-1), and den is the lcm of their denominators.  The window of a
     polynomial-form f of pole order n is then the dot product of f.a and f.b
     with these rows.  All rows come from the one pair infinity_series_xy(
     curve, k), each power of x from the one before it: a product keeps the
@@ -991,13 +1016,18 @@ def _monomial_windows(curve, n: int, k: int):
     """
     xs, ys = infinity_series_xy(curve, k)
     chains = {False: [LaurentSeries(0, [1], k + 2)], True: [ys]}  # x^i, x^i*y
-    out = []
-    for i, isy in _monomials_upto(curve, n):
+    monos = _monomials_upto(curve, n)
+    flat = []
+    for i, isy in monos:
         chain = chains[isy]
         while len(chain) <= i:
             chain.append(chain[-1] * xs)
-        out.append((i, isy, tuple(chain[i].coefficient(t) for t in range(-n, k - n))))
-    return tuple(out)
+        flat.extend(chain[i].coefficient(t) for t in range(-n, k - n))
+    den, ints = _numerators(flat)
+    rows = tuple(
+        (i, isy, tuple(ints[j * k:(j + 1) * k])) for j, (i, isy) in enumerate(monos)
+    )
+    return den, rows
 
 
 def function_series(curve, f: CurveFunction, nterms: int) -> LaurentSeries:

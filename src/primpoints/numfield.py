@@ -928,12 +928,27 @@ class SubfieldWitness:
 
     @classmethod
     def from_json(cls, data, modulus: RatPolynomial) -> "SubfieldWitness":
+        degree = _json_field(data, "degree", int)
+        coeffs = _json_field(data, "generator_coeffs", list)
         L = NumberField(modulus, check=False)
         return cls(
-            degree=data["degree"],
-            generator=L.element([rat_from_str(c) for c in data["generator_coeffs"]]),
-            generator_minpoly=RatPolynomial.from_json(data["minpoly"]),
+            degree=degree,
+            generator=L.element([rat_from_str(c) for c in coeffs]),
+            generator_minpoly=RatPolynomial.from_json(_json_field(data, "minpoly")),
         )
+
+
+def _json_field(data, key, kind=None):
+    """data[key] of a certificate's JSON; InvalidInput when it is missing or,
+    given a kind, not of exactly that type (so a bool is no int)."""
+    if not isinstance(data, dict) or key not in data:
+        raise InvalidInput(f"certificate field {key!r} is missing")
+    value = data[key]
+    if kind is not None and type(value) is not kind:
+        raise InvalidInput(
+            f"certificate field {key!r} must be a {kind.__name__}, not {type(value).__name__}"
+        )
+    return value
 
 
 PRIMITIVE = "primitive"
@@ -1004,18 +1019,18 @@ class PrimitivityCertificate:
 
     @classmethod
     def from_json(cls, data) -> "PrimitivityCertificate":
-        modulus = RatPolynomial.from_json(data["modulus"])
+        """The certificate of its JSON; a missing field, a verdict or method
+        that is no string, or a witness degree that is no int raises
+        InvalidInput.  Whether the values make sense is verify()'s call."""
+        verdict = _json_field(data, "verdict", str)
+        method = _json_field(data, "method", str)
+        modulus = RatPolynomial.from_json(_json_field(data, "modulus"))
         witness = (
             SubfieldWitness.from_json(data["witness"], modulus)
             if data.get("witness")
             else None
         )
-        return cls(
-            verdict=data["verdict"],
-            method=data["method"],
-            modulus=modulus,
-            witness=witness,
-        )
+        return cls(verdict=verdict, method=method, modulus=modulus, witness=witness)
 
 
 def resolvent_cubic(q: RatPolynomial) -> RatPolynomial:

@@ -43,6 +43,7 @@ from primpoints.contract import (
 )
 from primpoints.hypcurve import infinity_series_xy
 from test_exactalg import interpolated_value_at_place
+from test_hypcurve import fraction_nth_root
 
 x = POLY_X
 
@@ -543,7 +544,7 @@ def decompose_oracle(curve, f, e):
         return None
     s = hypcurve.function_series(curve, f, e)
     lead = s.coefficient(-n)
-    root = (s * (1 / lead)).nth_root(m)
+    root = fraction_nth_root(s * (1 / lead), m)
     if root is None:
         return None
     residual = root
@@ -582,20 +583,25 @@ def decompose_oracle(curve, f, e):
 # y^2 = -5/3 x^5 + 2x^3 - x + 1: a genus-2 model with a non-monic h
 NON_MONIC_H = RatPolynomial([1, -1, 0, 2, 0, Fraction(-5, 3)])
 SMALL_RATIONALS = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-2, 3)]
+# numerators and denominators past 2^64
+BIG_RATIONALS = SMALL_RATIONALS + [
+    Fraction(2 ** 64 + 13), Fraction(-(2 ** 65) - 1, 3), Fraction(3 ** 41, 2 ** 66 + 1),
+]
 
 
-def _exact_degree_function(curve, n, rng):
+def _exact_degree_function(curve, n, rng, pool=SMALL_RATIONALS):
     space = riemann_roch_basis(curve, Divisor([(INFINITY, n)]))
     while True:
-        f = space.combination([rng.choice(SMALL_RATIONALS) for _ in range(space.dimension)])
+        f = space.combination([rng.choice(pool) for _ in range(space.dimension)])
         if not f.is_constant() and function_degree(curve, f) == n:
             return f
 
 
 def test_decomposition_matches_oracle(g1, g2, g3):
     """Every n with 2g < n <= 2g + 11 and every e | n with 2g < e < n, on
-    random functions of degree n and on built compositions q^(n/e) + c*q."""
-    compared = matched = 0
+    random functions of degree n and on built compositions q^(n/e) + c*q,
+    some of them with coefficients past 2^64."""
+    compared = matched = big_matched = 0
     for curve in (g1, g2, g3, curve_new(NON_MONIC_H)):
         low = 2 * curve.genus
         rng = random.Random(f"decompose:{curve.h.coeffs}")
@@ -604,11 +610,16 @@ def test_decomposition_matches_oracle(g1, g2, g3):
             if not es:
                 continue
             funcs = [_exact_degree_function(curve, n, rng) for _ in range(24)]
+            funcs += [_exact_degree_function(curve, n, rng, BIG_RATIONALS) for _ in range(3)]
             for e in es:
                 for _ in range(6):
                     q = _exact_degree_function(curve, e, rng)
                     funcs.append(q ** (n // e) + rng.choice(SMALL_RATIONALS) * q)
+                for _ in range(2):
+                    q = _exact_degree_function(curve, e, rng, BIG_RATIONALS)
+                    funcs.append(q ** (n // e) + rng.choice(BIG_RATIONALS[-3:]) * q)
             for f in funcs:
+                big = max(abs(c.numerator) for c in f.a.coeffs + f.b.coeffs) > 2 ** 64
                 for e in es:
                     got = decompose_totally_ramified(curve, f, e)
                     want = decompose_oracle(curve, f, e)
@@ -617,10 +628,38 @@ def test_decomposition_matches_oracle(g1, g2, g3):
                         assert got is None, (curve, f, e)
                         continue
                     matched += 1
+                    big_matched += big
                     assert got is not None, (curve, f, e)
                     assert got[0].to_json() == want[0].to_json()
                     assert got[1] == want[1]
-    assert compared > 500 and matched > 80
+    assert compared > 500 and matched > 80 and big_matched > 25
+
+
+def test_decomposition_miss_builds_nothing_rational(g2, monkeypatch):
+    """A density-g2-shaped miss runs on ints: no Fraction, series or curve
+    function is built once the windows are cached.  A hit, the control,
+    builds g."""
+    miss = g2.function(x ** 5 + 2 * x ** 3 - x + 3, x ** 2 + 1)  # in L(10*oo)
+    q = g2.function(x, POLY_ONE)  # y + x, of degree 5
+    hit = q * q + 3 * q
+    assert decompose_totally_ramified(g2, miss, 5) is None
+    assert decompose_totally_ramified(g2, hit, 5)[0] == q
+    built = []
+    for cls in (Fraction, hypcurve.LaurentSeries, hypcurve.CurveFunction):
+        real = cls.__new__ if cls is Fraction else cls.__init__
+
+        def spy(*args, real=real, cls=cls, **kwargs):
+            built.append(cls.__name__)
+            return real(*args, **kwargs)
+
+        if cls is Fraction:
+            monkeypatch.setattr(cls, "__new__", spy)
+        else:
+            monkeypatch.setattr(cls, "__init__", spy)
+    assert decompose_totally_ramified(g2, miss, 5) is None
+    assert built == []
+    assert decompose_totally_ramified(g2, hit, 5) is not None
+    assert {"Fraction", "CurveFunction"} <= set(built)
 
 
 def test_locus_even_composition_genus_1(g1):

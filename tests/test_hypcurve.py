@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 from itertools import product
 
 import pytest
@@ -39,6 +40,7 @@ from primpoints.hypcurve import (
     _monomial_windows,
     _monomials_upto,
     _rational_nth_root,
+    _series_nth_root,
     _sqrt_lift,
 )
 
@@ -521,12 +523,18 @@ def test_monomial_windows_match_function_series(g1, g2, g3):
         (g3, 7, 7), (g3, 16, 8),
         (non_monic, 10, 5), (non_monic, 15, 3),
     ):
-        windows = _monomial_windows(curve, n, k)
+        den, windows = _monomial_windows(curve, n, k)
         assert [(i, isy) for i, isy, _ in windows] == _monomials_upto(curve, n)
+        # one integer row per monomial over one denominator, which is 1 on
+        # the monic integral models
+        assert (den == 1) == (curve is not non_monic)
         for i, isy, row in windows:
+            assert all(type(c) is int for c in row)
             mono = curve.function(POLY_ZERO, x ** i) if isy else curve.function(x ** i)
             s = function_series(curve, mono, k)
-            assert row == tuple(s.coefficient(t) for t in range(-n, k - n))
+            assert tuple(Fraction(c, den) for c in row) == tuple(
+                s.coefficient(t) for t in range(-n, k - n)
+            )
 
 
 def test_density_sets_up_series_once(g2, monkeypatch):
@@ -587,6 +595,100 @@ def test_nth_root_rejects_non_powers(g1):
     assert (ys * ys * -1).nth_root(2) is None
     with pytest.raises(InvalidInput):
         LaurentSeries(0, [], 5).nth_root(2)
+    with pytest.raises(InvalidInput):
+        _series_nth_root([0, 1], 2, 3)
+
+
+# ----------------------------------------------------------------------
+# root oracle: the Fraction recurrence that the integer kernel
+# _series_nth_root replaced, kept verbatim
+
+def fraction_nth_root(series, m):
+    if not series.coeffs:
+        raise InvalidInput("root of zero series")
+    if series.val % m:
+        return None
+    c0 = series.coeffs[0]
+    root0 = _rational_nth_root(c0, m)
+    if root0 is None:
+        return None
+    nterms = series.prec - series.val
+    u = [c / c0 for c in series.coeffs]
+    # r = u^(1/m) with u[0] = 1 by the power recurrence (Knuth, TAOCP 2,
+    # 4.7): k r_k = sum_{j=1..k} (j/m - (k - j)) u_j r_(k-j)
+    r = [Fraction(1)]
+    for k in range(1, nterms):
+        acc = Fraction(0)
+        for j in range(1, min(k, len(u) - 1) + 1):
+            if u[j]:
+                acc += (Fraction(j, m) - (k - j)) * u[j] * r[k - j]
+        r.append(acc / k)
+    return LaurentSeries(
+        series.val // m, [c * root0 for c in r], series.val // m + nterms
+    )
+
+
+def _random_series(rng, m):
+    """A random series: signed lead, numerators up to 2^120 on some draws,
+    denominators on others, and either a power of a random series (so that
+    its root exists) or a plain draw (whose root may not)."""
+    big = rng.randrange(10) < 3
+
+    def coeff():
+        num = rng.randint(-2 ** 120, 2 ** 120) if big else rng.randint(-9, 9)
+        return Fraction(num, rng.choice([1, 1, 2, 3, 7, 2 ** 70 + 1]))
+    length = rng.randint(1, 12)
+    coeffs = [coeff() for _ in range(length)]
+    while not coeffs[0]:
+        coeffs[0] = coeff()
+    val = rng.randint(-4, 2)
+    s = LaurentSeries(val, coeffs, val + length + rng.randint(0, 3))
+    if rng.randrange(2):
+        u = LaurentSeries(0, s.coeffs, s.prec - s.val)
+        p = u
+        for _ in range(m - 1):
+            p = p * u
+        s = LaurentSeries(val * m, p.coeffs, val * m + p.prec)
+    return s
+
+
+def test_series_nth_root_matches_fraction_oracle():
+    rng = random.Random("nth-root-oracle")
+    found = missing = big = 0
+    for _ in range(800):
+        m = rng.randint(2, 6)
+        s = _random_series(rng, m)
+        want = fraction_nth_root(s, m)
+        got = s.nth_root(m)
+        big += max(abs(c.numerator) for c in s.coeffs) > 2 ** 100
+        if want is None:
+            assert got is None, (s, m)
+            missing += 1
+        else:
+            found += 1
+            assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec)
+        # the kernel alone: R_k / ((m w_0)^k k!) is the root of s / lead
+        den = lcm(*(c.denominator for c in s.coeffs))
+        w = [int(c * den) for c in s.coeffs]
+        nterms = s.prec - s.val
+        r = fraction_nth_root(LaurentSeries(0, [c / s.coeffs[0] for c in s.coeffs], nterms), m)
+        scale = 1
+        for k, c in enumerate(_series_nth_root(w, m, nterms)):
+            assert type(c) is int
+            scale *= m * w[0] * k if k else 1
+            assert Fraction(c, scale) == r.coefficient(k), (s, m, k)
+    assert found > 300 and missing > 250 and big > 250
+
+
+@pytest.mark.parametrize("m, lead", [(0, 1), (-1, 1), (-2, 4)])
+def test_nth_root_rejects_non_positive_index(g1, m, lead):
+    # unchecked, m = 0 divides by zero, m = -1 yields the inverse series and
+    # m = -2 shifts by a negative count in _integer_nth_root
+    ys = function_series(g1, g1.y, 10)
+    with pytest.raises(InvalidInput, match="positive"):
+        (ys * ys * lead).nth_root(m)
+    with pytest.raises(InvalidInput, match="positive"):
+        _series_nth_root([4, 1, 2], m, 5)
 
 
 def test_rational_nth_root_exact():

@@ -563,6 +563,39 @@ def test_mislabelled_imprimitive_certificates_rejected(method, modulus, generato
     assert not cert.verify()
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"witness": {"degree": "2", "generator_coeffs": ["0", "0", "1"],
+                     "minpoly": ["1", "-10", "1"]}},
+        {"witness": {"degree": True, "generator_coeffs": ["0", "0", "1"],
+                     "minpoly": ["1", "-10", "1"]}},
+        {"witness": {"degree": 2, "minpoly": ["1", "-10", "1"]}},
+        {"verdict": None},
+        {"method": None},
+        {"modulus": None},
+        {"verdict": 1},
+        {"method": ["principal_subfields"]},
+    ],
+)
+def test_malformed_certificates_raise_invalid_input(change):
+    data = {
+        "verdict": "imprimitive",
+        "method": "principal_subfields",
+        "modulus": ["1", "0", "-10", "0", "1"],
+        "witness": {"degree": 2, "generator_coeffs": ["0", "0", "1"],
+                    "minpoly": ["1", "-10", "1"]},
+    }
+    assert PrimitivityCertificate.from_json(data).verify()
+    for key, value in change.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    with pytest.raises(InvalidInput):
+        PrimitivityCertificate.from_json(data).verify()
+
+
 def _sqrt2_certificate():
     """The imprimitive certificate of Q(sqrt 2 + sqrt 3), witnessed by sqrt 2."""
     cert = is_primitive_field(SWINNERTON)
