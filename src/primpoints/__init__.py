@@ -61,17 +61,14 @@ from .hypcurve import (
     CurveFunction,
     Divisor,
     HyperellipticCurve,
-    LaurentSeries,
     Place,
     RRSpace,
     curve_new,
     divisor_of,
     fiber_divisor,
     function_degree,
-    function_series,
     function_valuation,
     function_with_divisor,
-    infinity_series_xy,
     is_principal,
     places_over_x,
     pole_divisor,

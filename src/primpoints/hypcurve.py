@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import (
     DegreeUndefined,
@@ -795,117 +796,11 @@ def function_with_divisor(curve, d0: Divisor, dinf: Divisor) -> CurveFunction:
 
 
 # ----------------------------------------------------------------------
-# Laurent expansions at infinity
-
-class LaurentSeries:
-    """Finite-precision Laurent series in the uniformizer at infinity.
-
-    coeffs[i] is the coefficient of tau^(val + i); terms with exponent >=
-    prec are unknown.
-    """
-
-    __slots__ = ("val", "coeffs", "prec")
-
-    def __init__(self, val, coeffs, prec):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            val += 1
-        del coeffs[max(0, prec - val):]
-        self.val = val
-        self.coeffs = [Fraction(c) for c in coeffs]
-        self.prec = prec
-
-    def coefficient(self, e: int) -> Fraction:
-        if e >= self.prec:
-            raise InvalidInput("coefficient beyond known precision")
-        i = e - self.val
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def order(self):
-        return self.val if self.coeffs else None
-
-    def __add__(self, other):
-        prec = min(self.prec, other.prec)
-        val = min(self.val if self.coeffs else prec, other.val if other.coeffs else prec)
-        out = [Fraction(0)] * max(0, prec - val)
-        for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                e = s.val + i
-                if e < prec:
-                    out[e - val] += c
-        return LaurentSeries(val, out, prec)
-
-    def __neg__(self):
-        return LaurentSeries(self.val, [-c for c in self.coeffs], self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentSeries(self.val, [c * other for c in self.coeffs], self.prec)
-        v1 = self.val if self.coeffs else self.prec
-        v2 = other.val if other.coeffs else other.prec
-        prec = min(self.prec + v2, other.prec + v1)
-        if not self.coeffs or not other.coeffs:
-            return LaurentSeries(0, [], prec)
-        val = self.val + other.val
-        return LaurentSeries(
-            val, _trunc_mul(self.coeffs, other.coeffs, prec - val - 1), prec
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self.coeffs:
-            raise ZeroDivisionError("inverting a zero series")
-        v = self.val
-        c0 = self.coeffs[0]
-        nterms = self.prec - self.val
-        inv = [Fraction(1) / c0] + [Fraction(0)] * (nterms - 1)
-        for k in range(1, nterms):
-            s = Fraction(0)
-            for i in range(1, min(k, len(self.coeffs) - 1) + 1):
-                s += self.coeffs[i] * inv[k - i]
-            inv[k] = -s / c0
-        return LaurentSeries(-v, inv, -v + nterms)
-
-    def nth_root(self, m: int):
-        """Series s with s^m = self; requires m >= 1, val divisible by m and
-        the leading coefficient a rational m-th power.  The normalized root
-        comes from _series_nth_root on the coefficients over one
-        denominator, and its k-th term from R_k / ((m w_0)^k k!)."""
-        if m < 1:
-            raise InvalidInput(f"root index must be positive, not {m}")
-        if not self.coeffs:
-            raise InvalidInput("root of zero series")
-        if self.val % m:
-            return None
-        root0 = _rational_nth_root(self.coeffs[0], m)
-        if root0 is None:
-            return None
-        nterms = self.prec - self.val
-        _, w = _numerators(self.coeffs)
-        step, scale, out = m * w[0], 1, []
-        for k, c in enumerate(_series_nth_root(w, m, nterms)):
-            if k:
-                scale *= step * k
-            out.append(root0 * Fraction(c, scale))
-        return LaurentSeries(self.val // m, out, self.val // m + nterms)
-
-    def __repr__(self):
-        terms = [
-            f"{c}*t^{self.val + i}" for i, c in enumerate(self.coeffs) if c
-        ]
-        return " + ".join(terms or ["0"]) + f" + O(t^{self.prec})"
-
+# expansions at infinity, in ints
 
 def _trunc_mul(a, b, k):
     """Coefficients 0..k of the product of coefficient lists a and b."""
-    out = [Fraction(0)] * (k + 1)
+    out = [0] * (k + 1)
     for i, x in enumerate(a[: k + 1]):
         if x:
             for j, y in enumerate(b[: k + 1 - i]):
@@ -968,35 +863,35 @@ def _rational_nth_root(q: Fraction, m: int):
     return None
 
 
-@lru_cache(maxsize=64)
-def infinity_series_xy(curve, nterms: int):
-    """Laurent expansions of x and y at infinity in tau = x^g / y.
+def _x_at_infinity(curve, nterms: int):
+    """x at infinity in tau = x^g / y, as ints over one denominator:
+    (den, X) with x = tau^-2 * sum_j X[j] / den * tau^(2j), j < nterms.
+    y = x^g / tau needs no expansion of its own.
 
-    x has valuation -2 and y valuation -(2g+1); both series are rational
-    because the infinite place is rational on the imaginary model.  With
-    w = 1/x, s = tau^2 and ht(w) = w^(2g+1) h(1/w), the curve equation is
-    the fixed point w = s * ht(w): each pass of w <- s * ht(w) fixes one
-    more coefficient of w.  Then x = tau^-2 / ht(w) and y = x^g / tau.
+    With H = delta * h integral, c = lc(H), w = 1/x, S = tau^2 / delta and
+    HT(w) = w^(2g+1) H(1/w), the curve equation is the fixed point
+    w = S * HT(w), integral in S: each pass fixes one more term of w.  Then
+    S * x = 1 / HT(w) = sum_j V_j S^j / c^(j+1), with V_0 = 1 and
+    V_j = -sum_{i>=1} HT_i c^(i-1) V_(j-i) for the S^i coefficients HT_i of
+    HT(w), so the tau^(2j-2) coefficient of x is V_j delta^(1-j) / c^(j+1).
     """
-    g = curve.genus
-    rev = curve.h.coeffs[::-1]  # ht(w) = sum_i rev[i] w^i
-    k = (nterms + 2 * g) // 2 + 1  # coefficients of ht(w) needed, in s
+    delta, rev = _numerators(curve.h.coeffs[::-1])  # HT(w) = sum_i rev[i] w^i
     w = []
-    for n in range(1, k + 1):
-        # ht(w) mod s^n by Horner; w is exact mod s^n
+    for n in range(1, nterms + 1):
+        # HT(w) mod S^n by Horner; w is exact mod S^n
         ht = [rev[-1]]
         for c in reversed(rev[:-1]):
             ht = _trunc_mul(ht, w, n - 1)
             ht[0] += c
-        w = [Fraction(0)] + ht
-    ht_tau = LaurentSeries(0, [c for a in ht for c in (a, 0)], 2 * k)  # s = tau^2
-    u = ht_tau.inverse()  # tau^2 * x
-    ug = LaurentSeries(0, [1], 2 * k)
-    for _ in range(g):
-        ug = ug * u
-    x_series = LaurentSeries(-2, u.coeffs, nterms)
-    y_series = LaurentSeries(-(2 * g + 1), ug.coeffs, nterms)
-    return x_series, y_series
+        w = [0] + ht
+    c = rev[0]
+    v = [1]
+    for j in range(1, nterms):
+        v.append(-sum(ht[i] * c ** (i - 1) * v[j - i] for i in range(1, j + 1)))
+    return (
+        c ** nterms * delta ** (nterms - 1),
+        [v[j] * c ** (nterms - 1 - j) * delta ** (nterms - j) for j in range(nterms)],
+    )
 
 
 @lru_cache(maxsize=64)
@@ -1006,58 +901,33 @@ def _monomial_windows(curve, n: int, k: int):
 
     rows holds one (i, is_y, row) per monomial x^i or x^i*y, in
     _monomials_upto order; row / den are its coefficients of tau^-n, ...,
-    tau^(k-n-1), and den is the lcm of their denominators.  The window of a
-    polynomial-form f of pole order n is then the dot product of f.a and f.b
-    with these rows.  All rows come from the one pair infinity_series_xy(
-    curve, k), each power of x from the one before it: a product keeps the
-    least relative precision of its factors, so x^i and x^i*y of pole order
-    o <= n are known up to tau^(k-o+1), past the window's end at
-    tau^(k-n-1).
+    tau^(k-n-1), and den > 0 is the lcm of their denominators.  The window
+    of a polynomial-form f of pole order n is then the dot product of f.a
+    and f.b with these rows.  With p = i + g*is_y, the monomial is
+    tau^-is_y * x^p, so every row comes from one chain of powers of the one
+    expansion _x_at_infinity(curve, (k + 1) // 2), which reaches the window's
+    end at tau^(k-n-1) for every pole order up to n.  This is the only memo
+    of expansions at infinity.
     """
-    xs, ys = infinity_series_xy(curve, k)
-    chains = {False: [LaurentSeries(0, [1], k + 2)], True: [ys]}  # x^i, x^i*y
+    g = curve.genus
+    nterms = (k + 1) // 2
+    dx, xs = _x_at_infinity(curve, nterms)
     monos = _monomials_upto(curve, n)
+    top = max(i + g * isy for i, isy in monos)
+    powers = [[1] + [0] * (nterms - 1)]  # x^p = tau^-2p powers[p] / dx^p
+    while len(powers) <= top:
+        powers.append(_trunc_mul(powers[-1], xs, nterms - 1))
     flat = []
     for i, isy in monos:
-        chain = chains[isy]
-        while len(chain) <= i:
-            chain.append(chain[-1] * xs)
-        flat.extend(chain[i].coefficient(t) for t in range(-n, k - n))
-    den, ints = _numerators(flat)
+        p = i + g * isy
+        lift = dx ** (top - p)
+        for t in range(-n, k - n):
+            j, odd = divmod(t + 2 * p + isy, 2)  # tau^t = tau^-(2p+is_y) tau^2j
+            flat.append(0 if odd or j < 0 else powers[p][j] * lift)
+    scale = dx ** top
+    div = gcd(scale, *flat) * (1 if scale > 0 else -1)
     rows = tuple(
-        (i, isy, tuple(ints[j * k:(j + 1) * k])) for j, (i, isy) in enumerate(monos)
+        (i, isy, tuple(c // div for c in flat[j * k:(j + 1) * k]))
+        for j, (i, isy) in enumerate(monos)
     )
-    return den, rows
-
-
-def function_series(curve, f: CurveFunction, nterms: int) -> LaurentSeries:
-    """Expansion of f at infinity with exactly nterms known coefficients
-    past the pole order: precision is absolute at tau^(val + nterms), where
-    val is the valuation of f at infinity.
-
-    x and y are known to nterms + 2 and nterms + 2g + 1 coefficients past
-    their poles, and products, inverses and sums of terms of different
-    valuation keep the least relative precision of their inputs."""
-    if f.is_zero():
-        raise InvalidInput("expansion of the zero function")
-    xs, ys = infinity_series_xy(curve, nterms)
-
-    def poly_series(p: RatPolynomial) -> LaurentSeries:
-        # Horner from the leading coefficient: a zero start would cost two
-        # terms of precision at the first product
-        acc = LaurentSeries(0, [p.lc], nterms + 2)
-        for c in reversed(p.coeffs[:-1]):
-            acc = acc * xs + LaurentSeries(0, [c], nterms + 2)
-        return acc
-
-    # a zero part is skipped: its empty series would carry an absolute
-    # precision that cuts the sum short
-    parts = []
-    if f.a:
-        parts.append(poly_series(f.a))
-    if f.b:
-        parts.append(poly_series(f.b) * ys)
-    num = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-    if f.den.degree > 0:
-        num = num * poly_series(f.den).inverse()
-    return LaurentSeries(num.val, num.coeffs, min(num.prec, num.val + nterms))
+    return scale // div, rows

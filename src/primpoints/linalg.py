@@ -92,18 +92,3 @@ def in_span(basis_rows, vector):
             return None
     return coords
 
-
-class SpanChecker:
-    """Precomputed row-reduced span for many membership queries."""
-
-    def __init__(self, basis_rows):
-        self.red, self.pivots = rref(basis_rows) if basis_rows else ([], [])
-        self.red = [r for r in self.red if any(x != 0 for x in r)]
-
-    def contains(self, vector) -> bool:
-        v = list(map(Fraction, vector))
-        for row, pc in zip(self.red, self.pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
-        return all(x == 0 for x in v)

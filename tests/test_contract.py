@@ -41,9 +41,8 @@ from primpoints.contract import (
     function_value_at_place,
     point_sort_key,
 )
-from primpoints.hypcurve import infinity_series_xy
 from test_exactalg import interpolated_value_at_place
-from test_hypcurve import fraction_nth_root
+from test_hypcurve import NON_MONIC_H, fraction_nth_root, function_series
 
 x = POLY_X
 
@@ -542,7 +541,7 @@ def decompose_oracle(curve, f, e):
     pole_orders = [2 * i if not isy else 2 * i + 2 * curve.genus + 1 for i, isy in monos]
     if max(pole_orders) != e:
         return None
-    s = hypcurve.function_series(curve, f, e)
+    s = function_series(curve, f, e)
     lead = s.coefficient(-n)
     root = fraction_nth_root(s * (1 / lead), m)
     if root is None:
@@ -559,7 +558,7 @@ def decompose_oracle(curve, f, e):
             continue
         i, isy = order_to_mono[o]
         mono = curve.function(POLY_ZERO, x ** i) if isy else curve.function(x ** i)
-        mser = hypcurve.function_series(curve, mono, e)
+        mser = function_series(curve, mono, e)
         coeff = c / mser.coefficient(-o)
         residual = residual - mser * coeff
         gfun = gfun + mono * coeff
@@ -580,8 +579,6 @@ def decompose_oracle(curve, f, e):
     return gfun, coords
 
 
-# y^2 = -5/3 x^5 + 2x^3 - x + 1: a genus-2 model with a non-monic h
-NON_MONIC_H = RatPolynomial([1, -1, 0, 2, 0, Fraction(-5, 3)])
 SMALL_RATIONALS = [Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-2, 3)]
 # numerators and denominators past 2^64
 BIG_RATIONALS = SMALL_RATIONALS + [
@@ -636,26 +633,27 @@ def test_decomposition_matches_oracle(g1, g2, g3):
 
 
 def test_decomposition_miss_builds_nothing_rational(g2, monkeypatch):
-    """A density-g2-shaped miss runs on ints: no Fraction, series or curve
-    function is built once the windows are cached.  A hit, the control,
-    builds g."""
+    """A density-g2-shaped miss runs on ints: no Fraction or curve function
+    is built and nothing is expanded at infinity once the windows are
+    cached.  A hit, the control, builds g."""
     miss = g2.function(x ** 5 + 2 * x ** 3 - x + 3, x ** 2 + 1)  # in L(10*oo)
     q = g2.function(x, POLY_ONE)  # y + x, of degree 5
     hit = q * q + 3 * q
     assert decompose_totally_ramified(g2, miss, 5) is None
     assert decompose_totally_ramified(g2, hit, 5)[0] == q
     built = []
-    for cls in (Fraction, hypcurve.LaurentSeries, hypcurve.CurveFunction):
-        real = cls.__new__ if cls is Fraction else cls.__init__
+    for owner, attr, name in (
+        (Fraction, "__new__", "Fraction"),
+        (hypcurve.CurveFunction, "__init__", "CurveFunction"),
+        (hypcurve, "_x_at_infinity", "_x_at_infinity"),
+    ):
+        real = getattr(owner, attr)
 
-        def spy(*args, real=real, cls=cls, **kwargs):
-            built.append(cls.__name__)
+        def spy(*args, real=real, name=name, **kwargs):
+            built.append(name)
             return real(*args, **kwargs)
 
-        if cls is Fraction:
-            monkeypatch.setattr(cls, "__new__", spy)
-        else:
-            monkeypatch.setattr(cls, "__init__", spy)
+        monkeypatch.setattr(owner, attr, spy)
     assert decompose_totally_ramified(g2, miss, 5) is None
     assert built == []
     assert decompose_totally_ramified(g2, hit, 5) is not None
@@ -730,8 +728,9 @@ def test_imprimitive_functions_specialize_imprimitively(g1):
 
 
 def test_module_caches_bounded():
+    # the windows are the only memo of expansions at infinity
+    assert not hasattr(hypcurve._x_at_infinity, "cache_info")
     for cached in (
-        infinity_series_xy,
         hypcurve._monomial_windows,
         enumerate_contr0,
         exactalg._p_cycle_type,

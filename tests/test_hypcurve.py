@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from itertools import product
 
@@ -24,10 +25,8 @@ from primpoints import (
     divisor_of,
     fiber_divisor,
     function_degree,
-    function_series,
     function_valuation,
     function_with_divisor,
-    infinity_series_xy,
     is_principal,
     places_over_x,
     pole_divisor,
@@ -35,13 +34,16 @@ from primpoints import (
     riemann_roch_basis,
     zero_divisor,
 )
+from primpoints.exactalg import _numerators
 from primpoints.hypcurve import (
-    LaurentSeries,
+    CurveFunction,
     _monomial_windows,
     _monomials_upto,
     _rational_nth_root,
     _series_nth_root,
     _sqrt_lift,
+    _trunc_mul,
+    _x_at_infinity,
 )
 
 x = POLY_X
@@ -451,6 +453,181 @@ def test_function_with_divisor_disjointness(g1):
 
 
 # ----------------------------------------------------------------------
+# expansion oracle: the Fraction Laurent-series layer that the integer
+# expansion hypcurve._x_at_infinity replaced, kept verbatim.  The windows
+# and decomposition tests compare against it.
+
+class LaurentSeries:
+    """Finite-precision Laurent series in the uniformizer at infinity.
+
+    coeffs[i] is the coefficient of tau^(val + i); terms with exponent >=
+    prec are unknown.
+    """
+
+    __slots__ = ("val", "coeffs", "prec")
+
+    def __init__(self, val, coeffs, prec):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[0] == 0:
+            coeffs.pop(0)
+            val += 1
+        del coeffs[max(0, prec - val):]
+        self.val = val
+        self.coeffs = [Fraction(c) for c in coeffs]
+        self.prec = prec
+
+    def coefficient(self, e: int) -> Fraction:
+        if e >= self.prec:
+            raise InvalidInput("coefficient beyond known precision")
+        i = e - self.val
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return Fraction(0)
+
+    def order(self):
+        return self.val if self.coeffs else None
+
+    def __add__(self, other):
+        prec = min(self.prec, other.prec)
+        val = min(self.val if self.coeffs else prec, other.val if other.coeffs else prec)
+        out = [Fraction(0)] * max(0, prec - val)
+        for s in (self, other):
+            for i, c in enumerate(s.coeffs):
+                e = s.val + i
+                if e < prec:
+                    out[e - val] += c
+        return LaurentSeries(val, out, prec)
+
+    def __neg__(self):
+        return LaurentSeries(self.val, [-c for c in self.coeffs], self.prec)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return LaurentSeries(self.val, [c * other for c in self.coeffs], self.prec)
+        v1 = self.val if self.coeffs else self.prec
+        v2 = other.val if other.coeffs else other.prec
+        prec = min(self.prec + v2, other.prec + v1)
+        if not self.coeffs or not other.coeffs:
+            return LaurentSeries(0, [], prec)
+        val = self.val + other.val
+        return LaurentSeries(
+            val, _trunc_mul(self.coeffs, other.coeffs, prec - val - 1), prec
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self.coeffs:
+            raise ZeroDivisionError("inverting a zero series")
+        v = self.val
+        c0 = self.coeffs[0]
+        nterms = self.prec - self.val
+        inv = [Fraction(1) / c0] + [Fraction(0)] * (nterms - 1)
+        for k in range(1, nterms):
+            s = Fraction(0)
+            for i in range(1, min(k, len(self.coeffs) - 1) + 1):
+                s += self.coeffs[i] * inv[k - i]
+            inv[k] = -s / c0
+        return LaurentSeries(-v, inv, -v + nterms)
+
+    def nth_root(self, m: int):
+        """Series s with s^m = self; requires m >= 1, val divisible by m and
+        the leading coefficient a rational m-th power.  The normalized root
+        comes from _series_nth_root on the coefficients over one
+        denominator, and its k-th term from R_k / ((m w_0)^k k!)."""
+        if m < 1:
+            raise InvalidInput(f"root index must be positive, not {m}")
+        if not self.coeffs:
+            raise InvalidInput("root of zero series")
+        if self.val % m:
+            return None
+        root0 = _rational_nth_root(self.coeffs[0], m)
+        if root0 is None:
+            return None
+        nterms = self.prec - self.val
+        _, w = _numerators(self.coeffs)
+        step, scale, out = m * w[0], 1, []
+        for k, c in enumerate(_series_nth_root(w, m, nterms)):
+            if k:
+                scale *= step * k
+            out.append(root0 * Fraction(c, scale))
+        return LaurentSeries(self.val // m, out, self.val // m + nterms)
+
+    def __repr__(self):
+        terms = [
+            f"{c}*t^{self.val + i}" for i, c in enumerate(self.coeffs) if c
+        ]
+        return " + ".join(terms or ["0"]) + f" + O(t^{self.prec})"
+
+
+@lru_cache(maxsize=64)
+def infinity_series_xy(curve, nterms: int):
+    """Laurent expansions of x and y at infinity in tau = x^g / y.
+
+    x has valuation -2 and y valuation -(2g+1); both series are rational
+    because the infinite place is rational on the imaginary model.  With
+    w = 1/x, s = tau^2 and ht(w) = w^(2g+1) h(1/w), the curve equation is
+    the fixed point w = s * ht(w): each pass of w <- s * ht(w) fixes one
+    more coefficient of w.  Then x = tau^-2 / ht(w) and y = x^g / tau.
+    """
+    g = curve.genus
+    rev = curve.h.coeffs[::-1]  # ht(w) = sum_i rev[i] w^i
+    k = (nterms + 2 * g) // 2 + 1  # coefficients of ht(w) needed, in s
+    w = []
+    for n in range(1, k + 1):
+        # ht(w) mod s^n by Horner; w is exact mod s^n
+        ht = [rev[-1]]
+        for c in reversed(rev[:-1]):
+            ht = _trunc_mul(ht, w, n - 1)
+            ht[0] += c
+        w = [Fraction(0)] + ht
+    ht_tau = LaurentSeries(0, [c for a in ht for c in (a, 0)], 2 * k)  # s = tau^2
+    u = ht_tau.inverse()  # tau^2 * x
+    ug = LaurentSeries(0, [1], 2 * k)
+    for _ in range(g):
+        ug = ug * u
+    x_series = LaurentSeries(-2, u.coeffs, nterms)
+    y_series = LaurentSeries(-(2 * g + 1), ug.coeffs, nterms)
+    return x_series, y_series
+
+
+def function_series(curve, f: CurveFunction, nterms: int) -> LaurentSeries:
+    """Expansion of f at infinity with exactly nterms known coefficients
+    past the pole order: precision is absolute at tau^(val + nterms), where
+    val is the valuation of f at infinity.
+
+    x and y are known to nterms + 2 and nterms + 2g + 1 coefficients past
+    their poles, and products, inverses and sums of terms of different
+    valuation keep the least relative precision of their inputs."""
+    if f.is_zero():
+        raise InvalidInput("expansion of the zero function")
+    xs, ys = infinity_series_xy(curve, nterms)
+
+    def poly_series(p: RatPolynomial) -> LaurentSeries:
+        # Horner from the leading coefficient: a zero start would cost two
+        # terms of precision at the first product
+        acc = LaurentSeries(0, [p.lc], nterms + 2)
+        for c in reversed(p.coeffs[:-1]):
+            acc = acc * xs + LaurentSeries(0, [c], nterms + 2)
+        return acc
+
+    # a zero part is skipped: its empty series would carry an absolute
+    # precision that cuts the sum short
+    parts = []
+    if f.a:
+        parts.append(poly_series(f.a))
+    if f.b:
+        parts.append(poly_series(f.b) * ys)
+    num = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+    if f.den.degree > 0:
+        num = num * poly_series(f.den).inverse()
+    return LaurentSeries(num.val, num.coeffs, min(num.prec, num.val + nterms))
+
+
+# ----------------------------------------------------------------------
 # expansions at infinity
 
 def test_series_satisfy_curve_equation(g1, g2, g3):
@@ -496,16 +673,14 @@ def test_series_has_exactly_nterms(g1, g2):
 
 
 def test_series_asks_only_for_nterms(g2, monkeypatch):
-    from primpoints import hypcurve
-
     asked = []
-    real = hypcurve.infinity_series_xy
+    real = infinity_series_xy
 
     def spy(curve, nterms):
         asked.append(nterms)
         return real(curve, nterms)
 
-    monkeypatch.setattr(hypcurve, "infinity_series_xy", spy)
+    monkeypatch.setitem(globals(), "infinity_series_xy", spy)
     f = g2.function(x ** 5 + x, x ** 2 - 1)  # degree 10
     s = function_series(g2, f, 10)
     assert s.prec - s.order() == 10
@@ -514,42 +689,90 @@ def test_series_asks_only_for_nterms(g2, monkeypatch):
         function_series(g2, g2.function(POLY_ZERO), 10)
 
 
+# y^2 = -5/3 x^5 + 2x^3 - x + 1: h is not monic
+NON_MONIC_H = RatPolynomial([1, -1, 0, 2, 0, Fraction(-5, 3)])
+# y^2 = x^3 + x/2 + 1/3: h is monic, its lower coefficients are not integers
+RATIONAL_MONIC_H = RatPolynomial([Fraction(1, 3), Fraction(1, 2), 0, 1])
+
+
+def test_x_at_infinity_matches_oracle(g1, g2, g3):
+    # y^2 = x^5 - 1 and x^3 + 1 are the monic integral models of g2 and g1
+    models = [curve_new(h) for h in (
+        5 * x ** 3 - 2 * x + 3,
+        -5 * x ** 5 + 2 * x ** 3 - x + 1,
+        11 * x ** 7 - 2 * x ** 5 + 3 * x ** 3 + x + 7,
+        NON_MONIC_H,
+        RATIONAL_MONIC_H,
+    )]
+    for curve, nterms in product([g1, g2, g3] + models, (1, 2, 7, 14)):
+        den, xs = _x_at_infinity(curve, nterms)
+        assert type(den) is int and all(type(c) is int for c in xs)
+        assert len(xs) == nterms
+        want, _ = infinity_series_xy(curve, 2 * nterms - 2)
+        assert [Fraction(c, den) for c in xs] == [
+            want.coefficient(2 * j - 2) for j in range(nterms)
+        ]
+
+
 def test_monomial_windows_match_function_series(g1, g2, g3):
-    # y^2 = -5/3 x^5 + 2x^3 - x + 1: h is not monic
-    non_monic = curve_new(RatPolynomial([1, -1, 0, 2, 0, Fraction(-5, 3)]))
+    non_monic = curve_new(NON_MONIC_H)
+    rational_monic = curve_new(RATIONAL_MONIC_H)
     for curve, n, k in (
         (g1, 3, 1), (g1, 8, 4), (g1, 9, 12),
         (g2, 5, 5), (g2, 10, 5), (g2, 12, 6),
         (g3, 7, 7), (g3, 16, 8),
         (non_monic, 10, 5), (non_monic, 15, 3),
+        (rational_monic, 10, 5), (rational_monic, 12, 6), (rational_monic, 9, 12),
     ):
         den, windows = _monomial_windows(curve, n, k)
         assert [(i, isy) for i, isy, _ in windows] == _monomials_upto(curve, n)
-        # one integer row per monomial over one denominator, which is 1 on
-        # the monic integral models
-        assert (den == 1) == (curve is not non_monic)
+        # one integer row per monomial over one denominator, which is 1
+        # exactly on the monic integral models (each window here reaches
+        # past the terms that only lc(h) fixes)
+        integral = all(c.denominator == 1 for c in curve.h.coeffs)
+        assert (den == 1) == (integral and curve.h.lc == 1)
+        want = []
         for i, isy, row in windows:
             assert all(type(c) is int for c in row)
             mono = curve.function(POLY_ZERO, x ** i) if isy else curve.function(x ** i)
             s = function_series(curve, mono, k)
-            assert tuple(Fraction(c, den) for c in row) == tuple(
-                s.coefficient(t) for t in range(-n, k - n)
-            )
+            want.extend(s.coefficient(t) for t in range(-n, k - n))
+        # den > 0 is the lcm of the oracle's denominators, and row / den are
+        # the oracle's coefficients
+        assert (den, [c for _, _, row in windows for c in row]) == _numerators(want)
+
+
+def test_density_windows_build_no_fraction(g2, monkeypatch):
+    # the set-up of a density run on y^2 = x^5 - 1 at 10*oo: the windows of
+    # L(5*oo) and L(10*oo) come from the integer expansion alone
+    built = []
+    real = Fraction.__new__
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    _monomial_windows.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    windows = [_monomial_windows(g2, 5, 5), _monomial_windows(g2, 10, 5)]
+    monkeypatch.undo()
+    assert built == []
+    assert [den for den, _ in windows] == [1, 1]
 
 
 def test_density_sets_up_series_once(g2, monkeypatch):
     # the locus test at n*oo reads cached monomial windows, so a density
-    # run expands x and y at infinity during set-up only, not per sample
+    # run expands x at infinity during set-up only, not per sample
     from primpoints import hypcurve
 
     asked = []
-    real = hypcurve.infinity_series_xy
+    real = hypcurve._x_at_infinity
 
     def spy(curve, nterms):
         asked.append(nterms)
         return real(curve, nterms)
 
-    monkeypatch.setattr(hypcurve, "infinity_series_xy", spy)
+    monkeypatch.setattr(hypcurve, "_x_at_infinity", spy)
     calls = []
     for samples in (12, 48):
         _monomial_windows.cache_clear()

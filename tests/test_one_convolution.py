@@ -1,8 +1,8 @@
 """The package has one dense polynomial product, exactalg._z_mul, for every
 coefficient ring.  Only two kernels keep a convolution of their own: the
 squaring branch of exactalg._p_mulmod, which forms each cross product once,
-and hypcurve._trunc_mul, which stops at the precision of a Laurent series.
-A convolution here is an update that adds into out[i + j]."""
+and hypcurve._trunc_mul, which stops at the precision of a truncated
+series.  A convolution here is an update that adds into out[i + j]."""
 
 import ast
 from pathlib import Path
