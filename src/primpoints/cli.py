@@ -484,110 +484,116 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInput(message)
 
 
-def _positive(kind=int, lo=1, hi=None):
+def _positive(lo, hi=None):
     def convert(text):
-        value = kind(text)
+        value = int(text)
         if value < lo or (hi is not None and value > hi):
-            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}]")
+            bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {bounds}")
         return value
 
     return convert
 
 
-class _Unbuilt:
-    """Stands in for the parser of a subcommand that the command line does
-    not name; argparse never parses with it."""
+_CURVE = ("curve", {"help": "curve JSON file: {\"h\": [...]}"})
+_OUTPUT = ("--output", {"help": "write the JSON report to this path"})
+_PARANOID = ("--paranoid", {"action": "store_true"})
+_SEED = ("--seed", {"type": _positive(0), "default": 0})
 
-    def add_argument(self, *args, **kwargs):
-        pass
+# name -> (help line, handler, arguments as (name, add_argument keywords));
+# each help page lists the arguments in this order
+_COMMANDS = {
+    "curve-info": ("validate a curve file", _cmd_curve_info, (_CURVE, _OUTPUT)),
+    "rr-basis": ("basis of L(D)", _cmd_rr_basis, (
+        _CURVE, _OUTPUT, ("--divisor", {"required": True}))),
+    "function-degree": ("degree and divisor of a function", _cmd_function_degree, (
+        _CURVE, _OUTPUT, ("--function", {"required": True}))),
+    "contr": ("genus-0 contractions of a divisor", _cmd_contr, (
+        _CURVE, _OUTPUT, ("--divisor", {"required": True}))),
+    "certify": ("primitivity certificate for Q[x]/(m)", _cmd_certify, (
+        _OUTPUT, ("--poly", {"required": True}), _PARANOID)),
+    "prospect": ("height-ordered specialization sweep", _cmd_prospect, (
+        _CURVE, _OUTPUT, ("--function", {"required": True}),
+        ("--t-height", {"type": _positive(1, MAX_SWEEP), "default": 50,
+                        "help": "number of height-ordered t values to sweep"}),
+        _PARANOID, _SEED)),
+    "density": ("classify a coefficient box of L(D)", _cmd_density, (
+        _CURVE, _OUTPUT, ("--divisor", {"required": True}),
+        ("--coeff-height", {"type": _positive(1, 64), "required": True}),
+        ("--samples", {"type": _positive(1, MAX_SWEEP)}),
+        _SEED)),
+    "find-function": ("certified primitive degree-d function", _cmd_find_function, (
+        _CURVE, _OUTPUT, ("--degree", {"type": _positive(1, 64), "required": True}),
+        ("--t-budget", {"type": _positive(1, 10000), "default": 40}),
+        _PARANOID)),
+}
 
-    set_defaults = add_argument
+
+def _parse_exact(argv):
+    """The namespace that build_parser's parser gives for argv, read straight
+    from _COMMANDS, when argv is an exact use of one subcommand: its name
+    first, then each option spelled in full as its own token and at most
+    once (-h is none of them), no value or positional beginning with "-",
+    every required option, every value accepted by its converter and exactly
+    the subcommand's positionals.  None for any other argv, which argparse
+    then reads, printing help or a usage error where it must."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": handler}
+    options = {name: kwargs for name, kwargs in arguments if name[0] == "-"}
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        kwargs = options.pop(token, None)  # popped, so a repeat is unknown
+        if kwargs is None:
+            return None
+        value = True  # store_true
+        if "action" not in kwargs:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+        values[token[2:].replace("-", "_")] = value
+    positionals = [name for name, _ in arguments if name[0] != "-"]
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    for name, kwargs in options.items():  # the options argv leaves out
+        if kwargs.get("required"):
+            return None
+        default = False if "action" in kwargs else None
+        values[name[2:].replace("-", "_")] = kwargs.get("default", default)
+    return argparse.Namespace(**values)
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for the command line argv.  Only the subcommands argv
-    names get a parser of their own: argparse hands the arguments to the
-    subcommand named there, and the top-level help and usage errors read
-    only each subcommand's name and help line, so every output is the same
-    as with all eight parsers built."""
-    names = set(argv)
-
-    def subparser(**kwargs):
-        # argparse names a subparser "primpoints NAME"
-        if kwargs["prog"].split()[-1] in names:
-            return _Parser(**kwargs)
-        return _Unbuilt()
-
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the whole command line, built from _COMMANDS;
+    it prints the help pages and usage errors."""
     parser = _Parser(prog="primpoints", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
-
-    def common(p, curve=True):
-        if curve:
-            p.add_argument("curve", help="curve JSON file: {\"h\": [...]}")
-        p.add_argument("--output", help="write the JSON report to this path")
-
-    p = sub.add_parser("curve-info", help="validate a curve file")
-    common(p)
-    p.set_defaults(func=_cmd_curve_info)
-
-    p = sub.add_parser("rr-basis", help="basis of L(D)")
-    common(p)
-    p.add_argument("--divisor", required=True)
-    p.set_defaults(func=_cmd_rr_basis)
-
-    p = sub.add_parser("function-degree", help="degree and divisor of a function")
-    common(p)
-    p.add_argument("--function", required=True)
-    p.set_defaults(func=_cmd_function_degree)
-
-    p = sub.add_parser("contr", help="genus-0 contractions of a divisor")
-    common(p)
-    p.add_argument("--divisor", required=True)
-    p.set_defaults(func=_cmd_contr)
-
-    p = sub.add_parser("certify", help="primitivity certificate for Q[x]/(m)")
-    common(p, curve=False)
-    p.add_argument("--poly", required=True)
-    p.add_argument("--paranoid", action="store_true")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("prospect", help="height-ordered specialization sweep")
-    common(p)
-    p.add_argument("--function", required=True)
-    p.add_argument(
-        "--t-height",
-        type=_positive(int, 1, MAX_SWEEP),
-        default=50,
-        help="number of height-ordered t values to sweep",
-    )
-    p.add_argument("--paranoid", action="store_true")
-    p.add_argument("--seed", type=_positive(int, 0), default=0)
-    p.set_defaults(func=_cmd_prospect)
-
-    p = sub.add_parser("density", help="classify a coefficient box of L(D)")
-    common(p)
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--coeff-height", type=_positive(int, 1, 64), required=True)
-    p.add_argument("--samples", type=_positive(int, 1, MAX_SWEEP), default=None)
-    p.add_argument("--seed", type=_positive(int, 0), default=0)
-    p.set_defaults(func=_cmd_density)
-
-    p = sub.add_parser("find-function", help="certified primitive degree-d function")
-    common(p)
-    p.add_argument("--degree", type=_positive(int, 1, 64), required=True)
-    p.add_argument("--t-budget", type=_positive(int, 1, 10000), default=40)
-    p.add_argument("--paranoid", action="store_true")
-    p.set_defaults(func=_cmd_find_function)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_exact(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except SearchBudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from primpoints import (
     Divisor,
@@ -25,7 +26,7 @@ from primpoints import (
     parse_poly_expr,
 )
 import primpoints
-from primpoints import exactalg
+from primpoints import cli, exactalg
 from primpoints.cli import ParseError, build_parser, main
 from primpoints.contract import MAX_CONTR_PLACES
 
@@ -235,8 +236,6 @@ def test_find_function_cli(curve_file, capsys):
 
 
 def test_find_function_budget_exit_3(curve_file, monkeypatch):
-    import primpoints.cli as cli
-
     def exhausted(*args, **kwargs):
         raise SearchBudgetExhausted("forced")
 
@@ -279,6 +278,18 @@ def test_bounds_checked_flags(curve_file):
     inert = [f"place(u=x-{c})" for c in (1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)]
     assert len(inert) == MAX_CONTR_PLACES + 1
     assert main(["contr", curve_file, "--divisor", "+".join(inert)]) == 1
+
+
+def test_seed_lower_bound_message(capsys):
+    # --seed has a lower bound only; argparse reads -1 as a value, joined or not
+    for argv in (
+        ["prospect", "c.json", "--function", "x", "--seed", "-1"],
+        ["prospect", "c.json", "--function", "x", "--seed=-1"],
+        ["density", "c.json", "--divisor", "4*inf", "--coeff-height", "1", "--seed", "-1"],
+        ["density", "c.json", "--divisor", "4*inf", "--coeff-height", "1", "--seed=-1"],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == "error: argument --seed: must be >= 0\n", argv
 
 
 @pytest.mark.parametrize("content", [
@@ -387,15 +398,109 @@ def test_help_and_usage_errors_pinned(tmp_path, monkeypatch):
         assert (out.getvalue(), err.getvalue()) == (case["stdout"], case["stderr"])
 
 
-def test_only_the_named_subcommand_is_built():
-    def built(argv):
-        parser = build_parser(argv)
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return {n for n, p in sub.choices.items() if isinstance(p, argparse.ArgumentParser)}
+# the README's examples; density's box is 5^4 vectors, not the README's 17^4
+README_CALLS = [
+    ["curve-info", "curve.json"],
+    ["rr-basis", "curve.json", "--divisor", "4*inf"],
+    ["function-degree", "curve.json", "--function", "x^2 + y"],
+    ["contr", "curve.json", "--divisor",
+     "place(u=x-2,v=3)+place(u=x-2,v=-3)+place(u=x+2)"],
+    ["certify", "--poly", "x^4-10*x^2+1"],
+    ["prospect", "curve.json", "--function", "x^2+y", "--t-height", "200"],
+    ["density", "curve.json", "--divisor", "4*inf", "--coeff-height", "2"],
+    ["find-function", "curve.json", "--degree", "4"],
+]
 
-    assert built(["prospect", "c.json", "--function", "x"]) == {"prospect"}
-    assert built(["--help"]) == set()
-    assert built(["contr", "c.json", "--divisor", "certify"]) == {"contr", "certify"}
+
+def test_well_formed_calls_build_no_parser(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "curve.json").write_text('{"h": ["1", "0", "0", "1"]}')
+    assert sorted(argv[0] for argv in README_CALLS) == sorted(cli._COMMANDS)
+    for argv in README_CALLS:
+        assert main(argv) == 0, argv
+    assert built == []
+    capsys.readouterr()
+
+    # help, an abbreviated option and a usage error go through argparse
+    pinned = {tuple(case["argv"]): case for case in json.loads(CLI_PINNED.read_text())}
+    for argv in (["--help"], ["certify"]):
+        case = pinned[tuple(argv)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert built and code == case["exit"], argv
+        assert capsys.readouterr() == (case["stdout"], case["stderr"]), argv
+        built.clear()
+    box = ["--divisor", "4*inf", "--coeff-height", "1"]
+    assert main(["density", "curve.json", "--output", "exact.json", *box]) == 0
+    assert built == []
+    exact = capsys.readouterr()
+    assert main(["density", "curve.json", "--out", "short.json", *box]) == 0
+    assert built
+    assert capsys.readouterr() == exact
+    assert (tmp_path / "short.json").read_bytes() == (tmp_path / "exact.json").read_bytes()
+
+
+_FLAGS = sorted({name for _, _, args in cli._COMMANDS.values() for name, _ in args})
+_VALUES = ["c.json", "x^2+y", "4*inf", "certify", "", "0", "1", "3", "64", "65",
+           "100001", " 7", "+2", "1_0", "abc", "-1", "-x^2+y", "-4*inf"]
+_ODD = ["--out", "--t-h", "--foo", "--output=r.json", "--seed=-1", "-h", "--help",
+        "--", "-", "--bogus"]
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand's arguments drawn from its table row, shuffled, then
+    damaged by a few insertions, deletions or replacements."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    groups = []
+    for arg, kwargs in cli._COMMANDS[name][2]:
+        if arg[0] != "-":
+            groups.append([draw(st.sampled_from(_VALUES[:5]))])
+        elif kwargs.get("required") or draw(st.booleans()):
+            value = [] if "action" in kwargs else [draw(st.sampled_from(_VALUES))]
+            groups.append([arg, *value])
+    argv = [name] + [tok for group in draw(st.permutations(groups)) for tok in group]
+    pool = _FLAGS + _VALUES + _ODD
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, draw(st.sampled_from(pool)))
+        elif edit == "delete":
+            del argv[at]
+        else:
+            argv[at] = draw(st.sampled_from(pool))
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(_command_lines())
+@example(["--foo", "curve-info", "c.json"])
+@example(["curve-info", "-h"])
+@example(["curve-info", "-1"])
+@example(["function-degree", "c.json", "--function", "-x^2+y"])
+@example(["function-degree", "c.json", "--function=-x^2+y"])
+@example(["density", "c.json", "--out", "r.json", "--divisor", "4*inf", "--coeff-height", "1"])
+def test_table_parse_matches_argparse(argv):
+    table = cli._parse_exact(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            reference = build_parser().parse_args(argv)
+    except (InvalidInput, SystemExit):
+        assert table is None, argv
+    else:
+        assert table is None or table == reference, argv
 
 
 # ----------------------------------------------------------------------
