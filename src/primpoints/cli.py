@@ -42,7 +42,9 @@ from .prospect import density_experiment, find_primitive_function, prospect
 
 
 # work budgets: inputs past these limits exit 1 before any work is done
-MAX_EXPONENT = 512  # largest ``^`` exponent in an expression
+# largest degree in x of a curve's h and of each ``^`` exponent, product and
+# power in an expression, y counting deg h / 2
+MAX_EXPONENT = 512
 MAX_SWEEP = 100000  # largest --t-height and --samples
 MAX_DIGITS = 4300  # longest integer literal (Python's default int() limit)
 MAX_DIVISOR_DEGREE = 64  # largest sum of |m| * deg P over the terms of a divisor
@@ -132,6 +134,8 @@ class _ExprParser:
             op, _, pos = self.take()
             rhs = self.unary()
             if op == "*":
+                if self.poles(value) + self.poles(rhs) > 2 * MAX_EXPONENT:
+                    raise ParseError(f"degree in x above {MAX_EXPONENT}", pos)
                 value = value * rhs
             else:
                 if not rhs.is_constant():
@@ -167,8 +171,15 @@ class _ExprParser:
                 raise ParseError("negative exponents are not supported", pos)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent above {MAX_EXPONENT}", tok[2])
+            if e * self.poles(base) > 2 * MAX_EXPONENT:
+                raise ParseError(f"degree in x above {MAX_EXPONENT}", pos)
             return base ** e
         return base
+
+    def poles(self, f) -> int:
+        """The pole order of f at infinity, twice its degree in x; pole
+        orders add under products, so a product's is known beforehand."""
+        return 0 if f.is_constant() else function_degree(self.curve, f)
 
     def atom(self):
         tok = self.take()
@@ -305,7 +316,10 @@ def _load_curve(path) -> HyperellipticCurve:
             raise InvalidInput(str(exc)) from exc
     if not isinstance(data, dict) or "h" not in data:
         raise InvalidInput("curve file must contain an 'h' array")
-    return HyperellipticCurve(RatPolynomial.from_json(data["h"]))
+    h = RatPolynomial.from_json(data["h"])
+    if h.degree > MAX_EXPONENT:
+        raise InvalidInput(f"curve degree {h.degree} above {MAX_EXPONENT}")
+    return HyperellipticCurve(h)
 
 
 def _dumps(value, pad="\n") -> str:

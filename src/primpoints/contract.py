@@ -27,8 +27,8 @@ from .exactalg import (
     POLY_ONE,
     POLY_ZERO,
     RatPolynomial,
+    _common_numerators,
     _gcd_cofactor,
-    _numerators,
     conjugate_power_sums,
     from_power_sums,
     poly_gcd,
@@ -423,9 +423,7 @@ def decompose_totally_ramified(curve, f: CurveFunction, e: int):
     den, monos = _monomial_windows(curve, e, e)
     if max(2 * i + isy * g2 for i, isy, _ in monos) != e:
         return None  # no exact-degree-e function exists (Weierstrass gap)
-    na = len(f.a.coeffs)
-    _, nums = _numerators(f.a.coeffs + f.b.coeffs)
-    fa, fb = nums[:na], nums[na:]
+    _, fa, fb = _common_numerators(f.a, f.b)
     window = [0] * e
     for i, isy, row in _monomial_windows(curve, n, e)[1]:
         part = fb if isy else fa

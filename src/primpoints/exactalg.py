@@ -1,7 +1,8 @@
 """Exact rational arithmetic and univariate polynomial algebra.
 
 Everything downstream (number fields, curves, specialization sweeps) runs on
-the immutable ``RatPolynomial`` over ``Rational`` (``fractions.Fraction``);
+the immutable ``RatPolynomial`` over Q, held as int numerators over one
+denominator, with ``Rational`` (``fractions.Fraction``) for single numbers;
 below it, polynomials over Z and F_p are plain little-endian int lists.
 Factorization over ``F_p`` (``factor_mod_p``) uses distinct-degree plus
 seeded Cantor-Zassenhaus splitting, and factorization over the rationals is
@@ -285,14 +286,12 @@ def _p_squarefree_of_degree(red, degree: int, p: int) -> bool:
     return len(red) == degree + 1 and len(_p_gcd(red, _p_derivative(red, p), p)) == 1
 
 
-def _p_residues(coeffs, p: int):
-    """The Fractions mod p as ints, or None when p divides a denominator."""
-    out = []
-    for q in coeffs:
-        if q.denominator % p == 0:
-            return None
-        out.append(q.numerator * pow(q.denominator, -1, p) % p)
-    return out
+def _p_residues(poly, p: int):
+    """The RatPolynomial poly mod p as ints, or None when p divides poly.den."""
+    if poly.den % p == 0:
+        return None
+    inv = pow(poly.den, -1, p)
+    return [c * inv % p for c in poly.nums]
 
 
 # ----------------------------------------------------------------------
@@ -435,22 +434,24 @@ def is_prime(n: int) -> bool:
 # RatPolynomial
 
 class RatPolynomial:
-    """Immutable univariate polynomial over Q, ascending coefficients.
+    """Immutable univariate polynomial over Q: the ascending, trimmed int
+    tuple ``nums`` over the int ``den``, with den > 0 and gcd(den, *nums) = 1.
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
-
-    The integer form (to_zpoly) and the JSON strings (to_json) are kept
-    once computed, in the slots ``_z`` and ``_json`` beside the hash: the
-    polynomial is immutable, so each form lives as long as the polynomial
-    and no longer.  A report writes one fiber polynomial up to four times.
+    The form is canonical, so equality compares (den, nums); the zero
+    polynomial has nums == () and degree -1.  The Fraction coefficients
+    (coeffs) are built on each call.  The JSON strings (to_json) are kept
+    once computed, in the slot ``_json``: the polynomial is immutable, so
+    they live as long as the polynomial and no longer.
     """
 
-    __slots__ = ("_c", "_hash", "_z", "_json")
+    __slots__ = ("den", "nums", "_json")
 
     def __init__(self, coeffs=()):
-        self._c = tuple(_z_trim([Fraction(x) for x in coeffs]))
-        self._hash = None
-        self._z = None
+        qs = _z_trim([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs])
+        # reduced Fractions leave gcd(den, *nums) = 1
+        den, nums = _numerators(qs)
+        self.den = den
+        self.nums = tuple(nums)
         self._json = None
 
     # -- constructors ---------------------------------------------------
@@ -464,78 +465,84 @@ class RatPolynomial:
         return cls([rat_from_str(s) for s in items])
 
     @classmethod
-    def _monic_from_z(cls, zc):
-        """zc / lc(zc) for a primitive int list zc with lc(zc) > 0, built
-        with its integer form (1 / lc(zc), zc) already attached."""
-        lc = zc[-1]
+    def _from_ints(cls, den, nums):
+        """The polynomial nums / den for an int den != 0 and a fresh trimmed
+        list of ints nums, brought to the canonical form."""
+        g = int_gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            den //= g
+            nums = [c // g for c in nums]
         out = cls.__new__(cls)
-        out._c = tuple(Fraction(x, lc) for x in zc)
-        out._hash = None
-        out._z = (Fraction(1, lc), tuple(zc))
+        out.den = den
+        out.nums = tuple(nums)
         out._json = None
         return out
 
     # -- structure -------------------------------------------------------
     @property
     def coeffs(self):
-        return self._c
+        """The coefficients as Fractions, ascending."""
+        return tuple([Fraction(c, self.den) for c in self.nums])
 
     @property
     def degree(self) -> int:
-        return len(self._c) - 1
+        return len(self.nums) - 1
 
     @property
     def lc(self) -> Fraction:
-        if not self._c:
+        if not self.nums:
             raise InvalidInput("zero polynomial has no leading coefficient")
-        return self._c[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def is_zero(self) -> bool:
-        return not self._c
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return len(self._c) <= 1
+        return len(self.nums) <= 1
 
     def is_monic(self) -> bool:
-        return bool(self._c) and self._c[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, RatPolynomial):
-            return self._c == other._c
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
             return self == RatPolynomial([other])
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._c)
-        return self._hash
+        return hash((self.den, self.nums))
 
     def __getitem__(self, i) -> Fraction:
-        if 0 <= i < len(self._c):
-            return self._c[i]
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
-        return RatPolynomial(_z_add(self._c, _coerce(other)._c))
+        den, a, b = _common_numerators(self, _coerce(other))
+        return RatPolynomial._from_ints(den, _z_add(a, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPolynomial([-x for x in self._c])
+        return RatPolynomial._from_ints(self.den, [-c for c in self.nums])
 
     def __sub__(self, other):
-        return RatPolynomial(_z_sub(self._c, _coerce(other)._c))
+        den, a, b = _common_numerators(self, _coerce(other))
+        return RatPolynomial._from_ints(den, _z_sub(a, b))
 
     def __rsub__(self, other):
-        return RatPolynomial(_z_sub(_coerce(other)._c, self._c))
+        return _coerce(other) - self
 
     def __mul__(self, other):
-        return RatPolynomial(_z_mul(self._c, _coerce(other)._c, Fraction(0)))
+        other = _coerce(other)
+        return RatPolynomial._from_ints(self.den * other.den, _z_mul(self.nums, other.nums))
 
     __rmul__ = __mul__
 
@@ -548,9 +555,8 @@ class RatPolynomial:
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead = other._c[-1]
-        inv = None if lead == 1 else 1 / lead
-        q, r = _divmod_list(self._c, other._c, inv, Fraction(0))
+        inv = None if other.is_monic() else 1 / other.lc
+        q, r = _divmod_list(self.coeffs, other.coeffs, inv, Fraction(0))
         return RatPolynomial(q), RatPolynomial(r)
 
     def __floordiv__(self, other):
@@ -561,57 +567,52 @@ class RatPolynomial:
 
     # -- calculus & evaluation ------------------------------------------
     def derivative(self):
-        return RatPolynomial([i * self._c[i] for i in range(1, len(self._c))])
+        return RatPolynomial._from_ints(self.den, [i * c for i, c in enumerate(self.nums)][1:])
 
     def __call__(self, x):
-        acc = Fraction(0) if not isinstance(x, RatPolynomial) else RatPolynomial()
-        for c in reversed(self._c):
+        acc = RatPolynomial() if isinstance(x, RatPolynomial) else 0
+        for c in reversed(self.nums):
             acc = acc * x + c
-        return acc
+        return acc * Fraction(1, self.den)
 
     def monic(self) -> "RatPolynomial":
         if self.is_zero():
             raise InvalidInput("cannot normalize the zero polynomial")
-        if self._c[-1] == 1:
+        if self.is_monic():
             return self
-        inv = 1 / self._c[-1]
-        return RatPolynomial([x * inv for x in self._c])
+        return RatPolynomial._from_ints(self.nums[-1], list(self.nums))
 
     def scale(self, q) -> "RatPolynomial":
         q = Fraction(q)
-        return RatPolynomial([x * q for x in self._c])
+        return RatPolynomial._from_ints(
+            self.den * q.denominator, _z_trim([c * q.numerator for c in self.nums])
+        )
 
     # -- integer form ------------------------------------------------------
     def to_zpoly(self):
         """Return (k: Fraction, c: list[int]) with self == k * c, c primitive,
         lc(c) > 0; c is a fresh list on every call."""
-        if self._z is None:
-            if self.is_zero():
-                return Fraction(0), []
-            den, ints = _numerators(self._c)
-            cont = _z_content(ints)
-            sign = 1 if ints[-1] > 0 else -1
-            self._z = Fraction(cont * sign, den), tuple(x // (cont * sign) for x in ints)
-        k, c = self._z
-        return k, list(c)
-
-    @classmethod
-    def from_zpoly(cls, ints, scale=1):
-        return cls([Fraction(x) * scale for x in ints])
+        if self.is_zero():
+            return Fraction(0), []
+        cont = _z_content(self.nums)
+        if self.nums[-1] < 0:
+            cont = -cont
+        return Fraction(cont, self.den), [c // cont for c in self.nums]
 
     # -- io ---------------------------------------------------------------
     def to_json(self):
         """The coefficients as strings, a fresh list on every call."""
         if self._json is None:
-            self._json = tuple([rat_to_str(x) for x in self._c])
+            self._json = tuple([rat_to_str(x) for x in self.coeffs])
         return list(self._json)
 
     def __str__(self):
         if self.is_zero():
             return "0"
         parts = []
+        coeffs = self.coeffs
         for i in range(self.degree, -1, -1):
-            c = self._c[i]
+            c = coeffs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -627,6 +628,13 @@ class RatPolynomial:
 
     def __repr__(self):
         return f"RatPolynomial({self})"
+
+
+def _common_numerators(p: RatPolynomial, q: RatPolynomial):
+    """(D, the numerators of p over D, those of q over D), D the lcm of
+    their denominators."""
+    den = lcm(p.den, q.den)
+    return den, [c * (den // p.den) for c in p.nums], [c * (den // q.den) for c in q.nums]
 
 
 def _power(base, n: int, one):
@@ -666,9 +674,8 @@ def poly_gcd(p: RatPolynomial, q: RatPolynomial) -> RatPolynomial:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    _, a = p.to_zpoly()
-    _, b = q.to_zpoly()
-    return RatPolynomial.from_zpoly(_z_gcd(a, b)).monic()
+    g = _z_gcd(p.to_zpoly()[1], q.to_zpoly()[1])
+    return RatPolynomial._from_ints(g[-1], g)
 
 
 def poly_xgcd(p: RatPolynomial, q: RatPolynomial):
@@ -798,21 +805,6 @@ def rational_roots(p: RatPolynomial) -> list:
 # their number type: integral inputs stay Python ints, which is about 25x
 # cheaper than Fraction arithmetic.
 
-def _integral(coeffs) -> list:
-    """The Fraction coefficients as Python ints when they are all integral."""
-    if all(q.denominator == 1 for q in coeffs):
-        return [q.numerator for q in coeffs]
-    return list(coeffs)
-
-
-def _scaled_monic(poly: RatPolynomial, scale: int) -> list:
-    """The coefficients of scale^n * poly(x / scale) for a monic poly of
-    degree n, as ints; its roots are scale times those of poly.  scale must
-    be a multiple of the lcm of its denominators, _numerators(poly.coeffs)[0]."""
-    n = poly.degree
-    return [int(q * scale ** (n - i)) for i, q in enumerate(poly.coeffs)]
-
-
 def power_sums(coeffs, count: int) -> list:
     """P_0 .. P_{count-1}, the power sums of the roots (with multiplicity)
     of the monic polynomial with ascending coefficients coeffs.
@@ -875,8 +867,9 @@ def from_power_sums(sums, degree: int, scale: int = 1) -> RatPolynomial:
             acc += c[i] * sums[k - i]
         q, r = divmod(-acc, k)
         c.append(Fraction(-acc, k) if r else q)
-    return RatPolynomial(
-        [Fraction(c[k], scale ** k) for k in range(degree, -1, -1)]
+    den, C = _numerators(c)
+    return RatPolynomial._from_ints(
+        den * scale ** degree, [C[degree - j] * scale ** j for j in range(degree + 1)]
     )
 
 

@@ -307,9 +307,8 @@ class CurveFunction:
             g = poly_gcd(g, den)
             if g.degree > 0:
                 a, b, den = a // g, b // g, den // g
-        lc = den.lc
-        if lc != 1:
-            inv = 1 / lc
+        if not den.is_monic():
+            inv = 1 / den.lc
             a, b, den = a.scale(inv), b.scale(inv), den.monic()
         self.curve = curve
         self.a = a
@@ -579,21 +578,24 @@ class RRSpace:
     divisor: Divisor
     basis: tuple  # CurveFunctions
     dimension: int
-    # the basis in monomial coordinates over the common denominator den
+    # basis[i] = (sum_j vectors[i][j] * monomials[j]) / (_scale * den), with
+    # int vectors and the one int _scale
     curve: HyperellipticCurve
     den: RatPolynomial
     monomials: tuple  # (i, is_y) for the monomial x^i or x^i*y
     vectors: tuple
+    _scale: int
 
     def combination(self, coeffs) -> "CurveFunction":
-        """The function sum_i coeffs[i] * basis[i]."""
+        """The function sum_i coeffs[i] * basis[i]; int coeffs keep it in
+        ints."""
         vec = [0] * len(self.monomials)
         for c, v in zip(coeffs, self.vectors):
             if c:
                 for j, x in enumerate(v):
                     if x:
                         vec[j] += c * x
-        return _vector_to_function(self.curve, vec, self.monomials, self.den)
+        return _vector_to_function(self.curve, vec, self.monomials, self.den * self._scale)
 
     def to_json(self):
         return {
@@ -677,8 +679,11 @@ def riemann_roch_basis(curve, D: Divisor) -> RRSpace:
             r = _den_order(place, c) - D.mult(place)
             if r > 0:
                 rows.extend(_vanishing_rows(curve, place, r, monomials))
-    vectors = tuple(tuple(v) for v in nullspace(rows, ncols=len(monomials)))
-    basis = tuple(_vector_to_function(curve, v, monomials, den) for v in vectors)
+    kernel = nullspace(rows, ncols=len(monomials))
+    scale, flat = _numerators([q for v in kernel for q in v])
+    n = len(monomials)
+    vectors = tuple(tuple(flat[i:i + n]) for i in range(0, len(flat), n))
+    basis = tuple(_vector_to_function(curve, v, monomials, den * scale) for v in vectors)
     return RRSpace(
         divisor=D,
         basis=basis,
@@ -687,6 +692,7 @@ def riemann_roch_basis(curve, D: Divisor) -> RRSpace:
         den=den,
         monomials=tuple(monomials),
         vectors=vectors,
+        _scale=scale,
     )
 
 
@@ -875,7 +881,7 @@ def _x_at_infinity(curve, nterms: int):
     V_j = -sum_{i>=1} HT_i c^(i-1) V_(j-i) for the S^i coefficients HT_i of
     HT(w), so the tau^(2j-2) coefficient of x is V_j delta^(1-j) / c^(j+1).
     """
-    delta, rev = _numerators(curve.h.coeffs[::-1])  # HT(w) = sum_i rev[i] w^i
+    delta, rev = curve.h.den, curve.h.nums[::-1]  # HT(w) = sum_i rev[i] w^i
     w = []
     for n in range(1, nterms + 1):
         # HT(w) mod S^n by Horner; w is exact mod S^n

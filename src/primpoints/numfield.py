@@ -27,7 +27,6 @@ from .exactalg import (
     _divmod_list,
     _factor_list,
     _factor_squarefree_z,
-    _integral,
     _numerators,
     _p_mod,
     _p_mul,
@@ -38,7 +37,6 @@ from .exactalg import (
     _p_trim,
     _p_xgcd,
     _power,
-    _scaled_monic,
     _z_add,
     _z_mul,
     _z_sub,
@@ -73,21 +71,16 @@ class NumberField:
         d = modulus.degree
         self.degree = d
         # x^d .. x^(2d-2) reduced mod m, as integer coordinate tuples over
-        # the one denominator _red_den
-        red = []
-        cur = [-c for c in modulus.coeffs[:d]]
-        red.append(cur)
+        # the one denominator _red_den: with m = x^d + M / c, x^(d+k) = R_k / c^(k+1)
+        c, M = modulus.den, modulus.nums[:d]
+        red = [[-v for v in M]]
         for _ in range(d - 2):
-            nxt = [Fraction(0)] + cur[: d - 1]
-            top = cur[d - 1]
-            if top:
-                for i in range(d):
-                    nxt[i] -= top * modulus.coeffs[i]
-            cur = nxt
-            red.append(cur)
-        den, flat = _numerators([q for row in red for q in row])
-        self._red_den = den
-        self._red_powers = tuple(tuple(flat[i:i + d]) for i in range(0, len(flat), d))
+            top = red[-1][-1]
+            red.append([c * u - top * v for u, v in zip([0] + red[-1][:-1], M)])
+        self._red_den = c ** len(red)
+        self._red_powers = tuple(
+            tuple(u * c ** (len(red) - 1 - k) for u in row) for k, row in enumerate(red)
+        )
 
     def element(self, coeffs) -> "FieldElement":
         c = [Fraction(x) for x in coeffs]
@@ -212,8 +205,8 @@ class FieldElement:
         if self.is_zero():
             raise DivisionByZero("cannot invert zero")
         d = self.field.degree
-        C = _numerators(self.field.modulus.coeffs)[0]
-        m = _scaled_monic(self.field.modulus, C)
+        C = self.field.modulus.den
+        m = [c * C ** (d - 1 - i) for i, c in enumerate(self.field.modulus.nums[:-1])]
         dens = [q.denominator * C ** i for i, q in enumerate(self.coeffs)]
         D = lcm(*dens)
         col = [q.numerator * (D // e) for q, e in zip(self.coeffs, dens)]
@@ -400,11 +393,13 @@ def nf_norm(f: NfPolynomial, shift: int = 0) -> RatPolynomial:
     unit = f.lc
     f = f.monic()
     d = L.degree
-    P = power_sums(_integral(L.modulus.coeffs), n * d + d)
-    pi = [
-        _integral(c.coeffs) if isinstance(c, FieldElement) else [c]
-        for c in power_sums(f.coeffs, n * d + 1)
-    ]
+    # integral coefficients are summed as ints, far cheaper than Fractions
+    m = L.modulus
+    P = power_sums(m.nums if m.den == 1 else m.coeffs, n * d + d)
+    pi = []
+    for c in power_sums(f.coeffs, n * d + 1):
+        q = c.to_poly() if isinstance(c, FieldElement) else RatPolynomial([c])
+        pi.append(q.nums if q.den == 1 else q.coeffs)
 
     def trace(j, a):
         return sum(c * P[i + j] for i, c in enumerate(pi[a]) if c)
@@ -424,10 +419,16 @@ def _cofactor_norm(m: RatPolynomial, g_q: RatPolynomial, shift: int) -> RatPolyn
     Both polynomials are scaled by the lcm C of their denominators, so that
     every sum is a Python int, and the norm is scaled back at the end.
     """
-    scale = _numerators(m.coeffs + g_q.coeffs)[0]
+    scale = lcm(m.den, g_q.den)
     degree = (g_q.degree - 1) * m.degree
-    P = power_sums(_scaled_monic(m, scale), degree + 1)
-    Q = power_sums(_scaled_monic(g_q, scale), degree + 1)
+
+    def scaled(p):
+        """scale^n p(x / scale) for the monic p of degree n, as ints."""
+        lift = scale // p.den
+        return [c * lift * scale ** (p.degree - 1 - i) for i, c in enumerate(p.nums[:-1])] + [1]
+
+    P = power_sums(scaled(m), degree + 1)
+    Q = power_sums(scaled(g_q), degree + 1)
     return _composed_norm(lambda j, a: Q[a] * P[j] - P[j + a], degree, shift, scale)
 
 
@@ -627,9 +628,9 @@ def _gcds_mod_p(g: NfPolynomial, norm_factors, wanted, s: int, p: int):
     not have degree deg G / d.
     """
     L = g.field
-    m_p = _p_residues(L.modulus.coeffs, p)
-    g_p = [_p_residues(c.coeffs, p) for c in g.coeffs]
-    Gs = [_p_residues(G.coeffs, p) for G in norm_factors]
+    m_p = _p_residues(L.modulus, p)
+    g_p = [_p_residues(c.to_poly(), p) for c in g.coeffs]
+    Gs = [_p_residues(G, p) for G in norm_factors]
     if m_p is None or None in g_p or None in Gs:
         return None
     norm_p = [1]
@@ -1086,7 +1087,7 @@ def _factor_or_certify(m: RatPolynomial):
     Hensel-lifted.
     """
     d = m.degree
-    _, zc = m.to_zpoly()
+    zc = m.nums  # m is monic, so its numerators are its primitive integer form
     if d > 1 and zc[0]:
         factors = _factor_squarefree_z(zc)
         if len(factors) > 1:
@@ -1118,8 +1119,7 @@ def _decide_primitivity(m: RatPolynomial) -> PrimitivityCertificate:
             verdict=PRIMITIVE, method=METHOD_PRIME_DEGREE, modulus=m
         )
     if d == 4:
-        _, zc = m.to_zpoly()
-        types = islice(_cycle_types(zc), _QUARTIC_PRIMES)
+        types = islice(_cycle_types(m.nums), _QUARTIC_PRIMES)
         if any(degrees == [1, 3] for _, degrees in types):
             roots = []
         else:

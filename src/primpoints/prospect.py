@@ -24,11 +24,6 @@ from .errors import (
 )
 from .exactalg import (
     RatPolynomial,
-    _integral,
-    _numerators,
-    _z_mul,
-    _z_primitive,
-    _z_sub,
     conjugate_power_sums,
     from_power_sums,
     is_squarefree,
@@ -80,15 +75,11 @@ def height_ordered_rationals():
 # fiber polynomials
 
 def fiber_polynomial(curve, f: CurveFunction, t: Fraction):
-    """Monic degree-d polynomial presenting the fiber field above t, built
-    with its integer form (RatPolynomial.to_zpoly) attached.
+    """Monic degree-d polynomial presenting the fiber field above t.
 
     For f = a + b*y with b != 0 this is the monic form of (t - a)^2 - b^2 h,
     whose roots are the x-coordinates of the fiber (y is recovered as
-    (t - a)/b).  It is computed in Python ints: with t = r/s, D the common
-    denominator of a and b and Dh that of h, it is the monic form of
-    F = Dh (r D - s A)^2 - s^2 B^2 H for the integral A = D a, B = D b and
-    H = Dh h.  For b = 0 the fiber needs a primitive element x + lam*y;
+    (t - a)/b).  For b = 0 the fiber needs a primitive element x + lam*y;
     the smallest lam in 1, 2, ... giving a squarefree degree-d presentation
     wins, so that presentation is proven squarefree.
     Returns (poly, lam or None).
@@ -101,41 +92,37 @@ def fiber_polynomial(curve, f: CurveFunction, t: Fraction):
     d = function_degree(curve, f)
     a, b, h = f.a, f.b, curve.h
     if not b.is_zero():
-        r, s = t.numerator, t.denominator
-        den, AB = _numerators(a.coeffs + b.coeffs)
-        A, B = AB[:len(a.coeffs)], AB[len(a.coeffs):]
-        den_h, H = _numerators(h.coeffs)
-        u = _z_sub([r * den], [s * c for c in A])
-        F = _z_sub(
-            [den_h * c for c in _z_mul(u, u)],
-            [s * s * c for c in _z_mul(_z_mul(B, B), H)],
-        )
-        # deg b^2 h is odd and deg (t - a)^2 even, so F is not zero
-        F = _z_primitive(F)
-        if F[-1] < 0:
-            F = [-c for c in F]
-        return RatPolynomial._monic_from_z(F), None
+        u = RatPolynomial([t]) - a
+        return (u * u - b * b * h).monic(), None
     # primitive element x + lam*y, eliminating x by a resultant
     for lam in range(1, 2 * d + 1):
-        ft = _eliminated_presentation(curve, a, t, Fraction(lam))
+        ft = _eliminated_presentation(curve, a, t, lam)
         if is_squarefree(ft):
-            return RatPolynomial._monic_from_z(ft.to_zpoly()[1]), lam
+            return ft, lam
     raise DegeneratePresentation(
         f"no primitive-element presentation for t={t} within lam <= {2 * d}"
     )
 
 
-def _eliminated_presentation(curve, a: RatPolynomial, t: Fraction, lam: Fraction):
+def _eliminated_presentation(curve, a: RatPolynomial, t: Fraction, lam: int):
     """The monic form of Res_x(a(x) - t, (T - x)^2 - lam^2 h(x)), a
     polynomial in T of degree 2 deg a.
 
     Its roots are x_i + lam*y_i and x_i - lam*y_i over the roots x_i of
-    a - t, with y_i^2 = h(x_i): it is read off their power sums.
+    a - t, with y_i^2 = h(x_i): it is read off the power sums of those roots
+    times S = D^k Dh, in ints, for D the denominator of the monic p = a - t,
+    Dh that of h and 2k >= deg h.  With X_i = D x_i the roots of the monic
+    integral M(X) = D^n p(X / D), S x_i = D^(k-1) Dh X_i and
+    (S lam y_i)^2 = lam^2 Dh sum_j (Dh h_j) D^(2k-j) X_i^j are integral.
     """
     p = (a - RatPolynomial([t])).monic()
-    hl = _integral(curve.h.scale(lam * lam).coeffs)
-    sums = conjugate_power_sums(_integral(p.coeffs), [0, 1], hl, 2 * p.degree)
-    return from_power_sums(sums, 2 * p.degree)
+    D, n, h = p.den, p.degree, curve.h
+    k = (h.degree + 1) // 2
+    M = [c * D ** (n - 1 - i) for i, c in enumerate(p.nums[:-1])] + [1]
+    e = [0, D ** (k - 1) * h.den]
+    w = [lam * lam * h.den * c * D ** (2 * k - j) for j, c in enumerate(h.nums)]
+    sums = conjugate_power_sums(M, e, w, 2 * n)
+    return from_power_sums(sums, 2 * n, D ** k * h.den)
 
 
 # ----------------------------------------------------------------------

@@ -280,6 +280,27 @@ def test_bounds_checked_flags(curve_file):
     assert main(["contr", curve_file, "--divisor", "+".join(inert)]) == 1
 
 
+def test_degree_in_x_is_bounded(curve_file, tmp_path, capsys):
+    # a product or power past degree MAX_EXPONENT in x is refused before it
+    # is formed; both inputs once ran for minutes
+    for text in ("x^512*x^512*x^512*x^512+x+1", "(x^512+1)^512"):
+        start = time.perf_counter()
+        assert main(["certify", "--poly", text]) == 1
+        assert main(["function-degree", curve_file, "--function", text]) == 1
+        assert time.perf_counter() - start < 0.5
+        assert "degree in x above 512" in capsys.readouterr().err
+    # y counts deg h / 2 = 3/2: y^342 has pole order 1026 > 2 * 512
+    assert main(["function-degree", curve_file, "--function", "y^342"]) == 1
+    assert main(["function-degree", curve_file, "--function", "x*x^511"]) == 0
+    # a curve of degree 513 is refused before any work on it
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"h": ["1"] + ["0"] * 512 + ["1"]}))
+    start = time.perf_counter()
+    assert main(["curve-info", str(big)]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert "curve degree 513 above 512" in capsys.readouterr().err
+
+
 def test_seed_lower_bound_message(capsys):
     # --seed has a lower bound only; argparse reads -1 as a value, joined or not
     for argv in (

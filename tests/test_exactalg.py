@@ -44,7 +44,7 @@ nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
 
 def reduce_mod(poly, p):
     """The residues of a p-integral RatPolynomial mod p as a trimmed int list."""
-    return exactalg._p_trim(exactalg._p_residues(poly.coeffs, p), p)
+    return exactalg._p_trim(exactalg._p_residues(poly, p), p)
 
 
 # ----------------------------------------------------------------------
@@ -1030,9 +1030,9 @@ def test_from_power_sums_inverts_power_sums():
         poly = RatPolynomial(coeffs)
         assert from_power_sums(power_sums(coeffs, n + 1), n) == poly
         # roots scaled by C: C^n poly(x / C) is integral, and unscaled back
-        scale = exactalg._numerators(poly.coeffs)[0]
-        scaled = exactalg._scaled_monic(poly, scale)
-        assert all(type(c) is int for c in scaled)
+        scale = poly.den
+        scaled = [int(q * scale ** (n - i)) for i, q in enumerate(poly.coeffs)]
+        assert scaled == [q * scale ** (n - i) for i, q in enumerate(poly.coeffs)]
         assert from_power_sums(power_sums(scaled, n + 1), n, scale) == poly
 
 
@@ -1502,3 +1502,6 @@ def test_numerators_match_scaled_ints_oracle():
         assert den == loop_denominator_lcm((a, b))
         assert ints == loop_scaled_ints(a, den) + loop_scaled_ints(b, den)
         assert all(type(c) is int for c in ints)
+        # the same two lists, from each polynomial's nums over its den
+        common, na, nb = exactalg._common_numerators(a, b)
+        assert (common, list(na) + list(nb)) == (den, ints)

@@ -230,6 +230,29 @@ def test_rr_combination_matches_basis_sum(g1, g2):
             assert (got.a, got.b, got.den) == (expect.a, expect.b, expect.den)
 
 
+def test_rr_combination_builds_no_fraction(g2, monkeypatch):
+    # the density-g2 shape: 12 integer combinations of L(10*inf) on y^2 = x^5 - 1
+    rr = riemann_roch_basis(g2, Divisor([(INFINITY, 10)]))
+    rng = random.Random(12)
+    vecs = [[rng.randint(-3, 3) for _ in range(rr.dimension)] for _ in range(12)]
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    got = [rr.combination(vec) for vec in vecs]
+    monkeypatch.undo()
+    assert built == []
+    for vec, f in zip(vecs, got):
+        expect = g2.function(RatPolynomial([0]))
+        for c, b in zip(vec, rr.basis):
+            expect = expect + b * c
+        assert (f.a, f.b, f.den) == (expect.a, expect.b, expect.den)
+
+
 def test_rr_with_multiplicity(g1):
     P = split_place(2, 3)
     D = Divisor([(P, 2), (INFINITY, 1)])

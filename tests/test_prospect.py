@@ -103,7 +103,8 @@ def test_integer_fiber_matches_fraction_oracle(g1, g2):
         ours, lam = fiber_polynomial(curve, f, t)
         assert lam is None
         assert ours == fraction_fiber(curve, f, t), (a, b, t)
-        # the attached integer form is the one to_zpoly derives afresh
+        # the integer form is the one to_zpoly derives afresh, and a
+        # caller's change to the list it returns does not reach the fiber
         fresh = RatPolynomial(ours.coeffs).to_zpoly()
         assert ours.to_zpoly() == fresh
         _, zc = ours.to_zpoly()
