@@ -7,7 +7,7 @@ a witness (generator plus minimal polynomial of a proper subfield) or a
 primitivity verdict obtained from the prime-degree shortcut, the resolvent
 cubic (degree 4), or the principal-subfields computation, which Frobenius
 cycle types mod small primes settle first when they prove the Galois group
-primitive.
+primitive, and which a cycle type [d] hands to the p-adic route of padic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
-from math import gcd as int_gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from .errors import DivisionByZero, InvalidInput, NotAField
 from .exactalg import (
@@ -53,6 +53,7 @@ from .exactalg import (
     squarefree_part,
 )
 from .linalg import in_span, nullspace
+from .padic import _cyclic_subfield_bases, _rational_reconstruction
 
 
 class NumberField:
@@ -694,21 +695,6 @@ def _crt(r: int, modulus: int, c: int, p: int) -> int:
     return r + modulus * ((c - r) * pow(modulus, -1, p) % p)
 
 
-def _rational_reconstruction(r: int, modulus: int):
-    """The fraction a/b with a = b*r mod modulus, |a| and b at most
-    sqrt(modulus / 2) and b prime to modulus, or None (Wang 1981)."""
-    bound = isqrt(modulus // 2)
-    r0, r1 = modulus, r % modulus
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or int_gcd(t1, modulus) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
 def _shift_sequence():
     yield 0
     k = 1
@@ -1055,10 +1041,11 @@ def is_primitive_field(m: RatPolynomial, policy: str = "auto") -> PrimitivityCer
     primitive, and otherwise the rational roots of the resolvent decide and
     also give the witness.  Every other field, and every field under policy
     'general', is decided by _principal_witness: Frobenius cycle types when
-    they prove the Galois group primitive, and otherwise principal
-    subfields.  The method is principal_subfields either way, since its
-    verdict is theirs.  Irreducibility and these rules read the same
-    memoized cycle types (_factor_or_certify).
+    they prove the Galois group primitive, p-adic subfields when one is a
+    d-cycle, and otherwise principal subfields.  The method is
+    principal_subfields either way, since its verdict is theirs.
+    Irreducibility and these rules read the same memoized cycle types
+    (_factor_or_certify).
     """
     if m.is_zero() or not m.is_monic():
         raise InvalidInput("modulus must be monic")
@@ -1154,18 +1141,35 @@ def _principal_witness(m: RatPolynomial):
 
     A Frobenius cycle type that proves Gal(m) primitive answers None at
     once: a field with a primitive Galois group has no proper subfield.
-    Principal subfields run only when no cycle type settles it, and only
-    the proper ones get an entry; the least by _entry_sort_key is the first
+    A cycle type [d] among the first _FROBENIUS_PRIMES good primes makes
+    every proper subfield principal, one per degree at most, and
+    padic._cyclic_subfield_bases finds them all from p-adic roots.  Only
+    when neither settles it, or a p-adic candidate is neither proved nor
+    ruled out, do principal subfields run (_trager_witness).  Only proper
+    subfields get an entry; the least by _entry_sort_key is the first
     proper entry of principal_subfields.
     """
     if _frobenius_primitive(m):
         return None
     L = NumberField(m, check=False)
-    entries = [
-        _subfield_entry(L, kernel)
-        for kernel in _principal_kernels(L)
-        if 1 < len(kernel) < L.degree
-    ]
+    cycles = islice(_cycle_types(m.nums), _FROBENIUS_PRIMES)
+    p = next((p for p, degrees in cycles if degrees == [L.degree]), None)
+    bases = None if p is None else _cyclic_subfield_bases(L, p)
+    if bases is None:
+        return _trager_witness(m)
+    return _least_witness([_subfield_entry(L, basis) for basis in bases])
+
+
+def _trager_witness(m: RatPolynomial):
+    """_principal_witness(m) by the Trager route alone: the least proper
+    entry of _principal_kernels, with no cycle type read."""
+    L = NumberField(m, check=False)
+    return _least_witness(
+        [_subfield_entry(L, kernel) for kernel in _principal_kernels(L) if 1 < len(kernel) < L.degree]
+    )
+
+
+def _least_witness(entries):
     if not entries:
         return None
     e = min(entries, key=_entry_sort_key)
@@ -1198,10 +1202,10 @@ def _frobenius_primitive(m: RatPolynomial) -> bool:
         transitive there and Gal(m) is 2-transitive.
     """
     d = m.degree
-    _, zc = m.to_zpoly()
     two_transitive = 1 | (1 << (d - 1))
     orbit_sums = (1 << d) - 1
-    for _, degrees in islice(_cycle_types(zc), _FROBENIUS_PRIMES):
+    # m is monic, so its numerators are its primitive integer form
+    for _, degrees in islice(_cycle_types(m.nums), _FROBENIUS_PRIMES):
         if any(2 * k > d and is_prime(k) for k in degrees):
             return True
         if 1 in degrees:

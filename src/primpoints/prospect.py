@@ -44,7 +44,7 @@ from .numfield import (
     PRIMITIVE,
     PrimitivityCertificate,
     _factor_or_certify,
-    _principal_witness,
+    _trager_witness,
     coefficient_vectors,
 )
 
@@ -171,6 +171,7 @@ def classify_specialization(
     first that the factoring pass reads from the shared memo; only a fiber
     with no good prime there runs the rational gcd.  A b = 0 presentation
     (lam not None) is squarefree by construction and is not tested again.
+    With paranoid, the verdict and witness must match the Trager route's.
     """
     t = Fraction(t)
     try:
@@ -191,7 +192,9 @@ def classify_specialization(
             lam=lam,
         )
     if paranoid:
-        witness = _principal_witness(poly)
+        # the Trager route alone, with none of the cycle-type, resolvent or
+        # p-adic shortcuts that may have decided the certificate
+        witness = _trager_witness(poly)
         verdict = PRIMITIVE if witness is None else IMPRIMITIVE
         if verdict != cert.verdict:
             raise VerificationFailure(

@@ -871,9 +871,9 @@ def test_imprimitive_quartic_fiber_needs_no_factoring_or_linear_algebra(g1, monk
     cert = spec.certificate
     assert (cert.verdict, cert.method) == ("imprimitive", "resolvent_cubic")
     assert counted == [[], [], [], [], []]
-    # the counters see the principal-subfields route, which factors and
-    # takes kernels
-    assert cert.witness == numfield._principal_witness(cert.modulus)
+    # the counters see the Trager route, which factors and takes kernels
+    # (this D4 quartic has a 4-cycle, so _principal_witness takes neither)
+    assert cert.witness == numfield._trager_witness(cert.modulus)
     assert counted[0] and counted[3]
     assert cert.verify()
 
@@ -884,13 +884,13 @@ def test_failed_resolvent_check_falls_back(monkeypatch):
     true_roots = numfield.rational_roots
     # a wrong resolvent root names no pairing, so its generator fails the check
     monkeypatch.setattr(numfield, "rational_roots", lambda p: [t + 1 for t in true_roots(p)])
-    calls = _count_calls(monkeypatch, numfield, "trager_factor")
+    calls = _count_calls(monkeypatch, numfield, "_principal_witness")
     for m, witness in zip(moduli, expected):
         roots = numfield.rational_roots(resolvent_cubic(m))
         assert numfield._resolvent_witness(m, roots) is None
         calls.clear()
         cert = is_primitive_field(m)
-        assert calls
+        assert calls == [(m,)]
         assert cert.verdict == "imprimitive" and cert.witness == witness
 
 
