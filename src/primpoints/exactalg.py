@@ -20,6 +20,7 @@ from itertools import combinations, islice
 from math import comb, gcd as int_gcd, isqrt, lcm
 
 from .errors import InvalidInput, LiftObstruction
+from .galois import _musser, _primes, is_prime
 
 Rational = Fraction
 
@@ -398,39 +399,6 @@ def _p_xgcd(a, b, p):
 
 
 # ----------------------------------------------------------------------
-# primality
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n == q:
-            return True
-        if n % q == 0:
-            return False
-    if n < 41 * 41:  # no prime factor up to 37
-        return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# ----------------------------------------------------------------------
 # RatPolynomial
 
 class RatPolynomial:
@@ -712,19 +680,20 @@ def squarefree_part(p: RatPolynomial) -> RatPolynomial:
 def is_squarefree(p: RatPolynomial) -> bool:
     """Whether p is nonzero with no repeated factor over Q.
 
-    With zc the integer form of p, a good prime among the first
-    _SQUAREFREE_PRIMES primes not dividing lc(zc) proves it: a square factor
-    g^2 of zc over Z has lc(g) prime to such a prime, so g^2 would divide
-    zc mod it with deg g > 0.  The primes are read through the memo
-    _p_cycle_type, so the first good prime is the one _cycle_types then
-    reads without a second DDF.  Only a p with no good prime among them
-    runs the rational gcd with its derivative.
+    With zc the primitive integer form of p, read from its numerators with
+    no Fraction built (its sign changes no monic residue), a good prime
+    among the first _SQUAREFREE_PRIMES primes not dividing lc(zc) proves
+    it: a square factor g^2 of zc over Z has lc(g) prime to such a prime,
+    so g^2 would divide zc mod it with deg g > 0.  The primes are read
+    through the memo _p_cycle_type, so the first good prime is the one
+    _cycle_types then reads without a second DDF.  Only a p with no good
+    prime among them runs the rational gcd with its derivative.
     """
     if p.is_zero():
         return False
     if p.degree == 0:
         return True
-    readings = islice(_p_readings(p.to_zpoly()[1]), _SQUAREFREE_PRIMES)
+    readings = islice(_p_readings(_z_primitive(p.nums)), _SQUAREFREE_PRIMES)
     if any(degrees is not None for _, degrees in readings):
         return True
     return poly_gcd(p, p.derivative()).degree == 0
@@ -1138,21 +1107,6 @@ def _p_cycle_type(p: int, monic: tuple):
     return tuple(degrees)
 
 
-# the primes below 512, which cycle-type reads walk without a primality
-# test; a fixed table, so nothing grows with the reads
-_SMALL_PRIMES = tuple(q for q in range(2, 512) if is_prime(q))
-
-
-def _primes():
-    """The primes in increasing order: the table, then is_prime past it."""
-    yield from _SMALL_PRIMES
-    p = _SMALL_PRIMES[-1]
-    while True:
-        p += 2
-        if is_prime(p):
-            yield p
-
-
 def _p_readings(zc):
     """Yield (p, _p_cycle_type of zc mod p) at the primes p not dividing
     lc(zc), in increasing order.  The monic residue is built in one pass."""
@@ -1171,9 +1125,10 @@ def _cycle_types(zc):
     Frobenius element of the Galois group of zc.
 
     Each (p, monic residue of zc mod p) is factored once while it stays
-    in the bounded memo _p_cycle_type: the rules that walk one fiber's
-    primes again, and the fibers of a sweep whose residues agree mod p,
-    find it there.  The memo keeps tuples, and each yield is a fresh list.
+    in the bounded memo _p_cycle_type: the rules of galois, which read one
+    fiber's primes from the first for Musser's test and for primitivity,
+    and the fibers of a sweep whose residues agree mod p, find it there.
+    The memo keeps tuples, and each yield is a fresh list.
     """
     for p, degrees in _p_readings(zc):
         if degrees is not None:
@@ -1184,42 +1139,23 @@ def _cycle_types(zc):
 _SQUAREFREE_PRIMES = 5
 
 
-# good primes whose degree sets _factor_squarefree_z intersects; a quartic
-# reads more, since each costs one quartic DDF and a [1, 3] among them also
-# settles its primitivity (numfield._decide_primitivity)
-_MUSSER_PRIMES = 3
-_QUARTIC_PRIMES = 5
-
-
 def _factor_squarefree_z(zc, step=1):
     """Irreducible factors (primitive, positive lc) of a squarefree primitive zc.
 
-    Every factor over Z has a degree that is a sum of factor degrees mod
-    each good prime (Musser 1978).  The sets of such sums, as bit masks, are
-    intersected over the cycle types of the first _MUSSER_PRIMES good primes
-    (_QUARTIC_PRIMES for a quartic), starting from the multiples of step,
-    which the caller knows to divide every factor's degree: when only 0
-    and n are left, zc is irreducible with no Hensel lift, and otherwise the
-    prime with the fewest factors is split completely and lifted, and
-    recombination tries only subsets whose degree sum is left.
+    Musser's degree test (galois._musser) reads the cycle types of zc at its
+    first good primes, starting from the multiples of step, which the caller
+    knows to divide every factor's degree: when only 0 and n are left, zc is
+    irreducible with no Hensel lift, and otherwise the prime with the fewest
+    factors is split completely and lifted, and recombination tries only
+    subsets whose degree sum is left.
     """
     n = len(zc) - 1
     if n <= 1:
         return [list(zc)]
-    irreducible = 1 | (1 << n)
-    degree_sums = sum(1 << k for k in range(0, n + 1, step))
-    best = None
-    count = _QUARTIC_PRIMES if n == 4 else _MUSSER_PRIMES
-    for p, degrees in islice(_cycle_types(zc), count):
-        if best is None or len(degrees) < len(best[1]):
-            best = (p, degrees)
-        sums = 1
-        for k in degrees:
-            sums |= sums << k
-        degree_sums &= sums
-        if degree_sums == irreducible:
-            return [list(zc)]
-    p = best[0]
+    degree_sums, read = _musser(_cycle_types(zc), n, step)
+    if degree_sums == 1 | 1 << n:
+        return [list(zc)]
+    p = min(read, key=lambda reading: len(reading[1]))[0]
     bound = _mignotte_bound(zc)
     k = 1
     pk = p
@@ -1250,7 +1186,6 @@ def _factor_squarefree_z(zc, step=1):
             cand = [lc_cur]
             for i in subset:
                 cand = _z_trim([sym(v) for v in _z_mul(cand, lifted[i])])
-                cand = [sym(v % q) for v in cand]
             cand = _z_primitive(_z_trim(cand))
             if not cand:
                 continue

@@ -5,9 +5,10 @@ coordinate vectors in the power basis.  The module decides whether a field
 has a proper intermediate subfield and emits checkable certificates: either
 a witness (generator plus minimal polynomial of a proper subfield) or a
 primitivity verdict obtained from the prime-degree shortcut, the resolvent
-cubic (degree 4), or the principal-subfields computation, which Frobenius
-cycle types mod small primes settle first when they prove the Galois group
-primitive, and which a cycle type [d] hands to the p-adic route of padic.
+cubic (degree 4), or the principal-subfields computation.  Frobenius cycle
+types mod small primes settle a field first when they prove its Galois
+group primitive, by the rules of galois, and a cycle type [d] among them
+hands the field to the p-adic route of padic.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product
+from itertools import product
 from math import isqrt, lcm
 
 from .errors import DivisionByZero, InvalidInput, NotAField
 from .exactalg import (
     POLY_X,
     RatPolynomial,
-    _QUARTIC_PRIMES,
     _cycle_types,
     _divmod_list,
     _factor_list,
@@ -43,7 +43,6 @@ from .exactalg import (
     _z_trim,
     factor_over_rationals,
     from_power_sums,
-    is_prime,
     is_squarefree,
     power_sums,
     rat_from_str,
@@ -52,6 +51,7 @@ from .exactalg import (
     resultant,
     squarefree_part,
 )
+from .galois import _primitive_or_cycle, _quartic_primitive, is_prime
 from .linalg import in_span, nullspace
 from .padic import _cyclic_subfield_bases, _rational_reconstruction
 
@@ -587,7 +587,8 @@ def _pull_back(g: NfPolynomial, fl, s: int) -> list:
     modulus = 1
     pieces = []
     rest = g
-    for p in _pull_back_primes():
+    # the odd primes below 2^31, largest first
+    for p in filter(is_prime, range(2 ** 31 - 1, 2, -2)):
         gcds = _gcds_mod_p(g, norm_factors, images, s, p)
         if gcds is None:
             continue
@@ -609,15 +610,6 @@ def _pull_back(g: NfPolynomial, fl, s: int) -> list:
         modulus *= p
         if not images:
             return pieces + [rest]
-
-
-def _pull_back_primes():
-    """Primes below 2^31, largest first."""
-    p = 2 ** 31 - 1
-    while True:
-        if is_prime(p):
-            yield p
-        p -= 2
 
 
 def _gcds_mod_p(g: NfPolynomial, norm_factors, wanted, s: int, p: int):
@@ -1037,13 +1029,11 @@ def is_primitive_field(m: RatPolynomial, policy: str = "auto") -> PrimitivityCer
     """Decide whether Q[x]/(m) admits a proper intermediate field.
 
     policy 'auto' uses the prime-degree shortcut and, at degree 4, the
-    resolvent-cubic certificate: a Frobenius cycle type [1, 3] proves it
-    primitive, and otherwise the rational roots of the resolvent decide and
-    also give the witness.  Every other field, and every field under policy
-    'general', is decided by _principal_witness: Frobenius cycle types when
-    they prove the Galois group primitive, p-adic subfields when one is a
-    d-cycle, and otherwise principal subfields.  The method is
-    principal_subfields either way, since its verdict is theirs.
+    resolvent-cubic certificate (_decide_primitivity).  Every other field,
+    and every field under policy 'general', is decided by _principal_witness:
+    Frobenius cycle types when they prove the Galois group primitive, p-adic
+    subfields when one is a d-cycle, and otherwise principal subfields.  The
+    method is principal_subfields either way, since its verdict is theirs.
     Irreducibility and these rules read the same memoized cycle types
     (_factor_or_certify).
     """
@@ -1067,11 +1057,10 @@ def _factor_or_certify(m: RatPolynomial):
     is_primitive_field gives under policy 'auto'.
 
     The cycle types of m at its good primes are read by distinct-degree
-    factorization (exactalg._cycle_types, whose memo reads each prime
-    once): the Musser degree test of _factor_squarefree_z, the [1, 3] rule
-    of _decide_primitivity and _frobenius_primitive each walk them from the
-    first good prime.  A complete split mod p runs only when m must be
-    Hensel-lifted.
+    factorization (exactalg._cycle_types, whose memo reads each prime once)
+    and the rules of galois: Musser's test in _factor_squarefree_z, then the
+    primitivity rules in _decide_primitivity, each from the first good
+    prime.  A complete split mod p runs only when m must be Hensel-lifted.
     """
     d = m.degree
     zc = m.nums  # m is monic, so its numerators are its primitive integer form
@@ -1090,38 +1079,27 @@ def _decide_primitivity(m: RatPolynomial) -> PrimitivityCertificate:
     """is_primitive_field under policy 'auto' for a modulus already known
     to be monic and irreducible over Q.
 
-    At degree 4, a cycle type [1, 3] among the first _QUARTIC_PRIMES good
-    primes gives a primitive resolvent_cubic certificate with no
-    rational_roots call: a Frobenius element of that type has order 3,
-    while a rational root of the resolvent cubic would be a pairing of the
-    roots of m fixed by Gal(m), putting Gal(m) inside a D4 of order 8,
-    which has no element of order 3.  So Gal(m) is A4 or S4 and the
-    resolvent has no rational root, the certificate rational_roots would
-    give.  With no [1, 3] read, as for every imprimitive quartic, the
-    resolvent's rational roots decide.
+    At degree 4, cycle types that prove Gal(m) primitive
+    (galois._quartic_primitive) give a primitive resolvent_cubic certificate
+    with no rational_roots call: a rational root of the resolvent cubic
+    would be a pairing of the roots of m fixed by Gal(m), a block system,
+    so the resolvent has none, the certificate rational_roots would give.
+    Otherwise, as for every imprimitive quartic, its rational roots decide.
     """
     d = m.degree
     if d == 1 or is_prime(d):
-        return PrimitivityCertificate(
-            verdict=PRIMITIVE, method=METHOD_PRIME_DEGREE, modulus=m
-        )
-    if d == 4:
-        types = islice(_cycle_types(m.nums), _QUARTIC_PRIMES)
-        if any(degrees == [1, 3] for _, degrees in types):
-            roots = []
-        else:
-            roots = rational_roots(resolvent_cubic(m))
-        if not roots:
-            return PrimitivityCertificate(
-                verdict=PRIMITIVE, method=METHOD_RESOLVENT_CUBIC, modulus=m
-            )
-        return PrimitivityCertificate(
-            verdict=IMPRIMITIVE,
-            method=METHOD_RESOLVENT_CUBIC,
-            modulus=m,
-            witness=_resolvent_witness(m, roots) or _principal_witness(m),
-        )
-    return _principal_certificate(m)
+        return PrimitivityCertificate(verdict=PRIMITIVE, method=METHOD_PRIME_DEGREE, modulus=m)
+    if d != 4:
+        return _principal_certificate(m)
+    roots = [] if _quartic_primitive(_cycle_types(m.nums)) else rational_roots(resolvent_cubic(m))
+    if not roots:
+        return PrimitivityCertificate(verdict=PRIMITIVE, method=METHOD_RESOLVENT_CUBIC, modulus=m)
+    return PrimitivityCertificate(
+        verdict=IMPRIMITIVE,
+        method=METHOD_RESOLVENT_CUBIC,
+        modulus=m,
+        witness=_resolvent_witness(m, roots) or _principal_witness(m),
+    )
 
 
 def _principal_certificate(m: RatPolynomial) -> PrimitivityCertificate:
@@ -1139,21 +1117,22 @@ def _principal_certificate(m: RatPolynomial) -> PrimitivityCertificate:
 def _principal_witness(m: RatPolynomial):
     """First proper principal subfield as a witness, or None.
 
-    A Frobenius cycle type that proves Gal(m) primitive answers None at
-    once: a field with a primitive Galois group has no proper subfield.
-    A cycle type [d] among the first _FROBENIUS_PRIMES good primes makes
-    every proper subfield principal, one per degree at most, and
+    One walk of the Frobenius cycle types of m (galois._primitive_or_cycle)
+    either proves Gal(m) primitive, which answers None at once, since a
+    field with a primitive Galois group has no proper subfield, or gives
+    the first good prime of cycle type [d].  That cycle makes every proper
+    subfield principal, one per degree at most, and
     padic._cyclic_subfield_bases finds them all from p-adic roots.  Only
     when neither settles it, or a p-adic candidate is neither proved nor
     ruled out, do principal subfields run (_trager_witness).  Only proper
     subfields get an entry; the least by _entry_sort_key is the first
     proper entry of principal_subfields.
     """
-    if _frobenius_primitive(m):
+    # m is monic, so its numerators are its primitive integer form
+    primitive, p = _primitive_or_cycle(_cycle_types(m.nums), m.degree)
+    if primitive:
         return None
     L = NumberField(m, check=False)
-    cycles = islice(_cycle_types(m.nums), _FROBENIUS_PRIMES)
-    p = next((p for p, degrees in cycles if degrees == [L.degree]), None)
     bases = None if p is None else _cyclic_subfield_bases(L, p)
     if bases is None:
         return _trager_witness(m)
@@ -1176,48 +1155,6 @@ def _least_witness(entries):
     return SubfieldWitness(
         degree=e.degree, generator=e.generator, generator_minpoly=e.generator_minpoly
     )
-
-
-# good primes whose Frobenius cycle types _frobenius_primitive reads
-_FROBENIUS_PRIMES = 20
-
-
-def _frobenius_primitive(m: RatPolynomial) -> bool:
-    """Whether the cycle types of Frobenius at the first _FROBENIUS_PRIMES
-    good primes of the irreducible m prove Gal(m) primitive; False proves
-    nothing.
-
-    At a prime p not dividing the leading coefficient, with m mod p
-    squarefree of full degree, the degrees of the irreducible factors of
-    m mod p are the cycle type of an element of Gal(m).  Gal(m) is
-    transitive, and it is primitive when
-    (a) one cycle type has a cycle of prime length k > d/2: the other
-        cycles are shorter, so a power of the element is a k-cycle, which
-        must fix each of at most d/2 blocks and so lie inside one block of
-        size at most d/2 < k; or
-    (b) the cycle types with a fixed point, each with one fixed point
-        removed, share no subset sum but 0 and d - 1: conjugated to fix the
-        same root, these elements lie in its stabiliser, whose orbits on
-        the other d - 1 roots are shared subset sums, so the stabiliser is
-        transitive there and Gal(m) is 2-transitive.
-    """
-    d = m.degree
-    two_transitive = 1 | (1 << (d - 1))
-    orbit_sums = (1 << d) - 1
-    # m is monic, so its numerators are its primitive integer form
-    for _, degrees in islice(_cycle_types(m.nums), _FROBENIUS_PRIMES):
-        if any(2 * k > d and is_prime(k) for k in degrees):
-            return True
-        if 1 in degrees:
-            cycles = list(degrees)
-            cycles.remove(1)
-            sums = 1
-            for k in cycles:
-                sums |= sums << k
-            orbit_sums &= sums
-            if orbit_sums == two_transitive:
-                return True
-    return False
 
 
 def _resolvent_witness(m: RatPolynomial, roots):

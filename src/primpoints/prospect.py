@@ -169,7 +169,9 @@ def classify_specialization(
     A fiber with a repeated root is branch_like.  A good prime among the
     first few of the fiber proves it squarefree, and its cycle type is the
     first that the factoring pass reads from the shared memo; only a fiber
-    with no good prime there runs the rational gcd.  A b = 0 presentation
+    with no good prime there runs the rational gcd.  The rules of galois
+    read the fiber's cycle types from that memo for irreducibility (Musser's
+    degree test) and then for primitivity.  A b = 0 presentation
     (lam not None) is squarefree by construction and is not tested again.
     With paranoid, the verdict and witness must match the Trager route's.
     """

@@ -38,8 +38,9 @@ from primpoints import (
     resultant,
     trager_factor,
 )
-from primpoints.exactalg import _QUARTIC_PRIMES, _cycle_types, factor_mod_p, is_prime
-from primpoints.numfield import _cofactor_norm, _frobenius_primitive, _squarefree_norm
+from primpoints.exactalg import _cycle_types, factor_mod_p, is_prime
+from primpoints.galois import _QUARTIC_PRIMES, _primitive_or_cycle, _quartic_primitive
+from primpoints.numfield import _cofactor_norm, _squarefree_norm
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -210,7 +211,7 @@ quartics_and_sextics = st.one_of(
 @given(quartics_and_sextics)
 def test_frobenius_primitive_matches_sympy_galois_group(m):
     group, _ = galois_group(to_sympy(m))
-    if _frobenius_primitive(m):
+    if _primitive_or_cycle(_cycle_types(m.nums), m.degree)[0]:
         assert group.is_primitive()
 
 
@@ -220,6 +221,8 @@ def test_frobenius_primitive_matches_sympy_galois_group(m):
 def test_three_cycle_quartic_is_a4_or_s4(m):
     _, zc = m.to_zpoly()
     types = [degrees for _, degrees in islice(_cycle_types(zc), _QUARTIC_PRIMES)]
+    # the general rules decide a quartic exactly as the [1, 3] rule they replaced
+    assert _quartic_primitive(_cycle_types(zc)) == ([1, 3] in types)
     if [1, 3] in types:
         group, _ = galois_group(to_sympy(m))
         assert group.order() in (12, 24)

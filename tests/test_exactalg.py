@@ -22,7 +22,7 @@ from primpoints import (
     resultant,
     squarefree_part,
 )
-from primpoints import exactalg
+from primpoints import exactalg, galois
 from primpoints.contract import POINT_INF, point_closed, point_rat
 from primpoints.exactalg import POLY_ONE, POLY_ZERO, from_power_sums, power_sums
 from primpoints.hypcurve import (
@@ -114,6 +114,20 @@ def test_squarefree_matches_prs_oracle(a, b, power, lead):
     # a times b, b squared or no b, and maybe a factor with lc 2310
     poly = a * b ** power * (lead or POLY_ONE)
     assert is_squarefree(poly) == prs_squarefree(poly), poly
+
+
+def test_squarefree_fiber_builds_no_fraction(monkeypatch):
+    # a stream-quartic fiber, and the same fiber over a denominator with a
+    # content and a negative lead: the integer form comes from the numerators
+    fiber = x ** 4 + x ** 3 - 3 * x ** 2 - 4 * x + 3
+    scaled = fiber.scale(Fraction(-6, 7))
+    built = []
+    exact = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a) or exact(cls, *a, **k))
+    )
+    assert is_squarefree(fiber) and is_squarefree(scaled)
+    assert built == []
 
 
 def test_rational_literals():
@@ -779,7 +793,7 @@ def test_readings_match_the_primality_loop(monkeypatch):
         return memo(p, monic)
 
     monkeypatch.setattr(exactalg, "_p_cycle_type", recorded)
-    table = exactalg._SMALL_PRIMES
+    table = galois._SMALL_PRIMES
     assert table == tuple(p for p in range(2, table[-1] + 1) if trial_prime(p))
     # leading coefficients negative, divisible by small primes, and a
     # product of every prime in the table, so that the reads run past it

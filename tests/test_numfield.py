@@ -27,7 +27,7 @@ from primpoints import (
     resolvent_cubic,
     trager_factor,
 )
-from primpoints import exactalg, numfield
+from primpoints import exactalg, galois, numfield
 from primpoints.exactalg import rat_to_str
 from primpoints.linalg import nullspace
 from test_exactalg import (
@@ -433,7 +433,7 @@ def test_witness_builds_only_proper_entries(monkeypatch):
         proper = [e for e in principal_subfields(NumberField(m)) if 1 < e.degree < m.degree]
         expected.append((len(proper), proper[0] if proper else None))
     # no cycle type settles any field, so principal subfields run on each
-    monkeypatch.setattr(numfield, "_FROBENIUS_PRIMES", 0)
+    monkeypatch.setattr(galois, "_FROBENIUS_PRIMES", 0)
     built = _count_calls(monkeypatch, numfield, "_subfield_entry")
     for m, (count, first) in zip(moduli, expected):
         built.clear()
@@ -897,6 +897,12 @@ def test_failed_resolvent_check_falls_back(monkeypatch):
 # ----------------------------------------------------------------------
 # primitivity from Frobenius cycle types
 
+def _frobenius_primitive(m):
+    """Whether the Frobenius walk of _principal_witness proves Gal(m)
+    primitive."""
+    return galois._primitive_or_cycle(exactalg._cycle_types(m.nums), m.degree)[0]
+
+
 # (degree, fields): principal subfields cost about 3 s on a degree-12 field
 FROBENIUS_FIELDS = [(4, 8), (6, 8), (8, 3), (9, 1), (10, 1), (12, 1)]
 
@@ -911,7 +917,7 @@ def test_frobenius_rule_agrees_with_principal_subfields():
             if not factor_over_rationals(m).is_irreducible():
                 continue
             found += 1
-            if numfield._frobenius_primitive(m):
+            if _frobenius_primitive(m):
                 proved += 1
                 entries = principal_subfields(NumberField(m, check=False))
                 assert [e.degree for e in entries if 1 < e.degree < d] == [], m
@@ -941,8 +947,8 @@ def test_frobenius_rule_never_proves_a_composition(monkeypatch):
                 if factor_over_rationals(m).is_irreducible():
                     break
             calls.clear()
-            assert not numfield._frobenius_primitive(m), (g, h)
-            assert 0 < len(calls) <= numfield._FROBENIUS_PRIMES
+            assert not _frobenius_primitive(m), (g, h)
+            assert 0 < len(calls) <= galois._FROBENIUS_PRIMES
 
 
 def test_three_cycle_quartic_fiber_needs_no_split_root_or_lift(g1, monkeypatch):
@@ -959,7 +965,7 @@ def test_three_cycle_quartic_fiber_needs_no_split_root_or_lift(g1, monkeypatch):
     assert (cert.verdict, cert.method) == ("primitive", "resolvent_cubic")
     assert counted == [[], [], []]
     _, zc = spec.fiber_poly.to_zpoly()
-    types = [d for _, d in islice(exactalg._cycle_types(zc), exactalg._QUARTIC_PRIMES)]
+    types = [d for _, d in islice(exactalg._cycle_types(zc), galois._QUARTIC_PRIMES)]
     assert [1, 3] in types
     assert cert.verify()
 
@@ -974,8 +980,19 @@ def test_sextic_fiber_reads_each_prime_once(g2, monkeypatch):
     cert = spec.certificate
     assert (cert.verdict, cert.method) == ("primitive", "principal_subfields")
     primes = [p for _, p in calls]
-    assert len(primes) > exactalg._MUSSER_PRIMES
+    assert len(primes) > galois._MUSSER_PRIMES
     assert primes == sorted(set(primes))
+    # one DDF per prime up to the 19th, whose [1, 5] proves it primitive
+    assert len(primes) == 19
+
+
+def test_imprimitive_sextic_opens_one_reading_walk(monkeypatch):
+    # no reading proves the tail field primitive: one walk of its first
+    # _FROBENIUS_PRIMES readings both fails the rules and finds its [6]
+    walks = _count_calls(monkeypatch, exactalg, "_p_readings")
+    witness = numfield._principal_witness(STREAM_SEXTIC_TAIL)
+    assert witness is not None and witness.degree == 2
+    assert len(walks) == 1
 
 
 def test_a_sweep_reads_each_residue_once(g1, monkeypatch):
@@ -1000,12 +1017,16 @@ def test_a_sweep_reads_each_residue_once(g1, monkeypatch):
     assert len(reads) == len(set(reads)) > 0
     info = exactalg._p_cycle_type.cache_info()
     assert info.hits > info.misses
+    # pinned: the rules read no prime more, nor the memo more often, than
+    # when each of them walked the readings on its own
+    assert len(reads) == 49
+    assert info.hits <= 269
 
 
 def test_frobenius_rule_on_the_imprimitive_quartics():
     # some of these moduli have denominators
     for m in _imprimitive_moduli():
-        assert not numfield._frobenius_primitive(m)
+        assert not _frobenius_primitive(m)
 
 
 def test_generic_sextic_decided_and_verified_without_trager(monkeypatch):
@@ -1020,7 +1041,7 @@ def test_generic_sextic_decided_and_verified_without_trager(monkeypatch):
 def test_frobenius_fallback_gives_the_same_certificate(monkeypatch):
     moduli = [x ** 6 - x - 1, x ** 6 + x ** 3 + 1, x ** 6 - 3 * x ** 2 - 1]
     fast = [json.dumps(is_primitive_field(m).to_json()) for m in moduli]
-    monkeypatch.setattr(numfield, "_FROBENIUS_PRIMES", 0)
+    monkeypatch.setattr(galois, "_FROBENIUS_PRIMES", 0)
     calls = _count_calls(monkeypatch, numfield, "trager_factor")
     slow = [json.dumps(is_primitive_field(m).to_json()) for m in moduli]
     assert len(calls) == len(moduli)

@@ -17,7 +17,7 @@ from primpoints import (
     classify_specialization,
     factor_over_rationals,
 )
-from primpoints import exactalg, numfield, padic
+from primpoints import exactalg, galois, numfield, padic
 from test_numfield import STREAM_SEXTIC_TAIL, SWINNERTON, _count_calls, _count_calls_anywhere
 
 x = POLY_X
@@ -43,7 +43,7 @@ def _composite_fields(rng):
 
 def _cycle_prime(m):
     """The first good prime of cycle type [d] that _principal_witness reads."""
-    types = islice(exactalg._cycle_types(m.nums), numfield._FROBENIUS_PRIMES)
+    types = islice(exactalg._cycle_types(m.nums), galois._FROBENIUS_PRIMES)
     return next((p for p, degrees in types if degrees == [m.degree]), None)
 
 
