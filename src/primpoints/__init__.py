@@ -50,7 +50,6 @@ from .numfield import (
     PrincipalSubfield,
     SubfieldWitness,
     is_primitive_field,
-    nf_norm,
     nf_sqrt,
     principal_subfields,
     resolvent_cubic,

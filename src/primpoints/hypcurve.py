@@ -146,7 +146,13 @@ INFINITY = Place(KIND_INFINITY)
 
 
 def places_over_x(curve: HyperellipticCurve, u: RatPolynomial, check: bool = True):
-    """Places of the curve above the closed point u(x) = 0 of the x-line."""
+    """Places of the curve above the closed point u(x) = 0 of the x-line.
+
+    Ramified when u divides h.  Otherwise split, into the two places
+    y = v and y = -v, when h is a square v^2 in Q[x]/(u), and inert when it
+    is none; numfield.nf_sqrt decides which, and gives v, from one
+    factorization over Q, with no factorization over the field.
+    """
     if u.is_zero() or u.degree < 1:
         raise InvalidInput("u must be nonconstant")
     u = u.monic()
@@ -624,22 +630,28 @@ def _vanishing_rows(curve, place, r, monomials):
     u = place.u
     if place.kind == KIND_SPLIT:
         vk = _sqrt_lift(curve, u, place.v, r)
-        polys = [(POLY_X ** i) * vk if isy else POLY_X ** i for i, isy in monomials]
-        return _remainder_rows(polys, u ** r)
+        return _remainder_rows({False: POLY_ONE, True: vk}, monomials, u ** r)
     # alpha and beta vanish separately: to order r at an inert place; at a
     # ramified one (y a uniformizer) alpha to ceil(r/2) and beta to floor(r/2)
     orders = (r, r) if place.kind == KIND_INERT else ((r + 1) // 2, r // 2)
     rows = []
     for want_y, order in zip((False, True), orders):
         if order > 0:
-            polys = [POLY_X ** i if isy == want_y else POLY_ZERO for i, isy in monomials]
-            rows.extend(_remainder_rows(polys, u ** order))
+            rows.extend(_remainder_rows({want_y: POLY_ONE}, monomials, u ** order))
     return rows
 
 
-def _remainder_rows(polys, mod):
-    """Row c (c < deg mod) holds the x^c coefficient of each poly % mod."""
-    rem = [(poly % mod).coeffs for poly in polys]
+def _remainder_rows(starts, monomials, mod):
+    """Row c (c < deg mod) holds the x^c coefficient of x^i * starts[isy]
+    % mod for each monomial (i, isy), and 0 where starts has no isy.  Each
+    x^(i+1) * s % mod is x times x^i * s % mod, reduced once."""
+    powers = {isy: [s % mod] for isy, s in starts.items()}
+    rem = []
+    for i, isy in monomials:
+        chain = powers.get(isy, [])
+        while chain and len(chain) <= i:
+            chain.append(chain[-1] * POLY_X % mod)
+        rem.append(chain[i].coeffs if chain else ())
     return [
         [col[c] if c < len(col) else Fraction(0) for col in rem]
         for c in range(mod.degree)

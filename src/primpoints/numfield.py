@@ -8,7 +8,10 @@ primitivity verdict obtained from the prime-degree shortcut, the resolvent
 cubic (degree 4), or the principal-subfields computation.  Frobenius cycle
 types mod small primes settle a field first when they prove its Galois
 group primitive, by the rules of galois, and a cycle type [d] among them
-hands the field to the p-adic route of padic.
+hands the field to the p-adic route of padic.  Trager factorization serves
+one input, the modulus of a field over that field, whose factors give the
+principal subfields; nf_sqrt, which hypcurve asks for the places over a
+closed point, finds square roots from one factorization over Q instead.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import partial
 from itertools import product
 from math import isqrt, lcm
 
-from .errors import DivisionByZero, InvalidInput, NotAField
+from .errors import DivisionByZero, InvalidInput, NotAField, Unsupported, VerificationFailure
 from .exactalg import (
     POLY_X,
     RatPolynomial,
@@ -41,6 +44,7 @@ from .exactalg import (
     _z_mul,
     _z_sub,
     _z_trim,
+    conjugate_power_sums,
     factor_over_rationals,
     from_power_sums,
     is_squarefree,
@@ -49,7 +53,6 @@ from .exactalg import (
     rat_to_str,
     rational_roots,
     resultant,
-    squarefree_part,
 )
 from .galois import _primitive_or_cycle, _quartic_primitive, is_prime
 from .linalg import in_span, nullspace
@@ -347,74 +350,22 @@ class NfPolynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def monic(self):
-        if self.is_zero():
-            raise InvalidInput("cannot normalize zero")
-        if self.lc == 1:
-            return self
-        inv = self.lc.inverse()
-        return NfPolynomial(self.field, [c * inv for c in self.coeffs])
-
-    def derivative(self):
-        return NfPolynomial(
-            self.field, [i * self.coeffs[i] for i in range(1, len(self.coeffs))]
-        )
-
-    def gcd(self, other) -> "NfPolynomial":
-        a, b = self, other
-        if a.is_zero() and b.is_zero():
-            raise InvalidInput("gcd(0,0)")
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
     def __repr__(self):
         terms = ", ".join(str(c.to_poly()) for c in self.coeffs)
         return f"NfPolynomial[{terms}]"
 
 
-def nf_norm(f: NfPolynomial, shift: int = 0) -> RatPolynomial:
-    """Norm of f(x + shift*theta) from L[x] down to Q[x].
-
-    With m the modulus of L = Q[y]/(m) and F(x, y) the lift of f's
-    coefficients to Q[y], the norm is Res_y(m(y), F(x + shift*y, y)).  That
-    is N(lc f) times the monic polynomial whose roots are beta - shift*theta_i
-    over the conjugates theta_i of theta and the roots beta of the matching
-    conjugate of f, and it is read off the power sums of those roots.  With
-    pi_a in L the power sums of the roots of f (Newton's identities over L)
-    and P_j those of m,
-        S_k = sum_a C(k, a) (-shift)^(k-a) Tr(theta^(k-a) pi_a),
-        Tr(theta^j c) = sum_i c_i P_(i+j),
-    so no resultant and no interpolation is needed.
-    """
-    L = f.field
-    n = f.degree
-    if n < 0:
-        raise InvalidInput("norm of the zero polynomial")
-    unit = f.lc
-    f = f.monic()
-    d = L.degree
-    # integral coefficients are summed as ints, far cheaper than Fractions
-    m = L.modulus
-    P = power_sums(m.nums if m.den == 1 else m.coeffs, n * d + d)
-    pi = []
-    for c in power_sums(f.coeffs, n * d + 1):
-        q = c.to_poly() if isinstance(c, FieldElement) else RatPolynomial([c])
-        pi.append(q.nums if q.den == 1 else q.coeffs)
-
-    def trace(j, a):
-        return sum(c * P[i + j] for i, c in enumerate(pi[a]) if c)
-
-    norm = _composed_norm(trace, n * d, shift)
-    return norm if unit == 1 else norm.scale(unit.norm())
-
-
 def _cofactor_norm(m: RatPolynomial, g_q: RatPolynomial, shift: int) -> RatPolynomial:
-    """nf_norm(g_q / (x - theta), shift) for a monic rational g_q that the
-    modulus m divides, with no arithmetic in L.
+    """The norm from L[x] to Q[x] of c(x + shift*theta), c = g_q / (x - theta),
+    for a monic rational g_q that the modulus m of L divides, with no
+    arithmetic in L.
 
-    The roots of g_q / (x - theta_i) are those of g_q but theta_i, so
-    pi_a = Q_a - theta^a with Q the power sums of g_q, and
+    It is the monic polynomial whose roots are beta - shift*theta_i over the
+    conjugates theta_i of theta and the roots beta of the matching conjugate
+    of c, read off the power sums of those roots (the composed sum of
+    Bostan, Flajolet, Salvy and Schost).  The roots of g_q / (x - theta_i)
+    are those of g_q but theta_i, so their power sums are pi_a = Q_a -
+    theta^a with Q the power sums of g_q, and with P those of m,
     Tr(theta^j pi_a) = Q_a P_j - P_(j+a): the sums are
         S_k = sum_j C(k, j) (-shift)^j Q_(k-j) P_j - (1 - shift)^k P_k.
     Both polynomials are scaled by the lcm C of their denominators, so that
@@ -430,32 +381,25 @@ def _cofactor_norm(m: RatPolynomial, g_q: RatPolynomial, shift: int) -> RatPolyn
 
     P = power_sums(scaled(m), degree + 1)
     Q = power_sums(scaled(g_q), degree + 1)
-    return _composed_norm(lambda j, a: Q[a] * P[j] - P[j + a], degree, shift, scale)
-
-
-def _composed_norm(trace, degree: int, shift: int, scale: int = 1) -> RatPolynomial:
-    """The monic polynomial of the given degree whose roots, times scale,
-    are beta - shift*theta_i, where trace(j, a) = Tr(theta^j pi_a) and the
-    pi_a are the power sums of the roots beta (the composed sum of Bostan,
-    Flajolet, Salvy and Schost): its k-th power sum is
-    sum_a C(k, a) (-shift)^(k-a) trace(k - a, a)."""
     sums = [degree]
     for k in range(1, degree + 1):
         acc, binom, power = 0, 1, 1
         for a in range(k, -1, -1):
-            acc += binom * power * trace(k - a, a)
+            acc += binom * power * (Q[a] * P[k - a] - P[k])
             binom = binom * a // (k - a + 1)
             power *= -shift
         sums.append(acc)
     return from_power_sums(sums, degree, scale)
 
 
-def _squarefree_norm(norm_at, skip) -> tuple:
-    """(s, norm_at(s)) for the first shift s, in _shift_sequence order and
-    not in skip, whose norm is squarefree (is_squarefree).  The shift does
-    not change the factors, which are canonical."""
+def _squarefree_norm(norm_at) -> tuple:
+    """(s, norm_at(s)) for the first shift s, in _shift_sequence order, whose
+    cofactor norm is squarefree (is_squarefree).  Shifts 0 and -1 are passed
+    over, since the roots theta_j and theta_j + theta_i (j != i) of the norm
+    there repeat.  The shift does not change the factors, which are
+    canonical."""
     for s in _shift_sequence():
-        if s not in skip:
+        if s not in (0, -1):
             norm = norm_at(s)
             if is_squarefree(norm):
                 return s, norm
@@ -481,77 +425,35 @@ class NfFactorization:
 
 
 def trager_factor(f: NfPolynomial) -> NfFactorization:
-    """Complete irreducible factorization over the coefficient field.
+    """The irreducible factors of the modulus m of L over L itself, the one
+    input that principal subfields give it (_principal_kernels); any other
+    input raises Unsupported.
 
-    Norm-shift method (Trager 1976): take g, the squarefree part of f, and
-    an integer s for which Norm(g(x + s*theta)) = nf_norm(g, s) is
-    squarefree; norms come from power sums, so each shift tried costs one
-    cheap exact norm (_squarefree_norm).  Each irreducible factor G of that
-    norm over Q pulls back to the irreducible factor gcd(g, G(x - s*theta))
-    of g over L, computed mod primes by _pull_back, and the multiplicities
-    come from dividing f by these factors.
-
-    When f has rational coefficients and the modulus m of L divides it, as
-    for every principal_subfields call, x - theta is a known factor: it is
-    divided out first, and only the cofactor has its norm computed and
-    factored, by _cofactor_norm with no arithmetic in L.  For m of degree d
-    that norm has degree d*(d - 1), not d^2.
+    Norm-shift method (Trager 1976): x - theta is a known factor, so only
+    the cofactor g = m / (x - theta) is factored.  Its norm at a shift s,
+    the norm of g(x + s*theta) from L[x] to Q[x], comes from the power sums
+    of m alone (_cofactor_norm), and for m of degree d it has degree
+    d*(d - 1), not d^2.  The first shift whose norm is squarefree is taken
+    (_squarefree_norm), and each irreducible factor G of that norm over Q
+    pulls back to the irreducible factor gcd(g, G(x - s*theta)) of g over
+    L, computed mod primes by _pull_back.  m is irreducible over Q, so it
+    is squarefree and every factor has multiplicity 1.
     """
-    if f.is_zero():
-        raise InvalidInput("cannot factor zero")
     L = f.field
-    unit = f.lc
-    monic = f.monic()
-    if monic.degree == 0:
-        return NfFactorization(unit=unit, factors=())
-    skip = ()
-    known = []
-    if all(c.is_rational() for c in monic.coeffs):
-        g_q = squarefree_part(RatPolynomial([c.coeffs[0] for c in monic.coeffs]))
-        sqf = NfPolynomial.from_rat(L, g_q)
-        if L.degree > 1:
-            # shift 0 gives the norm g^d
-            skip = (0,)
-            if (g_q % L.modulus).is_zero():
-                # the roots alpha_j + alpha_i (j != i) of the cofactor's
-                # norm at -1 repeat
-                known = [NfPolynomial(L, [-L.theta, L.one])]
-                sqf = sqf // known[0]
-                skip = (0, -1)
-    else:
-        sqf = monic // monic.gcd(monic.derivative())
-    if known:
-        norm_at = partial(_cofactor_norm, L.modulus, g_q)
-    else:
-        norm_at = partial(nf_norm, sqf)
-    shift_used, norm = _squarefree_norm(norm_at, skip)
-    # every factor of a squarefree norm is the norm of a factor over L, of
-    # degree a multiple of L.degree
-    fl = factor_over_rationals(norm, _degree_step=L.degree)
-    pieces = [sqf] if fl.is_irreducible() else _pull_back(sqf, fl, shift_used)
-    pieces = known + pieces
-    if sum(h.degree for h in pieces) == monic.degree:
-        # f is squarefree, and the pieces are its factors
-        return NfFactorization(
-            unit=unit, factors=tuple((h, 1) for h in sorted(pieces, key=_nf_sort_key))
-        )
-    # recover multiplicities by exact division
-    factors = []
-    rem = monic
-    for h in sorted(pieces, key=_nf_sort_key):
-        mult = 0
-        while True:
-            q, r = divmod(rem, h)
-            if r.is_zero():
-                rem = q
-                mult += 1
-            else:
-                break
-        if mult:
-            factors.append((h, mult))
-    if rem.degree != 0:
-        raise InvalidInput("factorization incomplete; bad shift search?")
-    return NfFactorization(unit=unit, factors=tuple(factors))
+    if f != NfPolynomial.from_rat(L, L.modulus):
+        raise Unsupported("trager_factor factors only a field's modulus over the field")
+    known = NfPolynomial(L, [-L.theta, L.one])
+    pieces = [known]
+    if L.degree > 1:
+        g = f // known
+        s, norm = _squarefree_norm(partial(_cofactor_norm, L.modulus, L.modulus))
+        # every factor of a squarefree norm is the norm of a factor over L, of
+        # degree a multiple of L.degree
+        fl = factor_over_rationals(norm, _degree_step=L.degree)
+        pieces += [g] if fl.is_irreducible() else _pull_back(g, fl, s)
+    return NfFactorization(
+        unit=L.one, factors=tuple((h, 1) for h in sorted(pieces, key=_nf_sort_key))
+    )
 
 
 def _pull_back(g: NfPolynomial, fl, s: int) -> list:
@@ -701,15 +603,48 @@ def _nf_sort_key(p: NfPolynomial):
 
 
 def nf_sqrt(L: NumberField, alpha: FieldElement):
-    """A square root of alpha in L, or None."""
+    """A square root of alpha in L, or None, from one factorization over Q.
+
+    With theta_i the n conjugates of theta and beta_i^2 = alpha(theta_i),
+    P_k(z) = Res_x(m(x), (z - k*x)^2 - alpha(x)) has the 2n roots
+    k*theta_i +- beta_i, read off their power sums (conjugate_power_sums).
+    The shifts k are walked in _shift_sequence order to the first with P_k
+    squarefree.  The walk ends: beta_i != -beta_i as alpha != 0, and a
+    collision k*theta_i +- beta_i = k*theta_j +- beta_j (i != j) holds for
+    one k at most, so at most 2n(n - 1) shifts are passed over.
+
+    A squarefree P_k is irreducible over Q exactly when alpha is no square:
+    then it is the minimal polynomial of k*theta + z in the field
+    L[z]/(z^2 - alpha) of degree 2n, and for alpha = beta^2 it is the
+    product of the characteristic polynomials of k*theta +- beta.  Its first
+    factor G then vanishes at one of these two only, so G mod
+    (z - k*theta)^2 - alpha, by Horner's rule in L, is A + B*z with B != 0,
+    and -A/B - k*theta is a square root.
+    """
+    if alpha.field != L:
+        raise InvalidInput("alpha lives in another field")
     if alpha.is_zero():
         return L.zero
-    quad = NfPolynomial(L, [-alpha, L.zero, L.one])
-    fact = trager_factor(quad)
-    for h, _ in fact.factors:
-        if h.degree == 1:
-            return -h.coeffs[0]
-    return None
+    n = L.degree
+    for k in _shift_sequence():
+        P = from_power_sums(
+            conjugate_power_sums(L.modulus.coeffs, [0, k], alpha.coeffs, 2 * n), 2 * n
+        )
+        if is_squarefree(P):
+            break
+    fl = factor_over_rationals(P)
+    if fl.is_irreducible():
+        return None
+    # z^2 = 2 k theta z - c0 mod (z - k theta)^2 - alpha
+    kt = k * L.theta
+    c0 = kt * kt - alpha
+    A = B = L.zero
+    for c in reversed(fl.factors[0][0].coeffs):
+        A, B = L.element([c]) - B * c0, A + 2 * kt * B
+    beta = -A / B - kt
+    if beta * beta != alpha:
+        raise VerificationFailure(f"{beta} is no square root of {alpha}")
+    return beta
 
 
 # ----------------------------------------------------------------------

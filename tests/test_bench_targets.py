@@ -23,11 +23,14 @@ def _load_spans():
 
 # Targets that spans.py still names but src/ deleted on purpose: the
 # Fraction Laurent-series layer, replaced by integer expansions at infinity,
-# and a span checker with no caller.  Their metrics read as absent.
+# a span checker with no caller, and the general norm over a number field,
+# which only a Trager factorization off a field's own modulus needed.  Their
+# metrics read as absent.
 RETIRED = {
     ("hypcurve", "function_series"),
     ("hypcurve", "LaurentSeries.nth_root"),
     ("linalg", "SpanChecker.contains"),
+    ("numfield", "nf_norm"),
 }
 
 

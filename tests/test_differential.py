@@ -3,7 +3,7 @@
 Factorization over Q and resultants of random integer polynomials (degree
 <= 8, coefficients in [-20, 20]) must agree with sympy's.  So must, over
 random number fields Q[x]/(m) of degree 2-6, the Trager factorization of m,
-the norms of polynomials over the field, and the minimal polynomials of
+the square-or-not verdict of nf_sqrt, and the minimal polynomials of
 field elements (against the squarefree part of the characteristic
 polynomial of multiplication by the element).  A quartic or sextic field
 that Frobenius cycle types prove primitive must have a primitive Galois
@@ -32,7 +32,7 @@ from primpoints import (
     factor_over_rationals,
     fiber_polynomial,
     is_squarefree,
-    nf_norm,
+    nf_sqrt,
     rational_roots,
     resolvent_cubic,
     resultant,
@@ -43,7 +43,6 @@ from primpoints.galois import _QUARTIC_PRIMES, _primitive_or_cycle, _quartic_pri
 from primpoints.numfield import _cofactor_norm, _squarefree_norm
 
 sympy = pytest.importorskip("sympy")
-from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.numberfields.galoisgroups import galois_group  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
@@ -117,7 +116,7 @@ def test_composite_fiber_norm_factorization_matches_sympy():
     assert m == RatPolynomial(
         [5, 0, -24, -8, 4, -18, -11, 6, -1, -1, 3, -3, 1]
     )
-    _, norm = _squarefree_norm(partial(_cofactor_norm, m, m), (0, -1))
+    _, norm = _squarefree_norm(partial(_cofactor_norm, m, m))
     assert norm.degree == 132
     fl = factor_over_rationals(norm)
     assert [(f.degree, e) for f, e in fl.factors] == [(36, 1), (96, 1)]
@@ -148,25 +147,32 @@ def test_trager_matches_sympy_over_own_field(m):
     assert sorted(g.degree for g, e in fact.factors for _ in range(e)) == theirs
 
 
-@FIELD_DIFFERENTIAL
+@DIFFERENTIAL
 @given(
-    monic_irreducible(3, 4),
-    st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=2, max_size=4),
-    st.integers(-3, 3),
+    monic_irreducible(2, 6),
+    st.lists(st.integers(-5, 5), min_size=6, max_size=6),
+    st.integers(1, 3),
+    st.booleans(),
 )
-def test_nf_norm_matches_sylvester(m, rows, shift):
-    # nf_norm(f, s) == Res_y(m(y), F(x + s*y, y)), F the lift of f to Q[x, y]
+# a rational square: the shift walk passes over k = 0
+@example(RatPolynomial([1, 0, 1]), [4, 0, 0, 0, 0, 0], 1, True)
+def test_nf_sqrt_matches_sympy(m, row, den, square):
+    # alpha is a square in Q[x]/(m) exactly when z^2 - alpha has a linear
+    # factor over the field, by sympy's factorization over QQ<theta>
     L = NumberField(m, check=False)
-    coeffs = [L.element(row[: L.degree]) for row in rows]
-    assume(not coeffs[-1].is_zero())
-    f = NfPolynomial(L, coeffs)
-    big_f = sum(
-        in_y(c.to_poly()) * (X + shift * Y) ** k for k, c in enumerate(f.coeffs)
-    )
-    sylv = DomainMatrix.from_Matrix(sylvester(in_y(m), sympy.expand(big_f), Y))
-    det = sylv.domain.to_sympy(sylv.det())
-    theirs = [to_fraction(c) for c in reversed(sympy.Poly(det, X).all_coeffs())]
-    assert nf_norm(f, shift) == RatPolynomial(theirs)
+    alpha = L.element([Fraction(c, den) for c in row[: L.degree]])
+    assume(not alpha.is_zero())
+    if square:
+        alpha = alpha * alpha
+    K = sympy.QQ.algebraic_field(sympy.CRootOf(in_y(m), 0))
+    theta = K.from_sympy(K.ext)
+    a = sum((K.convert(sympy.Rational(c.numerator, c.denominator)) * theta ** i
+             for i, c in enumerate(alpha.coeffs)), K.zero)
+    _, factors = sympy.Poly.from_list([K.one, K.zero, -a], sympy.Symbol("z"), domain=K).factor_list()
+    root = nf_sqrt(L, alpha)
+    assert (root is not None) == (factors[0][0].degree() == 1)
+    assert root is None or root * root == alpha
+    assert root is not None or not square
 
 
 @FIELD_DIFFERENTIAL

@@ -34,6 +34,7 @@ from primpoints import (
     riemann_roch_basis,
     zero_divisor,
 )
+from primpoints import numfield
 from primpoints.exactalg import _numerators
 from primpoints.hypcurve import (
     CurveFunction,
@@ -43,6 +44,7 @@ from primpoints.hypcurve import (
     _series_nth_root,
     _sqrt_lift,
     _trunc_mul,
+    _vanishing_rows,
     _x_at_infinity,
 )
 
@@ -91,6 +93,15 @@ def test_places_higher_degree_split(g1):
     assert [p.kind for p in places] == ["split", "split"]
     assert {str(p.v) for p in places} == {"2", "-2"}
     assert all(p.degree == 3 for p in places)
+
+
+def test_split_place_of_degree_three_needs_no_trager_call(g1, monkeypatch):
+    calls = []
+    exact = numfield.trager_factor
+    monkeypatch.setattr(numfield, "trager_factor", lambda f: calls.append(f) or exact(f))
+    places = places_over_x(g1, x ** 3 - 3)
+    assert [p.kind for p in places] == ["split", "split"]
+    assert calls == []
 
 
 def test_places_reducible_rejected(g1):
@@ -413,6 +424,47 @@ def test_is_principal_matches_cantor_oracle():
             assert is_principal(curve, D) == verdict, D
             verdicts.append(verdict)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+def power_by_power_vanishing_rows(curve, place, r, monomials):
+    """_vanishing_rows with each x^i * v_r formed afresh and reduced mod
+    u^r on its own."""
+    u = place.u
+
+    def rows_of(polys, mod):
+        rem = [(poly % mod).coeffs for poly in polys]
+        return [[col[c] if c < len(col) else Fraction(0) for col in rem]
+                for c in range(mod.degree)]
+
+    if place.kind == "split":
+        vk = _sqrt_lift(curve, u, place.v, r)
+        return rows_of([x ** i * vk if isy else x ** i for i, isy in monomials], u ** r)
+    orders = (r, r) if place.kind == "inert" else ((r + 1) // 2, r // 2)
+    rows = []
+    for want_y, order in zip((False, True), orders):
+        if order > 0:
+            polys = [x ** i if isy == want_y else POLY_ZERO for i, isy in monomials]
+            rows.extend(rows_of(polys, u ** order))
+    return rows
+
+
+def test_vanishing_rows_match_the_power_by_power_construction(g1):
+    # the places of the principality pools, of every kind and of degree 1
+    # to 3, and the split place of degree 3 over x^3 - 3
+    cases = [(g1, places_over_x(g1, x ** 3 - 3))]
+    for h, us, _ in PRINCIPALITY_POOLS:
+        curve = curve_new(h)
+        cases.append((curve, [p for u in us for p in places_over_x(curve, u)]))
+    kinds = set()
+    for curve, places in cases:
+        for place in places:
+            kinds.add(place.kind)
+            for r in (1, 2, 3, 5):
+                monomials = _monomials_upto(curve, 2 * r * place.degree + 2 * curve.genus + 3)
+                rows = _vanishing_rows(curve, place, r, monomials)
+                assert rows == power_by_power_vanishing_rows(curve, place, r, monomials)
+                assert all(type(c) is Fraction for row in rows for c in row)
+    assert kinds == {"split", "ramified", "inert"}
 
 
 def test_principal_requires_degree_zero(g1):

@@ -19,9 +19,11 @@ from primpoints import (
     POLY_X,
     PrimitivityCertificate,
     RatPolynomial,
+    Unsupported,
     classify_specialization,
     factor_over_rationals,
     is_primitive_field,
+    nf_sqrt,
     principal_subfields,
     prospect,
     resolvent_cubic,
@@ -117,26 +119,27 @@ def test_trager_galois_quartic_splits():
         assert acc.is_zero()
 
 
-def test_trager_multiplicities():
+def test_trager_factors_only_the_modulus_over_its_own_field():
     L = NumberField(x ** 2 + 1)
-    f = NfPolynomial.from_rat(L, (x ** 2 + 1) ** 2 * (x - 3))
-    fact = trager_factor(f)
-    assert fact.expand() == f
-    assert sorted(m for _, m in fact.factors) == [1, 2, 2]
+    refused = [
+        NfPolynomial.from_rat(L, (x ** 2 + 1) ** 2 * (x - 3)),  # a power, and another factor
+        NfPolynomial.from_rat(L, x ** 2 - 2),  # rational, but not the modulus
+        NfPolynomial.from_rat(L, 2 * x ** 2 + 2),  # the modulus times a unit
+        NfPolynomial(L, [L.element([0, -1]), L.zero, L.one]),  # x^2 - i
+        NfPolynomial(L, [L.one]),  # a constant
+    ]
+    for f in refused:
+        with pytest.raises(Unsupported):
+            trager_factor(f)
 
 
-def test_trager_factors_are_irreducible():
-    # re-factoring each factor must return it unchanged
-    L = NumberField(x ** 3 - 2)
-    f = NfPolynomial.from_rat(L, x ** 6 - 4)
-    fact = trager_factor(f)
-    assert fact.expand() == f
-    # x^3 - 2 divides the input, so x - theta is split off before the norm
-    assert (NfPolynomial(L, [-L.theta, L.one]), 1) in fact.factors
-    for g, _ in fact.factors:
-        refact = trager_factor(g)
-        assert refact.is_irreducible()
-        assert refact.factors[0][0] == g
+def test_square_root_of_an_element_of_another_field_is_refused():
+    L, K = NumberField(x ** 2 + 1), NumberField(x ** 2 - 2)
+    for alpha in (K.theta, K.one, K.zero):
+        with pytest.raises(InvalidInput):
+            nf_sqrt(L, alpha)
+    assert nf_sqrt(L, -L.one) in (L.theta, -L.theta)
+    assert nf_sqrt(L, L.theta) is None
 
 
 def test_one_exact_norm_per_factorization(monkeypatch):
@@ -168,14 +171,14 @@ def test_one_exact_norm_per_factorization(monkeypatch):
 
 
 def test_known_factor_needs_no_gcd(monkeypatch):
-    gcds = _count_calls(monkeypatch, NfPolynomial, "gcd")
+    pull_backs = _count_calls(monkeypatch, numfield, "_pull_back")
     for m, pulled_back in ((x ** 6 - x - 1, 0), (x ** 6 - 2, 2)):
         L = NumberField(m)
-        gcds.clear()
+        pull_backs.clear()
         entries = principal_subfields(L)
         # x^6 - x - 1 has cofactor an irreducible quintic over L, and x^6 - 2
         # the factors x + theta and x^2 +- theta*x + theta^2, pulled back mod p
-        assert gcds == []
+        assert len(pull_backs) == min(pulled_back, 1)
         assert len(entries) == 2 + pulled_back
         assert [e.degree for e in entries][-1] == 6
 
@@ -198,19 +201,6 @@ def _random_element(rng, L, height=3):
     ])
 
 
-def test_nf_norm_matches_interpolated_resultants():
-    rng = random.Random(101)
-    for case in range(42):
-        L = _random_field(rng, rng.randint(2, 8), denominators=case % 3 == 0)
-        n = rng.randint(1, 4)
-        coeffs = [_random_element(rng, L) for _ in range(n)]
-        # every third polynomial is not monic
-        lead = _random_element(rng, L) if case % 3 == 1 else L.one
-        f = NfPolynomial(L, coeffs + [lead if not lead.is_zero() else L.one])
-        shift = case % 7 - 3
-        assert numfield.nf_norm(f, shift) == interpolated_norm(f, shift), (L, f, shift)
-
-
 def test_cofactor_norm_matches_interpolated_resultants():
     rng = random.Random(103)
     for case in range(20):
@@ -219,51 +209,51 @@ def test_cofactor_norm_matches_interpolated_resultants():
         extra = RatPolynomial(
             [Fraction(rng.randint(-5, 5), rng.choice([1, 3])) for _ in range(case % 3)] + [1]
         )
-        g_q = numfield.squarefree_part(m * extra)
+        g_q = exactalg.squarefree_part(m * extra)
         cofactor = NfPolynomial.from_rat(L, g_q) // NfPolynomial(L, [-L.theta, L.one])
         for shift in (case % 7 - 3, 1):
             expected = interpolated_norm(cofactor, shift)
             assert numfield._cofactor_norm(m, g_q, shift) == expected, (m, g_q, shift)
-            assert numfield.nf_norm(cofactor, shift) == expected
 
 
 def _squarefree_norm_inputs():
-    """(norm_at, skip) as trager_factor hands them to _squarefree_norm."""
+    """Norms at a shift, as trager_factor hands them to _squarefree_norm,
+    and, from the interpolated oracle, norms of polynomials over L."""
     rng = random.Random(107)
     for case in range(30):
         L = _random_field(rng, rng.randint(2, 5))
         if case % 2:
             # a rational input, whose norm at shift 0 is a power
             g_q = RatPolynomial([rng.randint(-4, 4), rng.randint(-4, 4), 1])
-            g = NfPolynomial.from_rat(L, numfield.squarefree_part(g_q))
-            yield partial(numfield.nf_norm, g), (0,)
+            g = NfPolynomial.from_rat(L, exactalg.squarefree_part(g_q))
+            yield partial(interpolated_norm, g)
         else:
             coeffs = [_random_element(rng, L) for _ in range(rng.randint(1, 3))]
-            yield partial(numfield.nf_norm, NfPolynomial(L, coeffs + [L.one])), ()
+            yield partial(interpolated_norm, NfPolynomial(L, coeffs + [L.one]))
     # moduli whose first shifts have norms with repeated roots: the cyclotomic
     # x^4 + 1 and x^6 - 2 pass over shifts, and 2^31 - 1 divides denominators
     for m in (x ** 4 + 1, x ** 6 - 2, SWINNERTON, x ** 2 - Fraction(2, 2 ** 31 - 1)):
-        yield partial(numfield._cofactor_norm, m, m), (0, -1)
+        yield partial(numfield._cofactor_norm, m, m)
     L = NumberField(x ** 2 - Fraction(2, 2 ** 31 - 1))
     g = NfPolynomial(L, [L.element([0, 3]), L.one]) * NfPolynomial.from_rat(L, L.modulus)
-    yield partial(numfield.nf_norm, g), ()
+    yield partial(interpolated_norm, g)
 
 
 def test_norm_screen_matches_resultant_screen():
     # the squarefree test that chooses a shift agrees with the PRS oracle,
-    # and _squarefree_norm takes the first shift that passes it
+    # and _squarefree_norm takes the first shift past 0 and -1 that passes it
     verdicts = set()
     passed_over = 0
-    for norm_at, skip in _squarefree_norm_inputs():
+    for norm_at in _squarefree_norm_inputs():
         for shift in (0, 1, -2):
             norm = norm_at(shift)
             verdict = numfield.is_squarefree(norm)
             assert verdict == prs_squarefree(norm), (norm, shift)
             verdicts.add(verdict)
-        shifts = [s for s in islice(numfield._shift_sequence(), 12) if s not in skip]
+        shifts = [s for s in islice(numfield._shift_sequence(), 12) if s not in (0, -1)]
         norms = map(norm_at, shifts)
         expected = next((s, norm) for s, norm in zip(shifts, norms) if prs_squarefree(norm))
-        assert numfield._squarefree_norm(norm_at, skip) == expected
+        assert numfield._squarefree_norm(norm_at) == expected
         passed_over += expected[0] != shifts[0]
     assert verdicts == {True, False}
     assert passed_over >= 2
@@ -277,10 +267,6 @@ def test_screen_skipped_when_prime_divides_a_denominator():
     fact = trager_factor(f)
     assert [(g.degree, mult) for g, mult in fact.factors] == [(1, 1), (1, 1)]
     assert fact.expand() == f
-    g = NfPolynomial(L, [L.element([0, 3]), L.one]) * f
-    fact = trager_factor(g)
-    assert sorted(h.degree for h, _ in fact.factors) == [1, 1, 1]
-    assert fact.expand() == g
 
 
 def test_exact_test_after_inconclusive_screens(monkeypatch):
@@ -288,8 +274,6 @@ def test_exact_test_after_inconclusive_screens(monkeypatch):
     # test alone, and the factors come out the same
     fields = [x ** 3 - 2, SWINNERTON, x ** 2 + 1]
     inputs = [NfPolynomial.from_rat(NumberField(m), m) for m in fields]
-    L = NumberField(x ** 2 + 1)
-    inputs.append(NfPolynomial(L, [L.element([0, -1]), L.zero, L.one]))  # x^2 - i
     verdicts = []
     exact = numfield.is_squarefree
 
@@ -305,7 +289,7 @@ def test_exact_test_after_inconclusive_screens(monkeypatch):
         assert fact.expand() == f
         assert all(mult == 1 for _, mult in fact.factors)
         degrees.append(sorted(g.degree for g, _ in fact.factors))
-    assert degrees == [[1, 2], [1, 1, 1, 1], [1, 1], [2]]
+    assert degrees == [[1, 2], [1, 1, 1, 1], [1, 1]]
     assert all(ours == oracle for ours, oracle in verdicts)
     assert (False, False) in verdicts
 
@@ -321,11 +305,10 @@ def _pull_back_inputs():
     for m in rational:
         L = NumberField(m)
         g = NfPolynomial.from_rat(L, m) // NfPolynomial(L, [-L.theta, L.one])
-        s, norm = numfield._squarefree_norm(
-            lambda s: numfield._cofactor_norm(m, m, s), (0, -1)
-        )
+        s, norm = numfield._squarefree_norm(lambda s: numfield._cofactor_norm(m, m, s))
         yield g, factor_over_rationals(norm), s
-    # inputs over L: with 2^31 - 1 in a denominator, and over Q(i)
+    # inputs over L, with norms from the interpolated oracle: with 2^31 - 1
+    # in a denominator, and over Q(i)
     L = NumberField(x ** 2 - Fraction(2, 2 ** 31 - 1))
     L_i = NumberField(x ** 2 + 1)
     for g in (
@@ -334,7 +317,7 @@ def _pull_back_inputs():
         * NfPolynomial(L_i, [L_i.element([0, -1]), L_i.zero, L_i.one])
         * NfPolynomial.from_rat(L_i, x ** 2 - 2),
     ):
-        s, norm = numfield._squarefree_norm(lambda s: numfield.nf_norm(g, s), ())
+        s, norm = numfield._squarefree_norm(partial(interpolated_norm, g))
         yield g, factor_over_rationals(norm), s
 
 
@@ -377,10 +360,9 @@ def test_stream_sextic_tail_field_pinned(monkeypatch):
     calls = [
         _count_calls(monkeypatch, exactalg, "resultant"),
         _count_calls(monkeypatch, numfield, "resultant"),
-        _count_calls(monkeypatch, NfPolynomial, "gcd"),
     ]
     entries = principal_subfields(NumberField(STREAM_SEXTIC_TAIL))
-    assert calls == [[], [], []]
+    assert calls == [[], []]
     assert [e.degree for e in entries][-1] == 6
     assert any(e.generator_minpoly == x ** 2 + 11 for e in entries)
 
@@ -1065,6 +1047,6 @@ def test_trager_norm_factors_are_multiples_of_the_field_degree(monkeypatch):
     assert [g.degree for g, _ in fact.factors] == [1, 3]
     assert (steps, lifts) == ([4], [])
     # told nothing, the factorization lifts to reach the same factors
-    _, norm = numfield._squarefree_norm(partial(numfield._cofactor_norm, m, m), (0, -1))
+    _, norm = numfield._squarefree_norm(partial(numfield._cofactor_norm, m, m))
     assert exactalg.factor_over_rationals(norm, _degree_step=4) == exactalg.factor_over_rationals(norm)
     assert len(lifts) == 1
