@@ -74,9 +74,10 @@ def _tokenize(text: str):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        # isdecimal accepts exactly the digits that int() reads
+        if c.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             if j - i > MAX_DIGITS:
                 raise ParseError(f"integer longer than {MAX_DIGITS} digits", i)
@@ -312,7 +313,7 @@ def _load_curve(path) -> HyperellipticCurve:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # not UTF-8, not JSON, or an int past 4300 digits
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, too long an int, too deep
             raise InvalidInput(str(exc)) from exc
     if not isinstance(data, dict) or "h" not in data:
         raise InvalidInput("curve file must contain an 'h' array")

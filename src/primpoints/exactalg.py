@@ -51,10 +51,11 @@ def rat_from_str(s: str) -> Fraction:
 # list kernels (little-endian coefficient lists)
 #
 # The Zassenhaus pipeline works on plain int lists; Fractions only appear
-# at the module boundary.  The trim, sum, difference, product and field
-# division below are the only ones for every coefficient ring: ints (and ints
-# mod p, reduced afterwards), Fractions, and number-field elements, whose
-# zero is falsy.
+# at the module boundary.  The trim, sum, difference and product below are
+# the only ones for every coefficient ring: ints (and ints mod p, reduced
+# afterwards), Fractions, and number-field elements, whose zero is falsy.
+# Over Q, division pseudo-divides the numerators (_z_pseudo_divmod), and
+# _divmod_list divides polynomials over a number field.
 
 def _z_trim(c):
     n = len(c)
@@ -171,19 +172,29 @@ def _z_div_exact(f, g):
     return q if not any(rem[: len(g) - 1]) else None
 
 
-def _z_pseudo_rem(f, g):
-    """lc(g)^(deg f - deg g + 1) * f mod g, computed in Z[x]."""
+def _z_pseudo_divmod(f, g):
+    """(s, q, r) with s*f = q*g + r and len(r) < len(g), q and r trimmed,
+    for trimmed int lists f and g with g nonzero.  s is a power of lc(g),
+    raised only at a step where lc(g) does not divide the top coefficient."""
     rem = list(f)
     dg = len(g) - 1
-    glead = g[-1]
-    while len(rem) - 1 >= dg and rem:
-        k = len(rem) - 1 - dg
-        c = rem[-1]
-        rem = [glead * x for x in rem]
-        for j, y in enumerate(g):
-            rem[k + j] -= c * y
+    lead = g[-1]
+    s = 1
+    q = [0] * max(0, len(rem) - dg)
+    while len(rem) > dg:
+        c = rem.pop()  # the top coefficient cancels
+        if c % lead:
+            s *= lead
+            q = [lead * x for x in q]
+            rem = [lead * x for x in rem]
+        else:
+            c //= lead
+        k = len(rem) - dg
+        q[k] = c
+        for j in range(dg):
+            rem[k + j] -= c * g[j]
         _z_trim(rem)
-    return rem
+    return s, _z_trim(q), rem
 
 
 def _z_gcd(a, b):
@@ -197,7 +208,7 @@ def _z_gcd(a, b):
         if len(a) < len(b):
             a, b = b, a
         while b:
-            r = _z_primitive(_z_pseudo_rem(a, b))
+            r = _z_primitive(_z_pseudo_divmod(a, b)[2])
             a, b = b, r
         g = a
     g = _z_primitive(g)
@@ -520,12 +531,16 @@ class RatPolynomial:
         return _power(self, n, POLY_ONE)
 
     def __divmod__(self, other):
+        """(q, r) with self = q*other + r and deg r < deg other, from the
+        pseudo-division s*a = Q*b + R of the numerators a of self and b of
+        other: q = Q*other.den / (self.den*s) and r = R / (self.den*s)."""
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        inv = None if other.is_monic() else 1 / other.lc
-        q, r = _divmod_list(self.coeffs, other.coeffs, inv, Fraction(0))
-        return RatPolynomial(q), RatPolynomial(r)
+        s, q, r = _z_pseudo_divmod(self.nums, other.nums)
+        den = self.den * s
+        q = RatPolynomial._from_ints(den, [c * other.den for c in q])
+        return q, RatPolynomial._from_ints(den, r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -642,7 +657,7 @@ def poly_gcd(p: RatPolynomial, q: RatPolynomial) -> RatPolynomial:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    g = _z_gcd(p.to_zpoly()[1], q.to_zpoly()[1])
+    g = _z_gcd(p.nums, q.nums)
     return RatPolynomial._from_ints(g[-1], g)
 
 
@@ -737,7 +752,7 @@ def rational_roots(p: RatPolynomial) -> list:
         raise InvalidInput("rational roots of zero are undefined")
     if p.degree < 1:
         return []
-    _, f = p.to_zpoly()
+    f = _z_primitive(p.nums)
     g = _z_gcd(f, _z_derivative(f))
     if len(g) > 1:
         f = _z_div_exact(f, g)

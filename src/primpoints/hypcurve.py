@@ -328,18 +328,14 @@ class CurveFunction:
         return self.den.degree == 0
 
     def is_constant(self):
-        if not self.b.is_zero():
-            return False
-        if self.a.is_zero():
-            return True
-        return (self.a % self.den).is_zero() and (self.a // self.den).degree <= 0
+        # the constructor leaves gcd(a, b, den) = 1 with den monic, so a
+        # constant has den = 1
+        return self.b.is_zero() and self.a.degree < 1 and self.den.degree == 0
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise InvalidInput("not a constant function")
-        if self.a.is_zero():
-            return Fraction(0)
-        return (self.a // self.den)[0]
+        return self.a[0]
 
     def _check(self, other):
         if isinstance(other, (int, Fraction)):
@@ -445,8 +441,6 @@ def _ord_u(poly: RatPolynomial, u: RatPolynomial) -> int:
             return k
         poly = q
         k += 1
-        if poly.is_zero():
-            return k  # only if poly was a power of u times 0; unreachable
 
 
 def _sqrt_lift(curve, u: RatPolynomial, v: RatPolynomial, k: int) -> RatPolynomial:

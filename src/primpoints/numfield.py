@@ -1,7 +1,7 @@
 """Number fields Q[x]/(m) and the primitivity engine.
 
-A degree-d field is presented by a monic irreducible modulus; elements are
-coordinate vectors in the power basis.  The module decides whether a field
+A degree-d field is presented by a monic irreducible modulus; an element
+holds the RatPolynomial of its coordinates in the power basis.  The module decides whether a field
 has a proper intermediate subfield and emits checkable certificates: either
 a witness (generator plus minimal polynomial of a proper subfield) or a
 primitivity verdict obtained from the prime-degree shortcut, the resolvent
@@ -30,7 +30,6 @@ from .exactalg import (
     _divmod_list,
     _factor_list,
     _factor_squarefree_z,
-    _numerators,
     _p_mod,
     _p_mul,
     _p_reduce,
@@ -87,14 +86,12 @@ class NumberField:
         )
 
     def element(self, coeffs) -> "FieldElement":
-        c = [Fraction(x) for x in coeffs]
-        if len(c) > self.degree:
+        if len(coeffs) > self.degree:
             raise InvalidInput("too many coordinates")
-        c += [Fraction(0)] * (self.degree - len(c))
-        return FieldElement(self, tuple(c))
+        return FieldElement(self, RatPolynomial(coeffs))
 
     def from_poly(self, poly: RatPolynomial) -> "FieldElement":
-        return self.element((poly % self.modulus).coeffs)
+        return FieldElement(self, poly % self.modulus)
 
     @property
     def zero(self):
@@ -106,9 +103,7 @@ class NumberField:
 
     @property
     def theta(self):
-        if self.degree == 1:
-            return self.from_poly(POLY_X)
-        return self.element([0, 1])
+        return self.from_poly(POLY_X)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -121,13 +116,14 @@ class NumberField:
 
 
 class FieldElement:
-    """Element of a NumberField, as coordinates in the power basis."""
+    """Element of a NumberField: poly, the RatPolynomial of its coordinates
+    in the power basis, of degree below the field's."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "poly")
 
-    def __init__(self, field: NumberField, coeffs: tuple):
+    def __init__(self, field: NumberField, poly: RatPolynomial):
         self.field = field
-        self.coeffs = coeffs
+        self.poly = poly
 
     def _check(self, other) -> "FieldElement":
         if isinstance(other, (int, Fraction)):
@@ -138,59 +134,54 @@ class FieldElement:
             raise InvalidInput("elements live in different fields")
         return other
 
+    @property
+    def coeffs(self) -> tuple:
+        """The d coordinates as Fractions, d the field's degree, a fresh tuple."""
+        c = self.poly.coeffs
+        return c + (Fraction(0),) * (self.field.degree - len(c))
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.poly.is_zero()
 
     def __bool__(self):
-        return any(self.coeffs)
+        return bool(self.poly)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return self.poly.degree < 1
 
     def to_poly(self) -> RatPolynomial:
-        return RatPolynomial(self.coeffs)
+        return self.poly
 
     def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return FieldElement(self.field, self.poly + self._check(other).poly)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, -self.poly)
 
     def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return FieldElement(self.field, self.poly - self._check(other).poly)
 
     def __rsub__(self, other):
-        other = self._check(other)
-        return FieldElement(
-            self.field, tuple(b - a for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return FieldElement(self.field, self._check(other).poly - self.poly)
 
     def __mul__(self, other):
-        """The product in Python ints: each operand as integer numerators
-        over one denominator, and the field's reduction table likewise, so
-        each coordinate is one Fraction over the product of the three."""
+        """The product in Python ints: the numerators of both operands, and
+        the field's reduction table over its one denominator, so the product
+        is one RatPolynomial over the product of the three denominators."""
         other = self._check(other)
         L = self.field
         d = L.degree
-        da, a = _numerators(self.coeffs)
-        db, b = _numerators(other.coeffs)
-        prod = _z_mul(a, b)
-        prod += [0] * (2 * d - 1 - len(prod))  # _z_mul trims; a zero operand gives []
+        prod = _z_mul(self.poly.nums, other.poly.nums)
         den = L._red_den
         out = [c * den for c in prod[:d]]
+        out += [0] * (d - len(out))  # _z_mul trims; a zero operand gives []
         for c, row in zip(prod[d:], L._red_powers):
             if c:
                 out = [u + c * r for u, r in zip(out, row)]
-        den *= da * db
-        return FieldElement(L, tuple(Fraction(c, den) for c in out))
+        den *= self.poly.den * other.poly.den
+        return FieldElement(L, RatPolynomial._from_ints(den, _z_trim(out)))
 
     __rmul__ = __mul__
 
@@ -199,10 +190,11 @@ class FieldElement:
         Python ints by fraction-free (Bareiss) Gauss-Jordan elimination.
 
         With C the denominator lcm of the modulus m, phi = C theta is a root
-        of the monic integral C^d m(x / C), and D self is an integral
-        polynomial A in phi.  The columns A phi^j of the matrix of A are
-        integral, and elimination with Bareiss's exact division leaves
-        det times the identity beside det times the coordinates of 1 / A.
+        of the monic integral C^d m(x / C), and D self, with D = den C^(d-1)
+        for the denominator den of self.poly, is an integral polynomial A in
+        phi.  The columns A phi^j of the matrix of A are integral, and
+        elimination with Bareiss's exact division leaves det times the
+        identity beside det times the coordinates of 1 / A.
         A pivot column with no nonzero entry means the matrix is singular:
         self is a zero divisor, which only a reducible modulus has.
         """
@@ -211,9 +203,8 @@ class FieldElement:
         d = self.field.degree
         C = self.field.modulus.den
         m = [c * C ** (d - 1 - i) for i, c in enumerate(self.field.modulus.nums[:-1])]
-        dens = [q.denominator * C ** i for i, q in enumerate(self.coeffs)]
-        D = lcm(*dens)
-        col = [q.numerator * (D // e) for q, e in zip(self.coeffs, dens)]
+        col = [c * C ** (d - 1 - i) for i, c in enumerate(self.poly.nums)]
+        col += [0] * (d - len(col))
         cols = [col]
         for _ in range(d - 1):
             # phi times the column: shift up, and x^d = -(m_0 + ... + m_(d-1) x^(d-1))
@@ -234,9 +225,10 @@ class FieldElement:
                     f = rows[i][k]
                     rows[i] = [(a * x - f * y) // prev for x, y in zip(rows[i], pk)]
             prev = a
+        D = self.poly.den * C ** (d - 1)
         return FieldElement(
             self.field,
-            tuple(Fraction(rows[i][d] * D * C ** i, prev) for i in range(d)),
+            RatPolynomial._from_ints(prev, _z_trim([rows[i][d] * D * C ** i for i in range(d)])),
         )
 
     def __truediv__(self, other):
@@ -251,21 +243,17 @@ class FieldElement:
         return _power(self, n, self.field.one)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        if isinstance(other, FieldElement):
+            return self.field == other.field and self.poly == other.poly
+        return isinstance(other, (int, Fraction)) and self.poly == other
 
     def __hash__(self):
-        return hash((self.field.modulus, self.coeffs))
+        return hash((self.field.modulus, self.poly))
 
     def norm(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
-        return resultant(self.field.modulus, self.to_poly())
+        return resultant(self.field.modulus, self.poly)
 
     def minimal_polynomial(self) -> RatPolynomial:
         """Monic minimal polynomial over Q, by the first power dependency."""
@@ -320,7 +308,7 @@ class NfPolynomial:
         )
 
     def __hash__(self):
-        return hash((self.field.modulus, tuple(e.coeffs for e in self.coeffs)))
+        return hash((self.field.modulus, self.coeffs))
 
     def __add__(self, other):
         return NfPolynomial(self.field, _z_add(self.coeffs, other.coeffs))
@@ -1135,9 +1123,8 @@ def _quadratic_entry(L: NumberField, g: FieldElement, b, c) -> PrincipalSubfield
     _subfield_generator picks from it.  Substituting g = g_k h + g_0 gives
     the minimal polynomial of h, and _canonical_quadratic normalizes both.
     """
-    k = max(i for i, a in enumerate(g.coeffs) if a)
-    g0, gk = g.coeffs[0], g.coeffs[k]
-    h = FieldElement(L, (Fraction(0),) + tuple(a / gk for a in g.coeffs[1:]))
+    g0, gk = g.poly[0], g.poly.lc
+    h = FieldElement(L, (g.poly - g0).scale(1 / gk))
     minpoly = RatPolynomial([(g0 * g0 + b * g0 + c) / (gk * gk), (2 * g0 + b) / gk, 1])
     gen, minpoly = _canonical_quadratic(L, h, minpoly)
     return PrincipalSubfield(

@@ -81,6 +81,33 @@ def test_parse_fuzz_never_crashes(g1):
             pass
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(list("0123456789²³٣½xy+-*/^() ")), max_size=10))
+@example("x^²")
+@example("2²")
+def test_parse_reads_only_the_digits_int_reads(g1, text):
+    # str.isdigit also accepts superscripts, which int() refuses
+    for parse in (parse_poly_expr, lambda t: parse_function_expr(t, g1)):
+        try:
+            parse(text)
+        except InvalidInput:
+            pass
+    assert parse_poly_expr("x^٣") == x ** 3
+
+
+def test_non_ascii_digit_and_deep_curve_file_exit_1(curve_file, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"h": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    for argv in (
+        ["certify", "--poly", "x^²"],
+        ["prospect", curve_file, "--function", "2²"],
+        ["curve-info", str(deep)],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
+
 def test_parse_poly_rejects_y():
     with pytest.raises((ParseError, InvalidInput)):
         parse_poly_expr("x + y")

@@ -157,6 +157,48 @@ def test_constant_degree_undefined(g1):
     assert pole_divisor(g1, g1.function(RatPolynomial([5]))).is_zero()
 
 
+def division_is_constant(f):
+    """CurveFunction.is_constant as it was, by dividing a by den: the oracle."""
+    if not f.b.is_zero():
+        return False
+    if f.a.is_zero():
+        return True
+    return (f.a % f.den).is_zero() and (f.a // f.den).degree <= 0
+
+
+def test_is_constant_matches_the_division_oracle(g1, g2):
+    rng = random.Random(33)
+
+    def poly(top):
+        return RatPolynomial([
+            Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(rng.randint(0, top))
+        ])
+
+    for curve in (g1, g2):
+        common = [x + 1, x * x - Fraction(1, 3), RatPolynomial([Fraction(-2, 5)])]
+        funcs = [
+            CurveFunction(curve, c * k, POLY_ZERO, c * rng.choice([1, 2, Fraction(-3, 7)]))
+            for c in common for k in (0, 1, Fraction(5, 2))
+        ]  # constants over a cancelled denominator, such as (x+1)/(x+1)
+        funcs += [
+            CurveFunction(curve, poly(3), POLY_ZERO if rng.random() < 0.6 else poly(2), poly(2) or 1)
+            for _ in range(200)
+        ]
+        constants = 0
+        for f in funcs:
+            assert f.is_constant() == division_is_constant(f), f
+            if division_is_constant(f):
+                constants += 1
+                value = (f.a // f.den)[0] if f.a else Fraction(0)
+                assert f.constant_value() == value
+                assert type(f.constant_value()) is Fraction
+            else:
+                with pytest.raises(InvalidInput):
+                    f.constant_value()
+        assert constants > 20
+        assert CurveFunction(curve, x + 1, POLY_ZERO, x + 1).constant_value() == 1
+
+
 # ----------------------------------------------------------------------
 # Riemann-Roch spaces
 

@@ -1,9 +1,11 @@
 """A RatPolynomial is held as int numerators over one denominator, and that
 form is chosen once, in the class: callers read ``p.den`` and ``p.nums``.
-The side conversions that the Fraction-backed class needed are gone, and
-outside exactalg ``_numerators`` turns only Fraction vectors into ints: the
-coordinates of FieldElement products and the Riemann-Roch kernel, which
-stay Fractions."""
+A FieldElement holds the RatPolynomial of its coordinates, and division over
+Q is a pseudo-division of the numerators.  The side conversions that the
+Fraction-backed classes needed are gone: outside exactalg ``_numerators``
+turns only the Riemann-Roch kernel, which nullspace gives as Fractions, into
+ints, and the field division ``_divmod_list`` serves polynomials over a
+number field alone."""
 
 import ast
 from pathlib import Path
@@ -11,17 +13,17 @@ from pathlib import Path
 import primpoints
 
 SRC = Path(primpoints.__file__).parent
-GONE = {"_monic_from_z", "from_zpoly", "_integral", "_scaled_monic"}
+GONE = {"_monic_from_z", "from_zpoly", "_integral", "_scaled_monic", "_z_pseudo_rem"}
 ALLOWED = {
-    "numfield.py:FieldElement.__mul__",
-    "hypcurve.py:riemann_roch_basis",
+    "_numerators": {"hypcurve.py:riemann_roch_basis"},
+    "_divmod_list": {"numfield.py:NfPolynomial.__divmod__"},
 }
 
 
 def _names(path):
-    """(every name defined or referenced in path, {Class.function: the
-    lines that call _numerators})."""
-    names, calls = set(), {}
+    """(every name defined or referenced in path, the pairs (callee,
+    Class.function) of each call in it to a callee of ALLOWED)."""
+    names, calls = set(), set()
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -38,9 +40,9 @@ def _names(path):
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Name)
-                and child.func.id == "_numerators"
+                and child.func.id in ALLOWED
             ):
-                calls.setdefault(".".join(scope), []).append(child.lineno)
+                calls.add((child.func.id, ".".join(scope)))
             visit(child, scope)
 
     visit(ast.parse(path.read_text(), filename=str(path)), [])
@@ -50,12 +52,14 @@ def _names(path):
 def test_one_integer_form_of_a_rational_polynomial():
     files = sorted(SRC.glob("*.py"))
     assert len(files) >= 9
-    callers = {}
+    callers = {callee: set() for callee in ALLOWED}
     for path in files:
         names, calls = _names(path)
         assert names & GONE == set(), (path.name, names & GONE)
-        if path.name != "exactalg.py":
-            callers.update({f"{path.name}:{scope}": lines for scope, lines in calls.items()})
-    assert set(callers) - ALLOWED == set(), callers
-    # the detector still sees the calls that are allowed
-    assert set(callers) == ALLOWED
+        if path.name == "numfield.py":
+            assert "_numerators" not in names
+        for callee, scope in calls:
+            if path.name != "exactalg.py" or callee == "_divmod_list":
+                callers[callee].add(f"{path.name}:{scope}")
+    # the detector sees every allowed call, and no other
+    assert callers == ALLOWED, callers

@@ -307,6 +307,31 @@ def test_operations_match_the_fraction_oracle():
             assert same(a, A) and same(b, B)
         if p or q:
             assert same(poly_gcd(p, q), fraction_poly_gcd(P, Q))
+    # deeper divisions: dividends of degree up to 12, and the zero dividend,
+    # by monic divisors over denominators up to 2^40 (the u^r of _sqrt_lift),
+    # by divisors of higher degree than any dividend, and by constants
+    def both(coeffs):
+        return RatPolynomial(coeffs), FractionRatPolynomial(coeffs)
+
+    dividends = [both([]), both([Fraction(2, 3)] * 13)] + [
+        both([Fraction(rng.randint(-2 ** 60, 2 ** 60), rng.randint(1, 2 ** 30))
+              for _ in range(rng.randint(1, 13))])
+        for _ in range(10)
+    ]
+    divisors = [both([3]), both([Fraction(-5, 2 ** 40)])]
+    for r in range(1, 6):
+        c = Fraction(rng.randrange(-2 ** 8 + 1, 2 ** 8, 2), 2 ** 8)
+        divisors.append(both((FractionRatPolynomial([-c, 1]) ** r).coeffs))
+    u = FractionRatPolynomial([Fraction(rng.randrange(1, 2 ** 20, 2), 2 ** 20), Fraction(-7, 2 ** 20), 1])
+    divisors.append(both((u ** 2).coeffs))
+    divisors += [
+        both([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] + [Fraction(-7, 3)])
+        for n in (2, 5, 13, 15)
+    ]
+    for p, P in dividends:
+        for q, Q in divisors:
+            (a, b), (A, B) = divmod(p, q), divmod(P, Q)
+            assert same(a, A) and same(b, B), (P, Q)
     # equality and hashing agree on equal polynomials built two ways
     p, P = pairs[-1]
     assert p == pairs[3][0] and hash(p) == hash(pairs[3][0])
